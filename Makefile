@@ -17,13 +17,16 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector gate over the concurrent ingestion path, the worker pool
-# behind the parallel Gonzalez traversal, the serving layer — including
-# the multi-tenant lifecycle test (concurrent tenant create/ingest/assign/
-# checkpoint) and the shared-pool traversal test — the fault-injection
-# switchboard (armed/disarmed flips racing against hot-path Hit calls) and
-# the telemetry registry (concurrent histogram records, trace pool reuse,
-# logger interleaving); -short keeps it under a few seconds.
+# Race-detector gate over the worker pool behind the parallel Gonzalez
+# traversal (TestPoolConcurrentTraversals), the concurrent streaming
+# ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
+# the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
+# create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle and
+# the assign linearizability test TestAssignLinearizable), the
+# fault-injection switchboard (TestConcurrentHits: armed/disarmed flips
+# racing hot-path Hit calls) and the telemetry registry (TestConcurrentObserve,
+# TestLoggerConcurrentLinesDoNotInterleave); -short keeps it under a few
+# seconds. scripts/check.sh runs the same package list.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/...
 

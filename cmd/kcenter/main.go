@@ -209,8 +209,6 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 		telemetry    = fs.Bool("telemetry", true, "arm latency telemetry: /metrics exposition and /v1/stats latency fields")
 		pprofFlag    = fs.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 		slowReq      = fs.Duration("slow-request", 0, "log requests at or above this latency with a per-stage breakdown (0 = off; needs -telemetry)")
-		coalWindow   = fs.Duration("coalesce-window", 0, "assign coalescer gather window: concurrent /v1/assign requests on one snapshot fuse into one kernel pass (0 = 200µs, negative = off)")
-		coalMax      = fs.Int("coalesce-max", 0, "max assign requests fused per coalesced pass (0 = 16)")
 		logFormat    = fs.String("log-format", "text", "structured log encoding: text | json")
 		faults       = fs.String("faults", "", "arm deterministic fault injection, e.g. 'checkpoint.fsync=error;stream.shard=panic-after-100' (testing only)")
 		readTimeout  = fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
@@ -255,8 +253,6 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 		Telemetry:          *telemetry,
 		Pprof:              *pprofFlag,
 		SlowRequest:        *slowReq,
-		CoalesceWindow:     *coalWindow,
-		CoalesceMax:        *coalMax,
 	})
 	if err != nil {
 		return err
@@ -303,14 +299,6 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 	if effDefaultK <= 0 {
 		effDefaultK = *k
 	}
-	effCoalWindow := *coalWindow
-	if effCoalWindow == 0 {
-		effCoalWindow = 200 * time.Microsecond
-	}
-	effCoalMax := *coalMax
-	if effCoalMax <= 0 {
-		effCoalMax = 16
-	}
 	effReplInterval := *replInterval
 	if effReplInterval <= 0 {
 		effReplInterval = 2 * time.Second
@@ -334,8 +322,6 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 		"telemetry", *telemetry,
 		"pprof", *pprofFlag,
 		"slow_request", *slowReq,
-		"coalesce_window", effCoalWindow,
-		"coalesce_max", effCoalMax,
 		"log_format", *logFormat,
 		"faults_armed", *faults != "",
 	)

@@ -1,9 +1,8 @@
-// Fused batch assignment: the one-to-many entry point behind the serving
-// layer's assign coalescer. Where Evaluate owns its own parallelism and
-// allocates a full Evaluation, NearestBatch is the bare kernel pass — the
-// caller (which has already fused many requests' points into one contiguous
-// Dataset slab) provides the output arrays and gets exactly the per-point
-// results the solo query path computes, bit for bit.
+// Batch assignment: a one-to-many kernel pass over a contiguous query slab.
+// Where Evaluate owns its own parallelism and allocates a full Evaluation,
+// NearestBatch is the bare kernel pass — the caller provides the query
+// Dataset and the output arrays and gets exactly the per-point results a
+// per-point nearest-center query computes, bit for bit.
 
 package assign
 

@@ -98,8 +98,7 @@ type Stage uint8
 // Stages of the two traced routes. Ingest requests pass decode → queue_wait
 // → encode synchronously, with push (the shard ingest of a dequeued batch)
 // recorded asynchronously by the tenant's ingest worker; assign requests
-// pass decode → snapshot → [coalesce →] kernel → encode, the coalesce span
-// appearing only on requests that parked in a gather window.
+// pass decode → snapshot → kernel → encode.
 const (
 	// StageDecode is request body read, JSON decode and point validation.
 	StageDecode Stage = iota
@@ -116,11 +115,6 @@ const (
 	StageKernel
 	// StageEncode is the JSON response encode and write.
 	StageEncode
-	// StageCoalesce is the time an assign request parked in the gather
-	// window waiting to be fused with concurrent requests against the same
-	// snapshot version (for a follower it also covers the leader's fused
-	// kernel pass, since the follower sleeps until its results are ready).
-	StageCoalesce
 	NumStages
 )
 
@@ -138,8 +132,6 @@ func (s Stage) String() string {
 		return "kernel"
 	case StageEncode:
 		return "encode"
-	case StageCoalesce:
-		return "coalesce"
 	}
 	return "invalid"
 }

@@ -128,66 +128,3 @@ func BenchmarkServeAssign(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(batch)*float64(b.N)*float64(time.Second)/float64(b.Elapsed()+1), "assigns/s")
 }
-
-// BenchmarkServeAssignCoalesced measures the concurrent assign path — 8
-// parallel clients posting 16-point batches against one frozen snapshot —
-// with the request coalescer off (baseline) and on. The "on" rows are
-// where fused one-to-many passes replace per-request kernel loops; the
-// fused/op metric reports how many coalesce batches each op amortised.
-func BenchmarkServeAssignCoalesced(b *testing.B) {
-	run := func(b *testing.B, window time.Duration) {
-		s, ts := benchService(b, Config{K: 25, Shards: 4,
-			CoalesceWindow: window, CoalesceMax: 16})
-		l := dataset.Gau(dataset.GauConfig{N: 20000, KPrime: 25, Seed: 93})
-		const seedBatch = 1000
-		for lo := 0; lo < l.Points.N; lo += seedBatch {
-			pts := make([][]float64, seedBatch)
-			for i := range pts {
-				pts[i] = l.Points.At(lo + i)
-			}
-			resp, err := ts.Client().Post(ts.URL+"/v1/ingest", "application/json",
-				bytes.NewReader(marshalBatch(b, pts)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for s.ingestedPoints.Load() < int64(l.Points.N) {
-			if time.Now().After(deadline) {
-				b.Fatal("seed ingestion did not drain")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		const batch = 16
-		queries := make([][]float64, batch)
-		for i := range queries {
-			queries[i] = l.Points.At((i * 37) % l.Points.N)
-		}
-		body := marshalBatch(b, queries)
-		b.SetParallelism(8) // 8 client goroutines per GOMAXPROCS
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			client := &http.Client{Timeout: 60 * time.Second}
-			for pb.Next() {
-				resp, err := client.Post(ts.URL+"/v1/assign", "application/json", bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("status %d", resp.StatusCode)
-				}
-				var ar assignResponse
-				if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(batch)*float64(b.N)*float64(time.Second)/float64(b.Elapsed()+1), "assigns/s")
-		b.ReportMetric(float64(s.coalesceBatches.Load())/float64(b.N+1), "fused/op")
-	}
-	b.Run("off", func(b *testing.B) { run(b, -1) })
-	b.Run("on", func(b *testing.B) { run(b, 0) })
-}

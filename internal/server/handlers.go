@@ -252,14 +252,6 @@ type statsResponse struct {
 	// (pruning makes this sub-linear in k per point above the crossover).
 	DistEvals      int64 `json:"dist_evals"`
 	SnapshotBuilds int64 `json:"snapshot_builds"`
-	// CoalescedRequests counts assign requests answered from a fused pass of
-	// ≥ 2 requests, CoalesceBatches the fused passes themselves, and
-	// CoalescedPoints the points those passes carried. All zero — and so
-	// omitted, keeping single-client replies byte-identical to the previous
-	// wire format — on a workload with no assign concurrency.
-	CoalescedRequests int64 `json:"coalesced_requests,omitempty"`
-	CoalesceBatches   int64 `json:"coalesce_batches,omitempty"`
-	CoalescedPoints   int64 `json:"coalesced_points,omitempty"`
 	// ShedBatches/ShedPoints count ingest batches (and the points in them)
 	// rejected with 429 because the queue stayed at its watermark past the
 	// shed patience.
@@ -676,29 +668,12 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 	var trMetrics *obs.TenantMetrics
 	var trTenant string
 	defer func() { tr.Finish(trMetrics, trTenant) }()
-	// Count this request in flight for its whole lifetime, decode included:
-	// the coalescer's solo bypass fires when this is the only assign the
-	// service is processing (see assignBatch). Counting from before the
-	// body read — the span where a request genuinely blocks — is what lets
-	// concurrent requests find each other even when their kernel sections
-	// alone would never overlap.
-	s.assignInflight.Add(1)
-	defer s.assignInflight.Add(-1)
 	req := s.decodePoints(w, r)
 	if req == nil {
 		return
 	}
 	batch := req.Points
-	// Assign only reads the batch, so the handler normally recycles it on
-	// every path — EXCEPT when assignBatch returns an error: the request
-	// then abandoned a coalesce cohort mid-window and buffer ownership
-	// passed to the cohort leader (see assignBatch).
-	recycle := true
-	defer func() {
-		if recycle {
-			putPointsBuf(batch)
-		}
-	}()
+	defer putPointsBuf(batch) // assign only reads the batch; recycle on every path
 	tr.Mark(obs.StageDecode)
 	name, ok := mergeTenantName(w, r, req.Tenant)
 	if !ok {
@@ -731,15 +706,7 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.Mark(obs.StageSnapshot)
-	assignments, evals, err := t.assignBatch(r.Context(), tr, qs, batch)
-	if err != nil {
-		// The request's context expired while parked in a coalesce gather
-		// window; its buffer now belongs to the cohort leader.
-		recycle = false
-		writeError(w, http.StatusServiceUnavailable,
-			"request cancelled while waiting to coalesce: "+err.Error())
-		return
-	}
+	assignments, evals := assignPoints(qs, batch)
 	resp := assignResponse{
 		Snapshot:    meta(qs),
 		Assignments: assignments,
@@ -753,6 +720,20 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 	expstats.Add("assign_dist_evals", evals)
 	writeJSON(w, http.StatusOK, resp)
 	tr.Mark(obs.StageEncode)
+}
+
+// assignPoints answers one assign batch against qs: the nearest center and
+// its distance for every point, in order, plus the distance evaluations the
+// pruned kernel performed.
+func assignPoints(qs *querySnapshot, pts [][]float64) ([]assignment, int64) {
+	out := make([]assignment, len(pts))
+	var evals int64
+	for i, p := range pts {
+		c, sq, e := qs.nearest(p)
+		evals += e
+		out[i] = assignment{Center: c, Distance: math.Sqrt(sq)}
+	}
+	return out, evals
 }
 
 func (s *Service) handleCenters(w http.ResponseWriter, r *http.Request) {
@@ -869,12 +850,8 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		AssignPoints:    t.assignPoints.Load(),
 		DistEvals:       t.distEvals.Load(),
 		SnapshotBuilds:  t.snapshotBuilds.Load(),
-
-		CoalescedRequests: t.coalescedRequests.Load(),
-		CoalesceBatches:   t.coalesceBatches.Load(),
-		CoalescedPoints:   t.coalescedPoints.Load(),
-		ShedBatches:       t.shedBatches.Load(),
-		ShedPoints:        t.shedPoints.Load(),
+		ShedBatches:     t.shedBatches.Load(),
+		ShedPoints:      t.shedPoints.Load(),
 
 		CheckpointWrites:       t.ckptWrites.Load(),
 		CheckpointErrors:       t.ckptErrors.Load(),

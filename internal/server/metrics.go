@@ -152,12 +152,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(t *tenant) int64 { return t.ckptErrors.Load() }},
 		{"kcenter_tenant_snapshot_builds_total", "Query snapshot rebuilds (center set changed).",
 			func(t *tenant) int64 { return t.snapshotBuilds.Load() }},
-		{"kcenter_tenant_coalesced_requests_total", "Assign requests answered from a fused coalesce pass.",
-			func(t *tenant) int64 { return t.coalescedRequests.Load() }},
-		{"kcenter_tenant_coalesce_batches_total", "Fused coalesce passes executed (>= 2 requests each).",
-			func(t *tenant) int64 { return t.coalesceBatches.Load() }},
-		{"kcenter_tenant_coalesced_points_total", "Points carried by fused coalesce passes.",
-			func(t *tenant) int64 { return t.coalescedPoints.Load() }},
 		{"kcenter_tenant_burst_drains_total", "Shard burst-drain rounds.",
 			func(t *tenant) int64 { return streamCounter(t, false) }},
 		{"kcenter_tenant_burst_messages_total", "Messages consumed by burst drains (ratio to drains = mean burst occupancy).",

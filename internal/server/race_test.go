@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"kcenter/internal/dataset"
+	"kcenter/internal/metric"
 )
 
 // TestConcurrentIngestAssignSnapshot is the -race gate for the serving
@@ -230,4 +232,141 @@ func TestConcurrentTenantLifecycle(t *testing.T) {
 	if _, err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAssignLinearizable is the linearizability suite (runs under the -race
+// gate): query goroutines hammer /v1/assign while a producer keeps bumping
+// the center-set version, and a poller records every center list the
+// service publishes by version. Every assign response must be exactly the
+// result of evaluating its points against the single center list named by
+// its snapshot.version — same nearest index, bit-equal distance — proving
+// responses are never computed from a mix of snapshots.
+func TestAssignLinearizable(t *testing.T) {
+	s := newTestService(t, Config{K: 12, Shards: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	n := 9000
+	rounds := 60
+	if testing.Short() {
+		n, rounds = 3000, 20
+	}
+	feed := genPoints(n, 23)
+	ingestAll(t, ts, s, feed[:600], 200) // seed so assigns succeed from the start
+
+	// Poller: record the published center list per version. Center lists
+	// are immutable per version, so first-seen wins and a version observed
+	// twice must match.
+	versions := sync.Map{} // uint64 -> [][]float64
+	stop := make(chan struct{})
+	var pollWG sync.WaitGroup
+	pollWG.Add(1)
+	go func() {
+		defer pollWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var cr centersResponse
+			resp := getJSON(t, ts, "/v1/centers", &cr)
+			if resp.StatusCode == http.StatusOK {
+				versions.LoadOrStore(cr.Snapshot.Version, cr.Centers)
+			}
+		}
+	}()
+
+	// Producer: keep ingesting so CentersVersion advances during the run.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for lo := 600; lo < n; lo += 150 {
+			hi := lo + 150
+			if hi > n {
+				hi = n
+			}
+			resp, body := postJSON(t, ts, "/v1/ingest", ingestRequest{Points: feed[lo:hi]})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("ingest status %d: %s", resp.StatusCode, body)
+				return
+			}
+		}
+	}()
+
+	// Query clients: concurrent assigns racing the producer.
+	queries := genPoints(120, 29)
+	verified := int64(0)
+	var verifiedMu sync.Mutex
+	seen := map[uint64]bool{}
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				pts := queries[(c*7+r)%100 : (c*7+r)%100+12]
+				resp, body := postJSON(t, ts, "/v1/assign", assignRequest{Points: pts})
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("assign status %d: %s", resp.StatusCode, body)
+					return
+				}
+				var ar assignResponse
+				if err := json.Unmarshal(body, &ar); err != nil {
+					t.Errorf("assign reply: %v", err)
+					return
+				}
+				if len(ar.Assignments) != len(pts) {
+					t.Errorf("%d assignments for %d points", len(ar.Assignments), len(pts))
+					return
+				}
+				v, ok := versions.Load(ar.Snapshot.Version)
+				if !ok {
+					continue // version never caught by the poller; cannot verify
+				}
+				centers := v.([][]float64)
+				if len(centers) != ar.Snapshot.Centers {
+					t.Errorf("version %d: snapshot meta says %d centers, /v1/centers published %d",
+						ar.Snapshot.Version, ar.Snapshot.Centers, len(centers))
+					return
+				}
+				for i, p := range pts {
+					wc, wd := nearestBrute(centers, p)
+					if ar.Assignments[i].Center != wc || ar.Assignments[i].Distance != wd {
+						t.Errorf("version %d point %d: got (center %d, dist %v), want (center %d, dist %v) against that version's centers",
+							ar.Snapshot.Version, i, ar.Assignments[i].Center, ar.Assignments[i].Distance, wc, wd)
+						return
+					}
+				}
+				verifiedMu.Lock()
+				verified++
+				seen[ar.Snapshot.Version] = true
+				verifiedMu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	pollWG.Wait()
+
+	if verified == 0 {
+		t.Fatal("no assign response could be verified against a published center list")
+	}
+	if len(seen) < 2 {
+		t.Logf("only %d distinct snapshot version(s) verified (%d responses); ingest may have converged early", len(seen), verified)
+	}
+}
+
+// nearestBrute recomputes an assignment against a published center list
+// with the serving path's exact arithmetic: metric.NearestInRange over the
+// centers (same accumulation order, lowest-index tie-break) and a final
+// Sqrt. JSON round-trips float64 values exactly, so a correct response
+// matches bit for bit.
+func nearestBrute(centers [][]float64, p []float64) (int, float64) {
+	ds, err := metric.FromPoints(centers)
+	if err != nil {
+		panic(err)
+	}
+	c, sq := metric.NearestInRange(ds, 0, ds.N, p)
+	return c, math.Sqrt(sq)
 }

@@ -162,17 +162,6 @@ type Config struct {
 	// back after a bad feed (copy <path>.i over <path> and restart).
 	// 0 keeps no history: each write atomically replaces the previous.
 	CheckpointKeep int
-	// CoalesceWindow bounds the gather window of the assign coalescer: a
-	// /v1/assign request that arrives while another is already in flight on
-	// the same tenant parks up to this long so concurrent requests against
-	// the same snapshot version fuse into one kernel pass (demultiplexed
-	// per request afterward, results bit-identical to solo execution).
-	// A request with no concurrent sibling bypasses the window entirely, so
-	// solo latency is unmoved. 0 means 200µs; negative disables coalescing.
-	CoalesceWindow time.Duration
-	// CoalesceMax caps the requests fused into one coalesced pass; a full
-	// batch seals (and runs) before the window expires. 0 means 16.
-	CoalesceMax int
 	// MaxTenants enables multi-tenant mode when > 0: requests may route to
 	// named tenants, and first ingest contact with an unknown name lazily
 	// creates it until MaxTenants tenants exist (the default tenant
@@ -240,12 +229,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 15 * time.Second
 	}
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = 200 * time.Microsecond
-	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 16
-	}
 	if c.CheckpointKeep < 0 {
 		c.CheckpointKeep = 0
 	}
@@ -310,13 +293,6 @@ type Service struct {
 	// peers are the replication push targets (nil when ReplicatePeers is
 	// empty); each tracks its own sent-version and backoff state.
 	peers []*replicaPeer
-
-	// assignInflight counts assign requests across their whole handler
-	// lifetime, body read included — the coalescer's solo-bypass signal
-	// (see assignBatch in coalesce.go). Service-wide rather than per-tenant:
-	// a lone request must be able to tell it is alone before its tenant is
-	// even resolved.
-	assignInflight atomic.Int64
 
 	started time.Time
 }

@@ -103,20 +103,6 @@ type tenant struct {
 	shedBatches     atomic.Int64 // batches rejected with 429 at the queue watermark
 	shedPoints      atomic.Int64
 
-	// Assign-coalescer counters (see coalesce.go): requests answered from a
-	// fused pass of ≥ 2 requests, the fused passes themselves, and the
-	// points they carried. All zero on a workload with no concurrency, so
-	// single-client stats replies stay byte-identical to the old format.
-	coalescedRequests atomic.Int64
-	coalesceBatches   atomic.Int64
-	coalescedPoints   atomic.Int64
-
-	// Coalescer gather state: coalMu guards coalOpen, the batch currently
-	// gathering members. The solo-bypass signal lives on the Service
-	// (assignInflight), since it must span the whole handler lifetime.
-	coalMu   sync.Mutex
-	coalOpen *coalesceBatch
-
 	// Checkpoint state: writes are serialized by ckptMu; lastCkptVersion
 	// remembers the center-set version of the last persisted snapshot so
 	// periodic sweeps skip writing when nothing changed (ckptEver

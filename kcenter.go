@@ -453,15 +453,6 @@ type ServerOptions struct {
 	// SlowRequest, when > 0 (with Telemetry), logs any request at or above
 	// the threshold as one structured line with its per-stage breakdown.
 	SlowRequest time.Duration
-	// CoalesceWindow bounds the gather window of the assign coalescer:
-	// concurrent /v1/assign requests against the same snapshot version fuse
-	// into one kernel pass (results bit-identical to solo execution, solo
-	// latency unmoved — see ARCHITECTURE.md, "Read-path coalescing").
-	// 0 means 200µs; negative disables coalescing.
-	CoalesceWindow time.Duration
-	// CoalesceMax caps the requests fused into one coalesced pass; a full
-	// batch seals (and runs) before the window expires. 0 means 16.
-	CoalesceMax int
 }
 
 // ServerRestore describes the warm start a server performed from its
@@ -536,8 +527,6 @@ func NewServer(k int, opt ServerOptions) (*Server, error) {
 		Telemetry:          opt.Telemetry,
 		Pprof:              opt.Pprof,
 		SlowRequest:        opt.SlowRequest,
-		CoalesceWindow:     opt.CoalesceWindow,
-		CoalesceMax:        opt.CoalesceMax,
 	})
 	if err != nil {
 		return nil, err

@@ -1,11 +1,9 @@
 #!/bin/sh
 # Canonical tier-1 gate, mirroring `make check` for environments without
-# make. Runs vet, build, the full test suite, the race-detector pass over
-# the concurrent streaming ingestion path, the serving layer (including
-# the multi-tenant create/ingest/assign/checkpoint race test), the
-# fault-injection switchboard and the telemetry registry, a chaos smoke
-# (the fault-injection storm with its four robustness assertions), a
-# bench smoke, and the docs gate (scripts/docscheck.sh).
+# make. Runs vet, build, the full test suite, the race-detector pass (see
+# below), the fuzz gate, a chaos smoke (the fault-injection storm with its
+# four robustness assertions), a bench smoke, and the docs gate
+# (scripts/docscheck.sh).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,8 +17,19 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race -short ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/..."
-go test -race -short ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/...
+# Race-detector gate over the worker pool behind the parallel Gonzalez
+# traversal (TestPoolConcurrentTraversals), the concurrent streaming
+# ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
+# the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
+# create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle and
+# the assign linearizability test TestAssignLinearizable), the
+# fault-injection switchboard (TestConcurrentHits: armed/disarmed flips
+# racing hot-path Hit calls) and the telemetry registry (TestConcurrentObserve,
+# TestLoggerConcurrentLinesDoNotInterleave); -short keeps it under a few
+# seconds. `make race` runs the same package list.
+RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/..."
+echo "== go test -race -short $RACE_PKGS"
+go test -race -short $RACE_PKGS
 
 # Fuzz gate: a short random-exploration budget per native fuzz target on
 # top of the committed seed corpora; any crasher fails the gate.

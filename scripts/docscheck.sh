@@ -1,5 +1,5 @@
 #!/bin/sh
-# Docs gate, part of `make check` (see scripts/check.sh). Four checks:
+# Docs gate, part of `make check` (see scripts/check.sh). Five checks:
 #
 #   1. gofmt: no file may need reformatting.
 #   2. Package comments: every package has exactly one package doc comment
@@ -12,6 +12,10 @@
 #   4. Wire-format sync: every /v1/* route registered in internal/server
 #      must be documented in README.md and examples/serving/README.md, so
 #      the wire-format docs cannot silently fall behind the handler table.
+#   5. CLI flag sync: every backticked `-flag` in README.md, ARCHITECTURE.md
+#      and examples/serving/README.md must be a flag registered in
+#      cmd/kcenter/main.go (Go toolchain flags such as -race are exempt), so
+#      a removed or renamed flag cannot linger in the docs.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -96,6 +100,23 @@ for rt in $routes; do
 	for doc in README.md examples/serving/README.md; do
 		if ! grep -q "$rt" "$doc"; then
 			echo "$doc does not document route $rt (registered in internal/server)"
+			fail=1
+		fi
+	done
+done
+
+echo "== docs gate: CLI flag sync (cmd/kcenter)"
+flags="$(grep -oE 'fs\.[A-Z][A-Za-z0-9]*\("[a-z][a-z0-9-]*"' cmd/kcenter/main.go | sed -E 's/.*\("([^"]*)"/\1/' | sort -u)"
+if [ -z "$flags" ]; then
+	echo "no flags found in cmd/kcenter/main.go (extraction broken?)"
+	fail=1
+fi
+# Go toolchain flags the docs quote when describing test and bench runs.
+toolchain_flags="race cpu"
+for doc in README.md ARCHITECTURE.md examples/serving/README.md; do
+	for fl in $(grep -oE '`-[A-Za-z][A-Za-z0-9-]*' "$doc" | sed 's/^`-//' | sort -u); do
+		if ! printf '%s\n' $flags $toolchain_flags | grep -qx -- "$fl"; then
+			echo "$doc mentions -$fl, which is not a flag registered in cmd/kcenter/main.go"
 			fail=1
 		fi
 	done
