@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos fuzz bench bench-smoke bench-all docs
+.PHONY: check vet build test race isolation chaos fuzz bench bench-smoke bench-all docs
 
-check: vet build test race chaos fuzz bench-smoke docs
+check: vet build test race isolation chaos fuzz bench-smoke docs
 
 vet:
 	$(GO) vet ./...
@@ -22,13 +22,22 @@ test:
 # ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
 # the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
 # create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle and
-# the assign linearizability test TestAssignLinearizable), the
-# fault-injection switchboard (TestConcurrentHits: armed/disarmed flips
-# racing hot-path Hit calls) and the telemetry registry (TestConcurrentObserve,
+# the assign linearizability test TestAssignLinearizable, and the per-Service
+# switchboard isolation test TestServiceSwitchboardIsolation), the
+# fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
+# Hit calls on one Set) and the telemetry layer (TestConcurrentObserve,
 # TestLoggerConcurrentLinesDoNotInterleave); -short keeps it under a few
 # seconds. scripts/check.sh runs the same package list.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/...
+
+# Isolation flake gate: the experiment smoke test (every experiment in
+# parallel, chaos's armed fault storm among them) and the two-Service
+# switchboard isolation test, repeated under GOMAXPROCS 1 and 2. A fault
+# rule or telemetry switch leaking from one Service into another shows up
+# here as an injected panic or a degraded tenant in the wrong experiment.
+isolation:
+	$(GO) test -count=3 -cpu 1,2 -run 'TestExperimentsSmoke|TestServiceSwitchboardIsolation' ./internal/harness ./internal/server
 
 # Chaos gate: the fault-injection storm from internal/harness — mixed
 # traffic while shard panics, ingest delays and checkpoint fsync failures

@@ -39,10 +39,11 @@
 // shut it down gracefully, draining queued batches, writing the final
 // checkpoints and printing the final certified clustering. For resilience
 // testing, -faults arms the deterministic fault-injection framework (e.g.
-// -faults 'checkpoint.fsync=error;stream.shard=panic-after-100'); a tenant
-// hit by an injected worker or shard panic degrades — serving its last good
-// snapshot read-only — instead of taking the process down. Telemetry is on
-// by default (-telemetry=false disarms it to one atomic load per probe):
+// -faults 'checkpoint.fsync=error;stream.shard=panic-after-100'), arming the
+// rules on this process's service only; a tenant hit by an injected worker
+// or shard panic degrades — serving its last good snapshot read-only —
+// instead of taking the process down. Telemetry is on by default
+// (-telemetry=false disarms it to one nil check per probe):
 // GET /metrics serves Prometheus text exposition with per-tenant and
 // aggregate latency histograms, -pprof mounts net/http/pprof under
 // /debug/pprof/, -slow-request 250ms logs a per-stage breakdown of any
@@ -74,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"kcenter"
 	"kcenter/internal/core"
 	"kcenter/internal/dataset"
 	"kcenter/internal/eim"
@@ -83,6 +83,7 @@ import (
 	"kcenter/internal/metric"
 	"kcenter/internal/mrg"
 	"kcenter/internal/obs"
+	"kcenter/internal/server"
 	"kcenter/internal/stream"
 )
 
@@ -225,18 +226,8 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 	// The serve process's structured logs (degrade, checkpoint transitions,
 	// contained panics, slow requests) go where the operator output goes.
 	obs.SetDefault(obs.NewLogger(out, format, obs.LevelInfo))
-	if *faults != "" {
-		rules, err := fault.ParseSpec(*faults)
-		if err != nil {
-			return err
-		}
-		if err := fault.Enable(rules); err != nil {
-			return err
-		}
-		defer fault.Disable()
-		fmt.Fprintf(out, "FAULT INJECTION ARMED: %s (testing only — failures below are deliberate)\n", *faults)
-	}
-	srv, err := kcenter.NewServer(*k, kcenter.ServerOptions{
+	cfg := server.Config{
+		K:                  *k,
 		Shards:             *shards,
 		Buffer:             *buffer,
 		MaxBatch:           *maxBatch,
@@ -253,13 +244,25 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 		Telemetry:          *telemetry,
 		Pprof:              *pprofFlag,
 		SlowRequest:        *slowReq,
-	})
+	}
+	if *faults != "" {
+		rules, err := fault.ParseSpec(*faults)
+		if err != nil {
+			return err
+		}
+		cfg.Faults = new(fault.Set)
+		if err := cfg.Faults.Arm(rules); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "FAULT INJECTION ARMED: %s (testing only — failures below are deliberate)\n", *faults)
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
 	for _, rs := range srv.TenantRestores() {
 		tenant := ""
-		if rs.Tenant != "default" {
+		if rs.Tenant != server.DefaultTenant {
 			tenant = "tenant " + rs.Tenant + " "
 		}
 		fmt.Fprintf(out, "%sresumed from checkpoint %s: centers=%d ingested=%d dim=%d version=%d age=%v\n",
@@ -339,8 +342,8 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 	if err := hs.Shutdown(ctx); err != nil {
 		return err
 	}
-	res, err := srv.Shutdown(ctx)
-	if errors.Is(err, kcenter.ErrNothingIngested) {
+	res, err := srv.Close(ctx)
+	if errors.Is(err, stream.ErrEmpty) {
 		fmt.Fprintln(out, "final clustering: none (nothing ingested)")
 		return nil
 	}
@@ -350,8 +353,12 @@ func runServe(args []string, out io.Writer, stop <-chan os.Signal) error {
 		// lost, so report it and exit non-zero.
 		return err
 	}
-	fmt.Fprintf(out, "FINAL   bound=%.6g   lower-bound=%.6g   centers=%d   ingested=%d   (%g-approximation)\n",
-		res.Radius, res.LowerBound, len(res.Centers), res.Ingested, res.ApproxFactor)
+	factor := 8 // one shard: the streaming 8-approximation; sharded: 10
+	if *shards > 1 {
+		factor = 10
+	}
+	fmt.Fprintf(out, "FINAL   bound=%.6g   lower-bound=%.6g   centers=%d   ingested=%d   (%d-approximation)\n",
+		res.Bound, res.LowerBound, res.Centers.N, res.Ingested, factor)
 	// A non-nil res with a non-nil error means the clustering drained fine
 	// but the final checkpoint write failed: report it and exit non-zero so
 	// operators notice the stale checkpoint.

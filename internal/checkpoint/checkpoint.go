@@ -224,9 +224,11 @@ func Decode(data []byte) (*Snapshot, error) {
 // Write atomically persists snap to path: temp file in the same directory,
 // fsync, rename over path, fsync the directory. On return the file at path
 // is either the previous complete checkpoint (on error) or the new one (on
-// nil); no reader can observe a partial write.
-func Write(path string, snap *Snapshot) (err error) {
-	wstart := obs.Started() // zero (and unrecorded) while telemetry is disarmed
+// nil); no reader can observe a partial write. faults is the caller's
+// fault-injection switchboard and m its telemetry sink for write and fsync
+// durations; either may be nil (no injection, nothing recorded).
+func Write(path string, snap *Snapshot, faults *fault.Set, m *obs.CheckpointMetrics) (err error) {
+	wstart := time.Now()
 	buf, err := Encode(snap)
 	if err != nil {
 		return err
@@ -246,7 +248,7 @@ func Write(path string, snap *Snapshot) (err error) {
 			}
 		}
 	}
-	if err = fault.Hit(fault.CheckpointCreate); err != nil {
+	if err = faults.Hit(fault.CheckpointCreate); err != nil {
 		return fmt.Errorf("checkpoint: create in %s: %w", dir, err)
 	}
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -266,26 +268,28 @@ func Write(path string, snap *Snapshot) (err error) {
 	// ENOSPC leaves the nastiest possible temp file: a valid-looking header
 	// with a truncated payload. The deferred cleanup must still remove it
 	// and the live checkpoint must stay untouched.
-	if err = fault.Hit(fault.CheckpointWrite); err != nil {
+	if err = faults.Hit(fault.CheckpointWrite); err != nil {
 		return fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
 	}
 	if _, err = tmp.Write(payload); err != nil {
 		return fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
 	}
-	if err = fault.Hit(fault.CheckpointSync); err != nil {
+	if err = faults.Hit(fault.CheckpointSync); err != nil {
 		return fmt.Errorf("checkpoint: fsync %s: %w", tmp.Name(), err)
 	}
-	fstart := obs.Started()
+	fstart := time.Now()
 	if err = tmp.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: fsync %s: %w", tmp.Name(), err)
 	}
 	// The temp-file fsync dominates checkpoint latency on real disks; it
 	// gets its own histogram alongside the whole-write one.
-	obs.CheckpointFsync.ObserveSince(fstart)
+	if m != nil {
+		m.Fsync.Observe(time.Since(fstart))
+	}
 	if err = tmp.Close(); err != nil {
 		return fmt.Errorf("checkpoint: close %s: %w", tmp.Name(), err)
 	}
-	if err = fault.Hit(fault.CheckpointRename); err != nil {
+	if err = faults.Hit(fault.CheckpointRename); err != nil {
 		return fmt.Errorf("checkpoint: rename %s: %w", tmp.Name(), err)
 	}
 	if err = os.Rename(tmp.Name(), path); err != nil {
@@ -294,7 +298,7 @@ func Write(path string, snap *Snapshot) (err error) {
 	// Past the rename the new checkpoint is live; a dir-fsync failure is
 	// reported (the rename's durability is not yet guaranteed) but the file
 	// at path is already the new complete checkpoint.
-	if err = fault.Hit(fault.CheckpointDirSync); err != nil {
+	if err = faults.Hit(fault.CheckpointDirSync); err != nil {
 		return fmt.Errorf("checkpoint: fsync dir %s: %w", dir, err)
 	}
 	// Persist the rename itself. Directory fsync is best-effort where the
@@ -303,7 +307,9 @@ func Write(path string, snap *Snapshot) (err error) {
 		_ = d.Sync()
 		d.Close()
 	}
-	obs.CheckpointWrite.ObserveSince(wstart) // successful writes only
+	if m != nil {
+		m.Write.Observe(time.Since(wstart)) // successful writes only
+	}
 	return nil
 }
 
@@ -317,8 +323,9 @@ func Write(path string, snap *Snapshot) (err error) {
 // Write's atomicity instead of weakening it. Callers serialize Rotate with
 // Write the way they serialize Writes (the server holds its per-tenant
 // checkpoint mutex across both). keep <= 0 is a no-op; a missing current
-// file just shifts the existing history.
-func Rotate(path string, keep int) {
+// file just shifts the existing history. faults is the caller's
+// fault-injection switchboard (nil: no injection).
+func Rotate(path string, keep int, faults *fault.Set) {
 	if keep <= 0 {
 		return
 	}
@@ -328,12 +335,12 @@ func Rotate(path string, keep int) {
 		// history renames: slots may be left shifted unevenly, but every
 		// surviving slot is still a complete checkpoint and the live file
 		// was never touched.
-		if fault.Hit(fault.CheckpointRotate) != nil {
+		if faults.Hit(fault.CheckpointRotate) != nil {
 			return
 		}
 		_ = os.Rename(fmt.Sprintf("%s.%d", path, i), fmt.Sprintf("%s.%d", path, i+1))
 	}
-	if fault.Hit(fault.CheckpointRotate) != nil {
+	if faults.Hit(fault.CheckpointRotate) != nil {
 		return
 	}
 	if _, err := os.Stat(path); err != nil {

@@ -57,7 +57,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "ck")
-	if err := Write(path, snap); err != nil {
+	if err := Write(path, snap, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(path)
@@ -133,7 +133,7 @@ func TestWriteReplacesAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := Capture(sh, "")
-	if err := Write(path, first); err != nil {
+	if err := Write(path, first, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
@@ -145,7 +145,7 @@ func TestWriteReplacesAtomically(t *testing.T) {
 		}
 	}
 	second := Capture(sh, "")
-	if err := Write(path, second); err != nil {
+	if err := Write(path, second, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(path)
@@ -168,7 +168,7 @@ func TestReadCorruptionPaths(t *testing.T) {
 	sh := buildIngester(t, 6, 2, 2000)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck")
-	if err := Write(path, Capture(sh, "")); err != nil {
+	if err := Write(path, Capture(sh, ""), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)

@@ -36,7 +36,7 @@ func writeGeneration(t *testing.T, path string, gen int) *Snapshot {
 		t.Fatal(err)
 	}
 	snap := Capture(sh, "")
-	if err := Write(path, snap); err != nil {
+	if err := Write(path, snap, nil, nil); err != nil {
 		t.Fatalf("generation %d write: %v", gen, err)
 	}
 	return snap
@@ -83,29 +83,28 @@ func TestWriteFailureMatrix(t *testing.T) {
 			path := filepath.Join(dir, "state.ckpt")
 			good := writeGeneration(t, path, 0)
 
-			if err := fault.Enable(map[string]fault.Rule{pt: {Mode: fault.ModeError}}); err != nil {
+			faults := new(fault.Set)
+			if err := faults.Arm(map[string]fault.Rule{pt: {Mode: fault.ModeError}}); err != nil {
 				t.Fatal(err)
 			}
-			defer fault.Disable()
-			err := writeNewGeneration(path)
+			err := writeNewGeneration(path, faults)
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("faulted Write returned %v, want ErrInjected", err)
 			}
 			assertIntact(t, path, good)
 			noStrayTemps(t, path)
 
-			// Disarmed, the very next write must succeed and replace the live
-			// file atomically.
-			fault.Disable()
+			// Without faults, the very next write must succeed and replace
+			// the live file atomically.
 			next := writeGeneration(t, path, 2)
 			assertIntact(t, path, next)
 		})
 	}
 }
 
-// writeNewGeneration attempts one checkpoint write of a fresh state,
-// returning Write's error.
-func writeNewGeneration(path string) error {
+// writeNewGeneration attempts one checkpoint write of a fresh state under
+// faults, returning Write's error.
+func writeNewGeneration(path string, faults *fault.Set) error {
 	sh, err := stream.NewSharded(stream.ShardedConfig{K: 4, Shards: 2})
 	if err != nil {
 		return err
@@ -118,7 +117,7 @@ func writeNewGeneration(path string) error {
 	if _, err := sh.Finish(); err != nil {
 		return err
 	}
-	return Write(path, Capture(sh, ""))
+	return Write(path, Capture(sh, ""), faults, nil)
 }
 
 // TestDirSyncFailureLeavesNewCheckpointLive: the dir-fsync fault fires after
@@ -130,11 +129,11 @@ func TestDirSyncFailureLeavesNewCheckpointLive(t *testing.T) {
 	path := filepath.Join(dir, "state.ckpt")
 	writeGeneration(t, path, 0)
 
-	if err := fault.Enable(map[string]fault.Rule{fault.CheckpointDirSync: {Mode: fault.ModeError}}); err != nil {
+	faults := new(fault.Set)
+	if err := faults.Arm(map[string]fault.Rule{fault.CheckpointDirSync: {Mode: fault.ModeError}}); err != nil {
 		t.Fatal(err)
 	}
-	defer fault.Disable()
-	if err := writeNewGeneration(path); !errors.Is(err, fault.ErrInjected) {
+	if err := writeNewGeneration(path, faults); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("faulted Write returned %v, want ErrInjected", err)
 	}
 	if _, err := Read(path); err != nil {
@@ -155,17 +154,16 @@ func TestRotationAbortMatrix(t *testing.T) {
 			// checkpoint.
 			var live *Snapshot
 			for gen := 0; gen <= keep; gen++ {
-				Rotate(path, keep)
+				Rotate(path, keep, nil)
 				live = writeGeneration(t, path, gen)
 			}
-			if err := fault.Enable(map[string]fault.Rule{
+			faults := new(fault.Set)
+			if err := faults.Arm(map[string]fault.Rule{
 				fault.CheckpointRotate: {Mode: fault.ModeError, After: abortAt},
 			}); err != nil {
 				t.Fatal(err)
 			}
-			defer fault.Disable()
-			Rotate(path, keep)
-			fault.Disable()
+			Rotate(path, keep, faults)
 
 			assertIntact(t, path, live)
 			for i := 1; i <= keep; i++ {

@@ -19,7 +19,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// truncations and header mutations of it, plus raw junk.
 	dir := f.TempDir()
 	valid := filepath.Join(dir, "valid.ckpt")
-	if err := Write(valid, &Snapshot{K: 2, Shards: 1, Dim: 2, Metric: "euclidean"}); err != nil {
+	if err := Write(valid, &Snapshot{K: 2, Shards: 1, Dim: 2, Metric: "euclidean"}, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	validBytes, err := os.ReadFile(valid)

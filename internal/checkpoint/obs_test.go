@@ -7,35 +7,30 @@ import (
 	"kcenter/internal/obs"
 )
 
-// TestWriteObservesDurations pins the telemetry in the write path: while the
-// registry is armed a successful Write records exactly one sample into each
-// of the process-wide write and fsync histograms, and a disarmed Write
-// records nothing. The histograms are package globals shared across tests,
-// so the assertions are on deltas, not absolute counts.
+// TestWriteObservesDurations pins the telemetry in the write path: with a
+// sink a successful Write records exactly one sample into each of its write
+// and fsync histograms, and a Write without one (nil) still succeeds and
+// leaves other sinks alone.
 func TestWriteObservesDurations(t *testing.T) {
 	sh := buildIngester(t, 5, 2, 500)
 	snap := Capture(sh, "")
 	dir := t.TempDir()
 
-	obs.Enable()
-	defer obs.Disable()
-	w0, f0 := obs.CheckpointWrite.Count(), obs.CheckpointFsync.Count()
-	if err := Write(filepath.Join(dir, "armed.ckpt"), snap); err != nil {
+	var m obs.CheckpointMetrics
+	if err := Write(filepath.Join(dir, "armed.ckpt"), snap, nil, &m); err != nil {
 		t.Fatal(err)
 	}
-	if d := obs.CheckpointWrite.Count() - w0; d != 1 {
-		t.Fatalf("write histogram delta %d, want 1", d)
+	if n := m.Write.Count(); n != 1 {
+		t.Fatalf("write histogram count %d, want 1", n)
 	}
-	if d := obs.CheckpointFsync.Count() - f0; d != 1 {
-		t.Fatalf("fsync histogram delta %d, want 1", d)
+	if n := m.Fsync.Count(); n != 1 {
+		t.Fatalf("fsync histogram count %d, want 1", n)
 	}
 
-	obs.Disable()
-	w1, f1 := obs.CheckpointWrite.Count(), obs.CheckpointFsync.Count()
-	if err := Write(filepath.Join(dir, "disarmed.ckpt"), snap); err != nil {
+	if err := Write(filepath.Join(dir, "disarmed.ckpt"), snap, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if obs.CheckpointWrite.Count() != w1 || obs.CheckpointFsync.Count() != f1 {
-		t.Fatal("disarmed Write recorded into the checkpoint histograms")
+	if m.Write.Count() != 1 || m.Fsync.Count() != 1 {
+		t.Fatal("sink-less Write recorded into another Write's sink")
 	}
 }

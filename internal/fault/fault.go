@@ -1,18 +1,20 @@
 // Package fault is a deterministic fault-injection framework for exercising
 // the serving stack's failure handling. Code under test declares named
-// injection points by calling Hit; a test (or the kcenter serve CLI via its
-// -faults flag) arms a set of per-point rules — error once, error always,
-// error after N passes, panic, delay — and the instrumented paths fail
-// exactly where and when the rules say, with no randomness, so every chaos
-// run is reproducible.
+// injection points by calling Hit on the *Set it was configured with; a test
+// (or the kcenter serve CLI via its -faults flag) arms that Set with per-point
+// rules — error once, error always, error after N passes, panic, delay — and
+// the instrumented paths fail exactly where and when the rules say, with no
+// randomness, so every chaos run is reproducible.
 //
-// The framework is built to be free when idle: Hit's fast path is a single
-// atomic load and branch (the package-level armed flag), small enough to
-// inline at every call site, so production binaries carry the injection
-// points at no measurable cost. Rules are immutable once armed — Enable
-// publishes a fresh rule table through an atomic pointer and per-point
+// A Set belongs to the component that carries it (server.Config.Faults,
+// stream.ShardedConfig.Faults, the checkpoint write path), so arming one
+// Service's rules never reaches another Service in the same process. The
+// nil Set is the production state: Hit on it is a single nil check and
+// branch, small enough to inline at every call site, so binaries carry the
+// injection points at no measurable cost. Rules are immutable once armed —
+// Arm publishes a fresh rule table through an atomic pointer and per-point
 // counters are atomics — so Hit is safe under full producer concurrency and
-// the race detector.
+// the race detector, and tests may Arm and Disarm in the middle of a run.
 //
 // Injection points are plain strings; the constants below name every point
 // the repo threads through its layers (checkpoint I/O, shard consumption,
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -104,7 +105,7 @@ func (m Mode) String() string {
 	return "invalid"
 }
 
-// Rule is one injection point's policy. The zero Rule is invalid; Enable
+// Rule is one injection point's policy. The zero Rule is invalid; Arm
 // rejects it.
 type Rule struct {
 	// Mode selects the failure behavior.
@@ -138,39 +139,31 @@ type point struct {
 	fired atomic.Int64
 }
 
-var (
-	// armed is the package-level enable flag: Hit's entire disabled-path
-	// cost is loading it.
-	armed atomic.Bool
-	// table is the armed rule set, published atomically by Enable so Hit
-	// never takes a lock. The map itself is immutable after publication.
+// Set is one component's switchboard: the armed rule table, published
+// through a single atomic pointer so Hit never takes a lock. The zero Set is
+// disarmed and ready to Arm; a nil *Set passes every Hit and can never be
+// armed, which is how production code runs.
+type Set struct {
 	table atomic.Pointer[map[string]*point]
-	// mu serializes Enable/Disable against each other only.
-	mu sync.Mutex
-)
+}
 
-// Enabled reports whether any rules are armed.
-func Enabled() bool { return armed.Load() }
+// Armed reports whether s has rules armed; false for a nil Set.
+func (s *Set) Armed() bool { return s != nil && s.table.Load() != nil }
 
-// Hit declares an injection point. When the framework is disarmed — the
-// production state — it is a single atomic load and branch, cheap enough to
-// sit on hot paths. When armed, the point's rule (if any) decides: nil
-// return (pass, or delay elapsed), an error wrapping ErrInjected, or a
-// panic carrying a PanicValue.
-func Hit(name string) error {
-	if !armed.Load() {
+// Hit declares an injection point. On a nil Set — the production state — it
+// is a single nil check and branch, cheap enough to sit on hot paths. When
+// armed, the point's rule (if any) decides: nil return (pass, or delay
+// elapsed), an error wrapping ErrInjected, or a panic carrying a PanicValue.
+func (s *Set) Hit(name string) error {
+	if s == nil {
 		return nil
 	}
-	return hit(name)
+	return s.hit(name)
 }
 
 // hit is the armed slow path, kept out of Hit so Hit stays inlineable.
-func hit(name string) error {
-	t := table.Load()
-	if t == nil {
-		return nil
-	}
-	p := (*t)[name]
+func (s *Set) hit(name string) error {
+	p := s.point(name)
 	if p == nil {
 		return nil
 	}
@@ -198,12 +191,24 @@ func hit(name string) error {
 	return nil
 }
 
-// Enable arms the given rules, replacing any previously armed set and
+// point returns the named armed point, or nil when s is disarmed or has no
+// rule for it.
+func (s *Set) point(name string) *point {
+	if s == nil {
+		return nil
+	}
+	if t := s.table.Load(); t != nil {
+		return (*t)[name]
+	}
+	return nil
+}
+
+// Arm arms the given rules on s, replacing any previously armed set and
 // resetting all counters. Rules are validated first; on error nothing
 // changes.
-func Enable(rules map[string]Rule) error {
+func (s *Set) Arm(rules map[string]Rule) error {
 	if len(rules) == 0 {
-		return fmt.Errorf("fault: no rules to enable")
+		return fmt.Errorf("fault: no rules to arm")
 	}
 	t := make(map[string]*point, len(rules))
 	for name, r := range rules {
@@ -224,40 +229,28 @@ func Enable(rules map[string]Rule) error {
 		}
 		t[name] = &point{rule: r}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	table.Store(&t)
-	armed.Store(true)
+	s.table.Store(&t)
 	return nil
 }
 
-// Disable disarms every rule, restoring the zero-cost path. Counters are
-// discarded; read them with Hits/Fired before disabling.
-func Disable() {
-	mu.Lock()
-	defer mu.Unlock()
-	armed.Store(false)
-	table.Store(nil)
-}
+// Disarm drops every rule; later Hits pass. Counters are discarded; read
+// them with Hits/Fired before disarming.
+func (s *Set) Disarm() { s.table.Store(nil) }
 
 // Hits returns how many times the named armed point has been passed through
 // (firing or not); 0 when disarmed or unknown.
-func Hits(name string) int64 {
-	if t := table.Load(); t != nil {
-		if p := (*t)[name]; p != nil {
-			return p.hits.Load()
-		}
+func (s *Set) Hits(name string) int64 {
+	if p := s.point(name); p != nil {
+		return p.hits.Load()
 	}
 	return 0
 }
 
 // Fired returns how many times the named armed point actually fired; 0 when
 // disarmed or unknown.
-func Fired(name string) int64 {
-	if t := table.Load(); t != nil {
-		if p := (*t)[name]; p != nil {
-			return p.fired.Load()
-		}
+func (s *Set) Fired(name string) int64 {
+	if p := s.point(name); p != nil {
+		return p.fired.Load()
 	}
 	return 0
 }

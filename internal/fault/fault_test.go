@@ -8,46 +8,70 @@ import (
 	"time"
 )
 
+// armed returns a Set with rules armed, failing the test on a bad rule.
+func armed(tb testing.TB, rules map[string]Rule) *Set {
+	tb.Helper()
+	s := new(Set)
+	if err := s.Arm(rules); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestDisarmedHitPasses(t *testing.T) {
-	Disable()
-	if Enabled() {
-		t.Fatal("Enabled after Disable")
+	var nilSet *Set
+	disarmed := armed(t, map[string]Rule{StreamShard: {Mode: ModePanic}})
+	disarmed.Disarm()
+	for _, s := range []*Set{nilSet, new(Set), disarmed} {
+		if s.Armed() {
+			t.Fatal("Armed on a disarmed Set")
+		}
+		if err := s.Hit(StreamShard); err != nil {
+			t.Fatalf("disarmed Hit returned %v", err)
+		}
+		if s.Hits(StreamShard) != 0 || s.Fired(StreamShard) != 0 {
+			t.Fatal("disarmed Hit counted")
+		}
 	}
-	if err := Hit(StreamShard); err != nil {
-		t.Fatalf("disarmed Hit returned %v", err)
+}
+
+// TestSetsAreIndependent pins the isolation contract: rules armed on one Set
+// never fire, or count, on another.
+func TestSetsAreIndependent(t *testing.T) {
+	a := armed(t, map[string]Rule{"p": {Mode: ModeError}})
+	b := new(Set)
+	if err := b.Hit("p"); err != nil {
+		t.Fatalf("unarmed Set fired: %v", err)
 	}
-	if Hits(StreamShard) != 0 {
-		t.Fatal("disarmed Hit counted")
+	if a.Hit("p") == nil {
+		t.Fatal("armed Set did not fire")
+	}
+	if a.Hits("p") != 1 || b.Hits("p") != 0 {
+		t.Fatalf("hits a=%d b=%d, want 1/0", a.Hits("p"), b.Hits("p"))
 	}
 }
 
 func TestErrorAlways(t *testing.T) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"p": {Mode: ModeError}}); err != nil {
-		t.Fatal(err)
-	}
+	s := armed(t, map[string]Rule{"p": {Mode: ModeError}})
 	for i := 0; i < 3; i++ {
-		err := Hit("p")
+		err := s.Hit("p")
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("hit %d: got %v, want ErrInjected", i, err)
 		}
 	}
-	if Hits("p") != 3 || Fired("p") != 3 {
-		t.Fatalf("hits=%d fired=%d, want 3/3", Hits("p"), Fired("p"))
+	if s.Hits("p") != 3 || s.Fired("p") != 3 {
+		t.Fatalf("hits=%d fired=%d, want 3/3", s.Hits("p"), s.Fired("p"))
 	}
-	if err := Hit("other"); err != nil {
+	if err := s.Hit("other"); err != nil {
 		t.Fatalf("unarmed point fired: %v", err)
 	}
 }
 
 func TestErrorOnce(t *testing.T) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"p": {Mode: ModeErrorOnce, After: 2}}); err != nil {
-		t.Fatal(err)
-	}
+	s := armed(t, map[string]Rule{"p": {Mode: ModeErrorOnce, After: 2}})
 	var fails int
 	for i := 0; i < 10; i++ {
-		if Hit("p") != nil {
+		if s.Hit("p") != nil {
 			fails++
 			if i != 2 {
 				t.Fatalf("fired on hit %d, want hit 2", i)
@@ -60,27 +84,21 @@ func TestErrorOnce(t *testing.T) {
 }
 
 func TestErrorAfterN(t *testing.T) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"p": {Mode: ModeError, After: 5}}); err != nil {
-		t.Fatal(err)
-	}
+	s := armed(t, map[string]Rule{"p": {Mode: ModeError, After: 5}})
 	for i := 0; i < 5; i++ {
-		if err := Hit("p"); err != nil {
+		if err := s.Hit("p"); err != nil {
 			t.Fatalf("hit %d fired early: %v", i, err)
 		}
 	}
 	for i := 5; i < 8; i++ {
-		if Hit("p") == nil {
+		if s.Hit("p") == nil {
 			t.Fatalf("hit %d did not fire", i)
 		}
 	}
 }
 
 func TestPanicCarriesPanicValue(t *testing.T) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"p": {Mode: ModePanic}}); err != nil {
-		t.Fatal(err)
-	}
+	s := armed(t, map[string]Rule{"p": {Mode: ModePanic}})
 	defer func() {
 		v := recover()
 		pv, ok := v.(PanicValue)
@@ -91,17 +109,14 @@ func TestPanicCarriesPanicValue(t *testing.T) {
 			t.Fatalf("PanicValue = %+v", pv)
 		}
 	}()
-	_ = Hit("p")
+	_ = s.Hit("p")
 	t.Fatal("Hit did not panic")
 }
 
 func TestDelaySleeps(t *testing.T) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"p": {Mode: ModeDelay, Delay: 20 * time.Millisecond}}); err != nil {
-		t.Fatal(err)
-	}
+	s := armed(t, map[string]Rule{"p": {Mode: ModeDelay, Delay: 20 * time.Millisecond}})
 	start := time.Now()
-	if err := Hit("p"); err != nil {
+	if err := s.Hit("p"); err != nil {
 		t.Fatalf("delay rule returned %v", err)
 	}
 	if d := time.Since(start); d < 15*time.Millisecond {
@@ -109,7 +124,7 @@ func TestDelaySleeps(t *testing.T) {
 	}
 }
 
-func TestEnableValidates(t *testing.T) {
+func TestArmValidates(t *testing.T) {
 	cases := []map[string]Rule{
 		nil,
 		{"": {Mode: ModeError}},
@@ -117,25 +132,22 @@ func TestEnableValidates(t *testing.T) {
 		{"p": {Mode: ModeDelay}},
 		{"p": {Mode: ModeError, After: -1}},
 	}
+	var s Set
 	for i, rules := range cases {
-		if err := Enable(rules); err == nil {
-			Disable()
-			t.Fatalf("case %d: Enable accepted invalid rules %v", i, rules)
+		if err := s.Arm(rules); err == nil {
+			t.Fatalf("case %d: Arm accepted invalid rules %v", i, rules)
 		}
 	}
-	if Enabled() {
-		t.Fatal("failed Enable armed the framework")
+	if s.Armed() {
+		t.Fatal("failed Arm armed the Set")
 	}
 }
 
 // TestConcurrentHits drives one armed point from many goroutines while a
-// disarmed point is hit alongside; run under -race this pins the lock-free
-// publication discipline.
+// disarmed point is hit alongside, then races Arm/Disarm against the same
+// hits; run under -race this pins the lock-free publication discipline.
 func TestConcurrentHits(t *testing.T) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"p": {Mode: ModeError, After: 100}}); err != nil {
-		t.Fatal(err)
-	}
+	s := armed(t, map[string]Rule{"p": {Mode: ModeError, After: 100}})
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	var fails atomic.Int64
@@ -144,20 +156,49 @@ func TestConcurrentHits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if Hit("p") != nil {
+				if s.Hit("p") != nil {
 					fails.Add(1)
 				}
-				_ = Hit("quiet")
+				_ = s.Hit("quiet")
 			}
 		}()
 	}
 	wg.Wait()
 	total := int64(workers * per)
-	if Hits("p") != total {
-		t.Fatalf("hits=%d, want %d", Hits("p"), total)
+	if s.Hits("p") != total {
+		t.Fatalf("hits=%d, want %d", s.Hits("p"), total)
 	}
 	if got := fails.Load(); got != total-100 {
 		t.Fatalf("fired %d, want %d", got, total-100)
+	}
+
+	// Arm and Disarm flip the same Set while the workers keep hitting it:
+	// every Hit sees either a whole rule table or none.
+	stop := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = s.Hit("p")
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		s.Disarm()
+		if err := s.Arm(map[string]Rule{"p": {Mode: ModeErrorOnce}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s.Fired("p") > 1 {
+		t.Fatalf("error-once rule fired %d times", s.Fired("p"))
 	}
 }
 
@@ -187,25 +228,22 @@ func TestParseSpec(t *testing.T) {
 }
 
 // BenchmarkHitDisabled measures the production cost of an injection point:
-// it must stay at a single atomic load and branch.
+// Hit on a nil Set must stay a single nil check and branch.
 func BenchmarkHitDisabled(b *testing.B) {
-	Disable()
+	var s *Set
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Hit(StreamShard); err != nil {
+		if err := s.Hit(StreamShard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkHitArmedPassing(b *testing.B) {
-	defer Disable()
-	if err := Enable(map[string]Rule{"other": {Mode: ModeError}}); err != nil {
-		b.Fatal(err)
-	}
+	s := armed(b, map[string]Rule{"other": {Mode: ModeError}})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Hit(StreamShard); err != nil {
+		if err := s.Hit(StreamShard); err != nil {
 			b.Fatal(err)
 		}
 	}

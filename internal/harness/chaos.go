@@ -168,10 +168,14 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 	defer os.RemoveAll(dir)
 	ckptPath := filepath.Join(dir, "state.ckpt")
 	victimPath := filepath.Join(dir, "state.ckpt.d", "victim.ckpt")
+	// The storm's rules live on this run's Service alone: other Services in
+	// the process (concurrent experiments, tests) never see them.
+	faults := new(fault.Set)
 	cfg := server.Config{
 		K: spec.K, Shards: shards, MaxBatch: batch, MaxTenants: 4,
 		QueueDepth: 4, ShedAfter: 10 * time.Millisecond,
 		CheckpointPath: ckptPath, CheckpointInterval: time.Hour,
+		Faults: faults,
 	}
 	svc, err := server.New(cfg)
 	if err != nil {
@@ -255,14 +259,13 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 	// Arm the storm: every further shard message beyond PanicAfter panics a
 	// victim shard, the victim's ingest worker slows per batch (backing its
 	// queue toward the shed watermark), and every checkpoint fsync fails.
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.StreamShard:    {Mode: fault.ModePanic, After: int64(panicAfter)},
 		fault.ServerIngest:   {Mode: fault.ModeDelay, Delay: delay},
 		fault.CheckpointSync: {Mode: fault.ModeError},
 	}); err != nil {
 		return m, err
 	}
-	defer fault.Disable()
 	armedAt := time.Now()
 
 	// The storm: one goroutine hammers the victim until the quiet phase
@@ -343,7 +346,7 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 	if dst, err := tc.stats(""); err == nil {
 		m.CheckpointErrors = dst.CheckpointErrors
 	}
-	fault.Disable()
+	faults.Disarm()
 
 	// Let the backlog settle: the victim's queue drains (discarding) and
 	// the shard channels empty into the dropped counter.

@@ -1,5 +1,5 @@
 // Telemetry overhead experiment: the same mixed serving workload run twice —
-// obs registry disarmed, then armed — so the cost of the tentpole telemetry
+// telemetry disarmed, then armed — so the cost of the tentpole telemetry
 // layer (request traces, stage histograms, shard dwell stamps) is measured
 // as a self-relative delta on this machine, not against numbers recorded on
 // different hardware. The committed BENCH_kernels.json serve baselines are
@@ -13,8 +13,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"kcenter/internal/obs"
 )
 
 // ObsOverheadMeasurement is the outcome of one armed-vs-disarmed pair.
@@ -27,13 +25,11 @@ type ObsOverheadMeasurement struct {
 }
 
 // RunObsOverhead runs the identical workload disarmed then armed and
-// reports both. It restores the registry to disarmed before returning —
-// obs.Enable is process-wide and sticky.
+// reports both. Telemetry is per Service (ServeSpec.Telemetry), so the two
+// runs' Services — and any other in the process — never share a switch.
 func RunObsOverhead(spec ServeSpec, n int, seed uint64) (ObsOverheadMeasurement, error) {
 	ds := genGau(25)(n, seed)
-	defer obs.Disable()
 
-	obs.Disable()
 	spec.Telemetry = false
 	disarmed, err := RunServe(ds, spec)
 	if err != nil {
@@ -94,11 +90,14 @@ func benchBaseline(name string) int64 {
 func init() {
 	registry = append(registry, Experiment{
 		ID:    "serve-obs",
-		Title: "Telemetry overhead: identical serving workload with obs disarmed vs armed",
-		Paper: "Not in the paper — extension: the disarmed-is-one-atomic-load budget of the telemetry layer, measured end to end",
+		Title: "Telemetry overhead: identical serving workload with telemetry disarmed vs armed",
+		Paper: "Not in the paper — extension: the disarmed-is-one-branch budget of the telemetry layer, measured end to end",
 		Run: func(cfg RunConfig, w io.Writer) error {
 			cfg = cfg.withDefaults()
-			n := cfg.scaled(200_000)
+			// The gate compares medians, so even the smallest scale gives
+			// each side 32 ingest and 32 assign samples: one seed batch
+			// plus 32 measured batches of 256 points.
+			n := max(cfg.scaled(200_000), 33*256)
 			fmt.Fprintf(w, "GAU k'=25 n=%d, k=25, shards=4, batch=256, clients=1, one assign per ingest; latencies in ms\n", n)
 			if ing, asg := benchBaseline("BenchmarkServeIngest"), benchBaseline("BenchmarkServeAssign"); ing > 0 && asg > 0 {
 				fmt.Fprintf(w, "committed BENCH_kernels.json reference (disarmed, GOMAXPROCS=1): ingest %.3f ms/op, assign %.3f ms/op\n",

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"kcenter/internal/obs"
 )
 
 // TestRunObsOverhead smoke-runs the armed-vs-disarmed pair at test size and
-// checks both runs measured real traffic and the registry was restored to
-// disarmed.
+// checks both runs measured real traffic.
 func TestRunObsOverhead(t *testing.T) {
 	m, err := RunObsOverhead(ServeSpec{K: 8, Shards: 2, Clients: 2, Batch: 200}, 3000, 11)
 	if err != nil {
@@ -21,9 +18,6 @@ func TestRunObsOverhead(t *testing.T) {
 	}
 	if m.Disarmed.IngestP50 <= 0 || m.Armed.IngestP50 <= 0 {
 		t.Fatalf("latencies not measured: %+v", m)
-	}
-	if obs.Enabled() {
-		t.Fatal("registry left armed after the overhead pair")
 	}
 }
 

@@ -39,8 +39,7 @@ type ServeSpec struct {
 	// AssignEvery makes each client issue one assign request after every
 	// AssignEvery ingest requests; 0 means 1 (strict alternation).
 	AssignEvery int
-	// Telemetry arms the obs registry for this run (server.Config.Telemetry).
-	// Process-wide and sticky: the caller owns disarming afterward.
+	// Telemetry arms this run's Service telemetry (server.Config.Telemetry).
 	Telemetry bool
 }
 

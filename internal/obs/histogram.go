@@ -86,8 +86,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // ObserveSince records the time elapsed since t0, treating the zero time as
-// "telemetry was disarmed when the span started" and recording nothing —
-// the other half of the Started contract.
+// "the span was not timed" and recording nothing.
 func (h *Histogram) ObserveSince(t0 time.Time) {
 	if t0.IsZero() {
 		return

@@ -144,18 +144,6 @@ func TestObserveSinceZeroIsNoop(t *testing.T) {
 	}
 }
 
-func TestStartedDisarmedIsZero(t *testing.T) {
-	Disable()
-	if !Started().IsZero() {
-		t.Fatalf("Started while disarmed should be zero")
-	}
-	Enable()
-	defer Disable()
-	if Started().IsZero() {
-		t.Fatalf("Started while armed should be non-zero")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	var h Histogram
 	// 100 observations at ~1ms, 1 at ~1s: p50 must sit in the ms range,
@@ -214,16 +202,5 @@ func BenchmarkObserve(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-}
-
-func BenchmarkDisarmedStarted(b *testing.B) {
-	Disable()
-	var h Histogram
-	for i := 0; i < b.N; i++ {
-		h.ObserveSince(Started())
-	}
-	if h.Count() != 0 {
-		b.Fatal("recorded while disarmed")
 	}
 }

@@ -1,12 +1,15 @@
-// Package obs is the process-wide, low-overhead telemetry layer for the
-// serving stack: atomic counters, lock-free fixed-bucket latency histograms,
-// a lightweight per-request stage trace, and a small leveled structured
-// logger. It follows the same discipline as internal/fault — disarmed, every
-// instrumentation point costs one atomic load (StartTrace returns nil,
-// Started returns the zero time, and the nil/zero fast paths of Mark and
-// ObserveSince are a single branch) — so production binaries carry the
-// telemetry points on every hot path at no measurable cost until an operator
-// arms them.
+// Package obs is the low-overhead telemetry layer for the serving stack:
+// atomic counters, lock-free fixed-bucket latency histograms, a lightweight
+// per-request stage trace, and a small leveled structured logger.
+//
+// The package holds no on/off switch. The sinks are the switch: a Service
+// with telemetry armed allocates its metric sets (TenantMetrics,
+// StreamMetrics, CheckpointMetrics) and starts traces, one without leaves
+// them nil and records nothing. Every instrumentation point checks its own
+// sink — StartTrace returns nil when not armed, the nil Trace's methods are
+// no-ops, and shard and ingest hot paths read no clock without a sink — so
+// a disarmed hot path costs one branch, and one Service's telemetry can
+// never arm, disarm or count for another's.
 //
 // The package is a leaf: internal/stream, internal/checkpoint and
 // internal/server all record into it, and internal/server exposes what it
@@ -17,57 +20,25 @@
 // Attribution model: the serving layer allocates one TenantMetrics per
 // tenant (route × stage histograms plus the stream shard metrics), and the
 // histograms merge associatively — identical bucket bounds everywhere — so
-// per-tenant series roll up to process totals at scrape time with a few
-// integer adds per bucket. Process-wide signals with no tenant (checkpoint
-// write and fsync durations) live in the package-level histograms below.
+// per-tenant series roll up to Service totals at scrape time with a few
+// integer adds per bucket. Signals with no tenant (checkpoint write and
+// fsync durations) live in the Service's CheckpointMetrics.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
-// armed is the package-level enable flag: every disarmed instrumentation
-// point costs exactly one load of it.
-var armed atomic.Bool
-
-// Enable arms telemetry recording process-wide: StartTrace allocates traces,
-// Started returns real timestamps, and stream/checkpoint instrumentation
-// records. Idempotent.
-func Enable() { armed.Store(true) }
-
-// Disable disarms telemetry recording, restoring the one-atomic-load fast
-// path everywhere. Already-recorded histogram state is kept (it is cheap and
-// an operator disarming mid-flight still wants the history scraped).
-func Disable() { armed.Store(false) }
-
-// Enabled reports whether telemetry recording is armed.
-func Enabled() bool { return armed.Load() }
-
-// Started returns time.Now() when telemetry is armed and the zero time
-// otherwise. Pair it with Histogram.ObserveSince, which treats the zero time
-// as "do not record": the disarmed cost of a timed section is one atomic
-// load here and one IsZero branch there, with no clock reads.
-func Started() time.Time {
-	if !armed.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// Process-wide histograms for signals that have no tenant: the checkpoint
-// write path is shared by every tenant's checkpoint loop, so its durations
-// aggregate process-wide. internal/checkpoint records into these; the
-// /metrics handler exposes them as
+// CheckpointMetrics is the checkpoint write path's telemetry: the write
+// path is shared by every tenant of a Service, so its durations aggregate
+// per Service. The /metrics handler exposes them as
 // kcenter_checkpoint_{write,fsync}_duration_seconds.
-var (
-	// CheckpointWrite observes the full atomic checkpoint write (encode,
-	// temp file, fsync, rename, dir sync), successful writes only.
-	CheckpointWrite Histogram
-	// CheckpointFsync observes the temp-file fsync alone — the step that
-	// dominates checkpoint latency on real disks.
-	CheckpointFsync Histogram
-)
+type CheckpointMetrics struct {
+	// Write observes the full atomic checkpoint write (encode, temp file,
+	// fsync, rename, dir sync), successful writes only.
+	Write Histogram
+	// Fsync observes the temp-file fsync alone — the step that dominates
+	// checkpoint latency on real disks.
+	Fsync Histogram
+}
 
 // Route names an HTTP route the serving layer attributes request latency to.
 type Route uint8
@@ -147,7 +118,7 @@ type RouteMetrics struct {
 }
 
 // StreamMetrics is the shard-side telemetry a stream.Sharded ingester
-// records when armed: how long messages dwell in shard channels and how
+// records when it has one: how long messages dwell in shard channels and how
 // bursty the drain is.
 type StreamMetrics struct {
 	// Dwell observes the time each channel message spent queued between the

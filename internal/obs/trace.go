@@ -1,15 +1,15 @@
 // Per-request stage tracing. A Trace timestamps the stages the serving code
 // already delineates and, on Finish, folds them into the tenant's histograms
 // and (past a threshold) emits one structured slow-request log line with the
-// per-stage breakdown. Traces are pooled and nil-safe: when telemetry is
-// disarmed StartTrace returns nil and every method is a nil-receiver no-op,
-// so the armed check is paid once per request, not once per stage.
+// per-stage breakdown. Traces are pooled and nil-safe: when the caller's
+// telemetry is disarmed StartTrace returns nil and every method is a
+// nil-receiver no-op, so the armed check is paid once per request, not once
+// per stage.
 
 package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,9 +26,9 @@ type Trace struct {
 }
 
 // StartTrace begins a trace for one request on the given route, or returns
-// nil when telemetry is disarmed.
-func StartTrace(r Route) *Trace {
-	if !armed.Load() {
+// nil when armed is false (the caller's telemetry is off).
+func StartTrace(r Route, armed bool) *Trace {
+	if !armed {
 		return nil
 	}
 	t := tracePool.Get().(*Trace)
@@ -61,10 +61,10 @@ func (t *Trace) Skip() {
 
 // Finish closes the trace: the end-to-end duration and each marked stage are
 // observed into m's histograms for the trace's route, a slow-request line is
-// logged when the total meets the threshold, and the Trace returns to the
+// logged when slow > 0 and the total meets it, and the Trace returns to the
 // pool. A nil m (request failed before tenant resolution) discards the
 // measurements but still pools the Trace.
-func (t *Trace) Finish(m *TenantMetrics, tenant string) {
+func (t *Trace) Finish(m *TenantMetrics, tenant string, slow time.Duration) {
 	if t == nil {
 		return
 	}
@@ -78,7 +78,7 @@ func (t *Trace) Finish(m *TenantMetrics, tenant string) {
 			}
 		}
 	}
-	if thr := slowThreshold.Load(); thr > 0 && int64(total) >= thr {
+	if slow > 0 && total >= slow {
 		kv := make([]any, 0, 2*(NumStages+3))
 		kv = append(kv, "route", t.route.String(), "tenant", tenant, "total", total)
 		for s, d := range t.stages {
@@ -91,19 +91,3 @@ func (t *Trace) Finish(m *TenantMetrics, tenant string) {
 	*t = Trace{}
 	tracePool.Put(t)
 }
-
-// slowThreshold gates the slow-request log, nanoseconds; 0 disables it.
-var slowThreshold atomic.Int64
-
-// SetSlowThreshold sets the duration at or above which Finish logs a
-// slow-request line with the stage breakdown. 0 (the default) disables the
-// log; negative values are treated as 0.
-func SetSlowThreshold(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	slowThreshold.Store(int64(d))
-}
-
-// SlowThreshold returns the current slow-request threshold; 0 when disabled.
-func SlowThreshold() time.Duration { return time.Duration(slowThreshold.Load()) }

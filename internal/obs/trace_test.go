@@ -9,29 +9,26 @@ import (
 )
 
 func TestStartTraceDisarmedIsNil(t *testing.T) {
-	Disable()
-	tr := StartTrace(RouteIngest)
+	tr := StartTrace(RouteIngest, false)
 	if tr != nil {
 		t.Fatalf("StartTrace while disarmed returned %v", tr)
 	}
 	// Every method must be a nil-receiver no-op.
 	tr.Mark(StageDecode)
 	tr.Skip()
-	tr.Finish(nil, "")
+	tr.Finish(nil, "", time.Nanosecond)
 }
 
 func TestTraceStagesSumWithinTotal(t *testing.T) {
-	Enable()
-	defer Disable()
 	m := NewTenantMetrics()
-	tr := StartTrace(RouteAssign)
+	tr := StartTrace(RouteAssign, true)
 	time.Sleep(2 * time.Millisecond)
 	tr.Mark(StageDecode)
 	time.Sleep(time.Millisecond)
 	tr.Skip() // unattributed gap
 	time.Sleep(2 * time.Millisecond)
 	tr.Mark(StageKernel)
-	tr.Finish(m, "alpha")
+	tr.Finish(m, "alpha", 0)
 
 	rm := m.Route(RouteAssign)
 	if rm.Total.Count() != 1 {
@@ -58,29 +55,23 @@ func TestTraceStagesSumWithinTotal(t *testing.T) {
 }
 
 func TestTraceNilMetricsDiscards(t *testing.T) {
-	Enable()
-	defer Disable()
-	tr := StartTrace(RouteIngest)
+	tr := StartTrace(RouteIngest, true)
 	tr.Mark(StageDecode)
-	tr.Finish(nil, "") // must not panic; measurements discarded
+	tr.Finish(nil, "", 0) // must not panic; measurements discarded
 }
 
 func TestSlowRequestLog(t *testing.T) {
-	Enable()
-	defer Disable()
 	old := Default()
 	defer SetDefault(old)
-	defer SetSlowThreshold(0)
 
 	var buf bytes.Buffer
 	SetDefault(NewLogger(&buf, FormatJSON, LevelDebug))
-	SetSlowThreshold(time.Nanosecond) // everything is slow
 
 	m := NewTenantMetrics()
-	tr := StartTrace(RouteIngest)
+	tr := StartTrace(RouteIngest, true)
 	time.Sleep(time.Millisecond)
 	tr.Mark(StageDecode)
-	tr.Finish(m, "alpha")
+	tr.Finish(m, "alpha", time.Nanosecond) // everything is slow
 
 	line := strings.TrimSpace(buf.String())
 	if line == "" {
@@ -99,17 +90,26 @@ func TestSlowRequestLog(t *testing.T) {
 
 	// Below threshold: silent.
 	buf.Reset()
-	SetSlowThreshold(time.Hour)
-	tr = StartTrace(RouteIngest)
-	tr.Finish(m, "alpha")
+	tr = StartTrace(RouteIngest, true)
+	tr.Finish(m, "alpha", time.Hour)
 	if buf.Len() != 0 {
 		t.Fatalf("fast request logged as slow: %s", buf.String())
 	}
 }
 
+// TestSlowThresholdClamp: a zero or negative threshold disables the log
+// rather than marking every request slow.
 func TestSlowThresholdClamp(t *testing.T) {
-	SetSlowThreshold(-time.Second)
-	if SlowThreshold() != 0 {
-		t.Fatalf("negative threshold not clamped")
+	old := Default()
+	defer SetDefault(old)
+	var buf bytes.Buffer
+	SetDefault(NewLogger(&buf, FormatJSON, LevelDebug))
+	for _, thr := range []time.Duration{0, -time.Second} {
+		tr := StartTrace(RouteIngest, true)
+		time.Sleep(time.Millisecond)
+		tr.Finish(nil, "alpha", thr)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("non-positive threshold logged: %s", buf.String())
 	}
 }

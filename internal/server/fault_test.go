@@ -32,8 +32,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestIngestWorkerPanicDegradesOnlyThatTenant(t *testing.T) {
-	defer fault.Disable()
-	s := newTestService(t, Config{K: 8, Shards: 2, MaxTenants: 4})
+	faults := new(fault.Set)
+	s := newTestService(t, Config{K: 8, Shards: 2, MaxTenants: 4, Faults: faults})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -63,7 +63,7 @@ func TestIngestWorkerPanicDegradesOnlyThatTenant(t *testing.T) {
 		t.Fatalf("victim centers warmup: %d", resp.StatusCode)
 	}
 
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.ServerIngest: {Mode: fault.ModePanic},
 	}); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestIngestWorkerPanicDegradesOnlyThatTenant(t *testing.T) {
 		t.Fatalf("victim ingest under fault: %d %s", resp.StatusCode, body)
 	}
 	waitFor(t, "victim degraded", func() bool { return vt.checkDegraded() != nil })
-	fault.Disable()
+	faults.Disarm()
 
 	// Ingest to the degraded tenant is refused up front now.
 	if resp, body := ingest("victim", 300, 400); resp.StatusCode != http.StatusConflict {
@@ -138,12 +138,12 @@ func TestIngestWorkerPanicDegradesOnlyThatTenant(t *testing.T) {
 }
 
 func TestHandlerPanicAnsweredWith500(t *testing.T) {
-	defer fault.Disable()
-	s := newTestService(t, Config{K: 4})
+	faults := new(fault.Set)
+	s := newTestService(t, Config{K: 4, Faults: faults})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.ServerDecode: {Mode: fault.ModePanic},
 	}); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestHandlerPanicAnsweredWith500(t *testing.T) {
 	if !strings.Contains(string(body), "internal error") {
 		t.Fatalf("500 body %q lacks the JSON error contract", body)
 	}
-	fault.Disable()
+	faults.Disarm()
 
 	// The process and service survived: the same request now succeeds, and
 	// the contained panic is counted.
@@ -174,12 +174,12 @@ func TestHandlerPanicAnsweredWith500(t *testing.T) {
 }
 
 func TestDecodeFaultErrorModeIs400(t *testing.T) {
-	defer fault.Disable()
-	s := newTestService(t, Config{K: 4})
+	faults := new(fault.Set)
+	s := newTestService(t, Config{K: 4, Faults: faults})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.ServerDecode: {Mode: fault.ModeErrorOnce},
 	}); err != nil {
 		t.Fatal(err)
@@ -221,10 +221,11 @@ func TestCkptBackoffBoundsAndCap(t *testing.T) {
 }
 
 func TestCheckpointFailureBackoffAndRecovery(t *testing.T) {
-	defer fault.Disable()
+	faults := new(fault.Set)
 	dir := t.TempDir()
 	s := newTestService(t, Config{
 		K:                  6,
+		Faults:             faults,
 		CheckpointPath:     dir + "/state.ckpt",
 		CheckpointInterval: time.Hour, // keep the background loop out of the way
 	})
@@ -237,7 +238,7 @@ func TestCheckpointFailureBackoffAndRecovery(t *testing.T) {
 	if err := s.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.CheckpointSync: {Mode: fault.ModeError},
 	}); err != nil {
 		t.Fatal(err)
@@ -265,9 +266,9 @@ func TestCheckpointFailureBackoffAndRecovery(t *testing.T) {
 		t.Fatalf("fail streak = %d, want 2", streak)
 	}
 
-	fault.Disable()
+	faults.Disarm()
 	if err := s.CheckpointNow(); err != nil {
-		t.Fatalf("CheckpointNow after disabling faults: %v", err)
+		t.Fatalf("CheckpointNow after disarming faults: %v", err)
 	}
 	// Fresh struct: last_checkpoint_error is omitempty, so the healthy reply
 	// omits it entirely and a reused struct would keep the stale value.

@@ -486,7 +486,7 @@ func (s *Service) decodePoints(w http.ResponseWriter, r *http.Request) *ingestRe
 	// Injectable decode failure (server.decode): an error rule models a
 	// malformed request (400); a panic rule exercises the recovery
 	// middleware in Handler.
-	if err := fault.Hit(fault.ServerDecode); err != nil {
+	if err := s.cfg.Faults.Hit(fault.ServerDecode); err != nil {
 		if errors.Is(err, fault.ErrInjected) {
 			writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 			return nil
@@ -568,13 +568,13 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// Trace the request's stages (nil, and free, while obs is disarmed).
+	// Trace the request's stages (nil, and free, without Telemetry).
 	// Metrics attach once the tenant resolves; requests that fail before
 	// that have no tenant to attribute to and are discarded on Finish.
-	tr := obs.StartTrace(obs.RouteIngest)
+	tr := obs.StartTrace(obs.RouteIngest, s.cfg.Telemetry)
 	var trMetrics *obs.TenantMetrics
 	var trTenant string
-	defer func() { tr.Finish(trMetrics, trTenant) }()
+	defer func() { tr.Finish(trMetrics, trTenant, s.cfg.SlowRequest) }()
 	req := s.decodePoints(w, r)
 	if req == nil {
 		return
@@ -639,8 +639,6 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	t.acceptedPoints.Add(int64(n))
 	t.acceptedBatches.Add(1)
-	expstats.Add("accepted_points", int64(n))
-	expstats.Add("accepted_batches", 1)
 	writeJSON(w, http.StatusAccepted, ingestResponse{
 		Accepted:       n,
 		PendingBatches: t.pendingBatches.Load(),
@@ -664,10 +662,10 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	tr := obs.StartTrace(obs.RouteAssign)
+	tr := obs.StartTrace(obs.RouteAssign, s.cfg.Telemetry)
 	var trMetrics *obs.TenantMetrics
 	var trTenant string
-	defer func() { tr.Finish(trMetrics, trTenant) }()
+	defer func() { tr.Finish(trMetrics, trTenant, s.cfg.SlowRequest) }()
 	req := s.decodePoints(w, r)
 	if req == nil {
 		return
@@ -715,9 +713,6 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 	t.assignRequests.Add(1)
 	t.assignPoints.Add(int64(len(batch)))
 	t.distEvals.Add(evals)
-	expstats.Add("assign_requests", 1)
-	expstats.Add("assign_points", int64(len(batch)))
-	expstats.Add("assign_dist_evals", evals)
 	writeJSON(w, http.StatusOK, resp)
 	tr.Mark(obs.StageEncode)
 }

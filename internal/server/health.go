@@ -101,7 +101,6 @@ func (s *Service) Handler() http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				s.handlerPanics.Add(1)
-				expstats.Add("handler_panics", 1)
 				obs.Default().Error("contained handler panic",
 					"method", r.Method, "path", r.URL.Path, "panic", fmt.Sprint(v))
 				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))

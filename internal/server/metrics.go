@@ -1,9 +1,9 @@
 // GET /metrics: Prometheus text-format exposition (version 0.0.4) of the
 // whole telemetry surface — per-tenant and aggregate request/stage latency
-// histograms (live while Config.Telemetry armed the obs registry), the
+// histograms (live while Config.Telemetry is armed), the
 // service counters /v1/stats also reports, tenant health gauges, the PR 7
 // fault/degradation signals, shard channel dwell, burst occupancy, and the
-// process-wide checkpoint write/fsync durations. Scrapes read atomics and
+// Service's checkpoint write/fsync durations. Scrapes read atomics and
 // take per-tenant histogram snapshots; they never merge clusterings or take
 // shard locks beyond the per-shard stat reads, so a scraper cannot perturb
 // the serving path.
@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"kcenter/internal/fault"
 	"kcenter/internal/obs"
 )
 
@@ -117,10 +116,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, "kcenter_up", nil, 1)
 	obs.WriteHeader(w, "kcenter_uptime_seconds", "gauge", "Seconds since the service started.")
 	obs.WriteSample(w, "kcenter_uptime_seconds", nil, time.Since(s.started).Seconds())
-	obs.WriteHeader(w, "kcenter_telemetry_armed", "gauge", "1 while the obs registry records (Config.Telemetry).")
-	obs.WriteSample(w, "kcenter_telemetry_armed", nil, boolGauge(obs.Enabled()))
-	obs.WriteHeader(w, "kcenter_fault_injection_armed", "gauge", "1 while the internal/fault switchboard is armed.")
-	obs.WriteSample(w, "kcenter_fault_injection_armed", nil, boolGauge(fault.Enabled()))
+	obs.WriteHeader(w, "kcenter_telemetry_armed", "gauge", "1 while this service records telemetry (Config.Telemetry).")
+	obs.WriteSample(w, "kcenter_telemetry_armed", nil, boolGauge(s.cfg.Telemetry))
+	obs.WriteHeader(w, "kcenter_fault_injection_armed", "gauge", "1 while this service's fault-injection rules are armed.")
+	obs.WriteSample(w, "kcenter_fault_injection_armed", nil, boolGauge(s.cfg.Faults.Armed()))
 	obs.WriteHeader(w, "kcenter_handler_panics_total", "counter", "Panics the HTTP recovery middleware contained.")
 	obs.WriteSample(w, "kcenter_handler_panics_total", nil, float64(s.handlerPanics.Load()))
 
@@ -277,14 +276,18 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Process-wide checkpoint durations (no tenant: the write path is
-	// shared by every tenant's checkpoint loop).
+	// Checkpoint durations (no tenant: the write path is shared by every
+	// tenant's checkpoint loop); empty without Telemetry.
+	var ckptWrite, ckptFsync obs.HistogramSnapshot
+	if m := s.ckptMetrics; m != nil {
+		ckptWrite, ckptFsync = m.Write.Snapshot(), m.Fsync.Snapshot()
+	}
 	obs.WriteHeader(w, "kcenter_checkpoint_write_duration_seconds", "histogram",
 		"Full atomic checkpoint write duration, successful writes only.")
-	obs.WriteHistogram(w, "kcenter_checkpoint_write_duration_seconds", nil, obs.CheckpointWrite.Snapshot())
+	obs.WriteHistogram(w, "kcenter_checkpoint_write_duration_seconds", nil, ckptWrite)
 	obs.WriteHeader(w, "kcenter_checkpoint_fsync_duration_seconds", "histogram",
 		"Checkpoint temp-file fsync duration.")
-	obs.WriteHistogram(w, "kcenter_checkpoint_fsync_duration_seconds", nil, obs.CheckpointFsync.Snapshot())
+	obs.WriteHistogram(w, "kcenter_checkpoint_fsync_duration_seconds", nil, ckptFsync)
 }
 
 func boolGauge(b bool) float64 {
@@ -306,8 +309,8 @@ func originLabels(t *tenant, os originStatus) []obs.Label {
 	return append(tenantLabel(t), obs.Label{Name: "origin", Value: os.Origin})
 }
 
-// streamCounter reads a tenant's burst counters, tolerating quarantined
-// tenants whose metrics never recorded.
+// streamCounter reads a tenant's burst counters, tolerating tenants without
+// metrics (no Telemetry, or quarantined).
 func streamCounter(t *tenant, messages bool) int64 {
 	if t.metrics == nil {
 		return 0

@@ -1,8 +1,6 @@
 // Tests for the /metrics exposition, the /v1/stats latency summaries, the
-// pprof gating and the end-to-end trace accounting. Telemetry is a process
-// switch (obs.Enable is sticky), so every test that arms it disarms on exit
-// to keep the package's other tests — and the committed benchmarks — on the
-// disarmed fast path.
+// pprof gating and the end-to-end trace accounting. Telemetry is a per-Service
+// switch (Config.Telemetry), so tests arm it only on the Service under test.
 
 package server
 
@@ -33,7 +31,7 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (*http.Response, st
 	return resp, b.String()
 }
 
-// defaultTenantMetrics digs out the default tenant's obs registry (tests run
+// defaultTenantMetrics digs out the default tenant's metric set (tests run
 // in-package, so reaching into the registry replaces a scrape parser).
 func defaultTenantMetrics(t *testing.T, s *Service) *obs.TenantMetrics {
 	t.Helper()
@@ -65,7 +63,6 @@ func waitRouteCount(t *testing.T, m *obs.TenantMetrics, ro obs.Route, n int64) {
 // aggregate histogram families, cumulative bucket monotonicity, and the
 // bucket/count invariant.
 func TestMetricsExposition(t *testing.T) {
-	defer obs.Disable()
 	s := newTestService(t, Config{K: 5, Shards: 2, Telemetry: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -169,7 +166,6 @@ func TestMetricsExposition(t *testing.T) {
 // remain live) but the armed gauge reads 0 and no request latency was
 // recorded.
 func TestMetricsDisarmed(t *testing.T) {
-	obs.Disable()
 	s := newTestService(t, Config{K: 4, Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -196,7 +192,6 @@ func TestMetricsDisarmed(t *testing.T) {
 // when telemetry has recorded, and omits the fields entirely when disarmed so
 // pre-telemetry replies stay byte-identical.
 func TestStatsLatencyFields(t *testing.T) {
-	defer obs.Disable()
 	s := newTestService(t, Config{K: 5, Shards: 2, Telemetry: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -227,7 +222,6 @@ func TestStatsLatencyFields(t *testing.T) {
 	}
 
 	// Disarmed service: the raw JSON must not mention the fields at all.
-	obs.Disable()
 	s2 := newTestService(t, Config{K: 4, Shards: 2})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -244,7 +238,6 @@ func TestStatsLatencyFields(t *testing.T) {
 // end-to-end total can never exceed the wall time the test observed around
 // the requests.
 func TestTraceStageAccounting(t *testing.T) {
-	defer obs.Disable()
 	s := newTestService(t, Config{K: 5, Shards: 2, Telemetry: true})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -244,7 +244,7 @@ func (s *Service) pushState(p *replicaPeer, tenantName string, ver uint64, paylo
 	err := func() error {
 		// Injectable push failure (server.replicate.push): an error rule
 		// models the network eating the request; a delay rule a slow link.
-		if err := fault.Hit(fault.ServerReplicatePush); err != nil {
+		if err := s.cfg.Faults.Hit(fault.ServerReplicatePush); err != nil {
 			return err
 		}
 		req, err := http.NewRequest(http.MethodPost, p.url+"/v1/replicate", bytes.NewReader(payload))
@@ -348,7 +348,7 @@ func (s *Service) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// Injectable receive failure (server.replicate.recv): an error rule
 	// models a payload corrupted in flight (rejected whole, 400); a panic
 	// rule exercises the recovery middleware.
-	if err := fault.Hit(fault.ServerReplicateRecv); err != nil {
+	if err := s.cfg.Faults.Hit(fault.ServerReplicateRecv); err != nil {
 		if errors.Is(err, fault.ErrInjected) {
 			writeError(w, http.StatusBadRequest, "replicate payload rejected: "+err.Error())
 			return

@@ -122,7 +122,9 @@ func TestReplicatePushFollowerServes(t *testing.T) {
 		t.Fatalf("follower unexpectedly ingested %d points", follower.tenant.ingestedPoints.Load())
 	}
 
-	// Leader stats: the peer pushed and is not quarantined.
+	// Leader stats: the peer pushed and is not quarantined. The fold lands
+	// on the follower before the pusher books the success, so wait for it.
+	waitFor(t, "leader booked the push", func() bool { return leader.peers[0].pushes.Load() >= 1 })
 	var ls statsResponse
 	getJSON(t, tsL, "/v1/stats", &ls)
 	if ls.Replication == nil || len(ls.Replication.Peers) != 1 {
@@ -402,7 +404,7 @@ func TestReplicateLazyTenantCreation(t *testing.T) {
 // follower keeps serving its last folded state. Disarming recovers the peer
 // and the follower catches up.
 func TestReplicatePushFaultQuarantinesPeer(t *testing.T) {
-	defer fault.Disable()
+	faults := new(fault.Set)
 	follower := newTestService(t, Config{K: 8, Shards: 2})
 	tsF := httptest.NewServer(follower.Handler())
 	defer tsF.Close()
@@ -410,6 +412,7 @@ func TestReplicatePushFaultQuarantinesPeer(t *testing.T) {
 		K: 8, Shards: 2, NodeID: "a",
 		ReplicatePeers:    []string{tsF.URL},
 		ReplicateInterval: 20 * time.Millisecond,
+		Faults:            faults,
 	})
 	tsL := httptest.NewServer(leader.Handler())
 	defer tsL.Close()
@@ -423,7 +426,7 @@ func TestReplicatePushFaultQuarantinesPeer(t *testing.T) {
 	})
 	lastGood := centersJSON(t, tsF, "/v1/centers")
 
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.ServerReplicatePush: {Mode: fault.ModeError},
 	}); err != nil {
 		t.Fatal(err)
@@ -451,7 +454,7 @@ func TestReplicatePushFaultQuarantinesPeer(t *testing.T) {
 		t.Fatalf("follower state moved while pushes failed\nbefore: %s\nafter:  %s", lastGood, got)
 	}
 
-	fault.Disable()
+	faults.Disarm()
 	v2 := leader.tenant.sh.CentersVersion()
 	waitFor(t, "recovery fold after disarm", func() bool {
 		rs := follower.tenant.sh.RemoteStates()
@@ -471,8 +474,8 @@ func TestReplicatePushFaultQuarantinesPeer(t *testing.T) {
 // and what it serves — never moves. The pushing peer sees the 400s and
 // backs off; the leader tenant stays healthy.
 func TestReplicateRecvFaultRejectsWholesale(t *testing.T) {
-	defer fault.Disable()
-	follower := newTestService(t, Config{K: 8, Shards: 2})
+	faults := new(fault.Set)
+	follower := newTestService(t, Config{K: 8, Shards: 2, Faults: faults})
 	tsF := httptest.NewServer(follower.Handler())
 	defer tsF.Close()
 	leader := newTestService(t, Config{
@@ -493,7 +496,7 @@ func TestReplicateRecvFaultRejectsWholesale(t *testing.T) {
 	lastGood := centersJSON(t, tsF, "/v1/centers")
 	vbefore := follower.tenant.sh.MergedVersion()
 
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.ServerReplicateRecv: {Mode: fault.ModeError},
 	}); err != nil {
 		t.Fatal(err)
@@ -514,7 +517,7 @@ func TestReplicateRecvFaultRejectsWholesale(t *testing.T) {
 		t.Fatalf("push failure cause not surfaced: %+v", p)
 	}
 
-	fault.Disable()
+	faults.Disarm()
 	v2 := leader.tenant.sh.CentersVersion()
 	waitFor(t, "convergence after disarm", func() bool {
 		rs := follower.tenant.sh.RemoteStates()

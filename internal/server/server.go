@@ -50,16 +50,19 @@
 //	                  with Config.Telemetry), the service counters, tenant
 //	                  health gauges, shard dwell and checkpoint durations.
 //
-// Observability (Config.Telemetry, the internal/obs registry): handlers
+// Observability (Config.Telemetry, recorded through internal/obs): handlers
 // trace each ingest/assign request through its stages (decode, queue wait,
 // snapshot, kernel scan, encode; the shard push of a dequeued batch is
 // recorded by the ingest worker), shard channels report message dwell and
 // burst occupancy, and the checkpoint path reports write/fsync durations.
 // The same histograms back /metrics, the p50/p99/max latency fields in
 // /v1/stats, and the threshold-gated slow-request log (Config.SlowRequest).
-// Disarmed, every instrumentation point costs one atomic load — the
-// internal/fault discipline. Config.Pprof additionally mounts the
-// net/http/pprof handlers under /debug/pprof/.
+// Every switchboard is per Service: the metric sets exist only on a Service
+// built with Telemetry, and fault rules live in its own Config.Faults, so
+// one Service can never arm, disarm or count for another in the same
+// process. Without them every instrumentation and injection point costs one
+// nil check. Config.Pprof additionally mounts the net/http/pprof handlers
+// under /debug/pprof/.
 //
 // Tenant semantics: unknown tenants are 404 on query endpoints, lazily
 // created on ingest (multi-tenant mode only); a creation past MaxTenants is
@@ -76,8 +79,9 @@
 // so a restart recovers it bit-identically from its last good one. A panic
 // that escapes an HTTP handler is answered with a JSON 500 by the recovery
 // middleware in Handler instead of killing the process. The internal/fault
-// framework can inject all of these failures deterministically (see the
-// kcenter serve -faults flag and the chaos harness experiment).
+// framework can inject all of these failures deterministically through
+// Config.Faults (see the kcenter serve -faults flag and the chaos harness
+// experiment).
 //
 // Shutdown is graceful: Close rejects new batches, drains every tenant's
 // queued ones into its shards, then flushes each ingester's final merged
@@ -95,16 +99,11 @@
 // additionally retains the last N checkpoints per file (<path>.1 … <path>.N)
 // for operator rollback after a bad feed. See internal/checkpoint for the
 // format and its corruption guarantees.
-//
-// Cumulative process-wide counters (summed across tenants) are also
-// published via expvar under the "kcenter_server" map, so a standard
-// /debug/vars handler exposes them.
 package server
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"io/fs"
 	"math"
@@ -115,6 +114,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kcenter/internal/fault"
 	"kcenter/internal/metric"
 	"kcenter/internal/obs"
 	"kcenter/internal/stream"
@@ -193,12 +193,12 @@ type Config struct {
 	// healthy link is bounded by roughly one interval plus the transfer
 	// time.
 	ReplicateInterval time.Duration
-	// Telemetry arms the process-wide obs package (per-stage latency
+	// Telemetry arms this Service's telemetry (per-stage latency
 	// histograms, request traces, shard dwell, checkpoint durations) so GET
 	// /metrics and the /v1/stats latency fields carry live distributions.
-	// Disarmed, every instrumentation point costs one atomic load. Note the
-	// flag is process-wide, like the registry it arms: one Service enabling
-	// it enables recording for every Service in the process.
+	// Off, the metric sets are never allocated and every instrumentation
+	// point costs one nil check. Other Services in the process are
+	// unaffected either way.
 	Telemetry bool
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ on the
 	// service mux. Off by default: profiling endpoints expose memory
@@ -208,6 +208,12 @@ type Config struct {
 	// latency meets the threshold — one structured line with the per-stage
 	// breakdown. Requires Telemetry. 0 disables the slow-request log.
 	SlowRequest time.Duration
+	// Faults is this Service's fault-injection switchboard: every injection
+	// point in its handlers, ingest workers, shard goroutines, replication
+	// and checkpoint writes hits it. nil — the production state — never
+	// fires; a test (or the kcenter serve -faults flag) arms it, and may
+	// Arm or Disarm it while the Service runs.
+	Faults *fault.Set
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -258,10 +264,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// expstats publishes cumulative process-wide counters (summed over every
-// Service and tenant in the process) for standard expvar scraping.
-var expstats = expvar.NewMap("kcenter_server")
-
 // Service is the HTTP clustering service. Create with New, mount Handler()
 // on an http.Server, and call Close exactly once to drain and flush. The
 // embedded tenant is the implicit default tenant — the single-tenant
@@ -289,6 +291,10 @@ type Service struct {
 	// handlerPanics counts panics the HTTP recovery middleware contained
 	// (each answered 500 instead of killing the process).
 	handlerPanics atomic.Int64
+
+	// ckptMetrics records checkpoint write and fsync durations across every
+	// tenant of this Service; nil without Telemetry.
+	ckptMetrics *obs.CheckpointMetrics
 
 	// peers are the replication push targets (nil when ReplicatePeers is
 	// empty); each tracks its own sent-version and backoff state.
@@ -329,18 +335,16 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Telemetry {
-		// Process-wide, by design (the obs registry follows internal/fault's
-		// global-switchboard discipline). Never auto-disarmed: tests that
-		// need a disarmed process call obs.Disable themselves.
-		obs.Enable()
-		obs.SetSlowThreshold(cfg.SlowRequest)
-	}
 	s := &Service{
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
 		done:    make(chan struct{}),
 		started: time.Now(),
+	}
+	if cfg.Telemetry {
+		// Tenant metric sets are allocated in newTenant; this sink is shared
+		// by every tenant's checkpoint writes.
+		s.ckptMetrics = new(obs.CheckpointMetrics)
 	}
 	def, err := s.newTenant(DefaultTenant, cfg.K, cfg.Shards)
 	if err != nil {

@@ -200,6 +200,15 @@ func TestSnapshotCacheReusedWhileCentersUnchanged(t *testing.T) {
 	defer ts.Close()
 
 	ingestAll(t, ts, s, genPoints(2000, 42), 400)
+	// ingestAll returns once every point is on its way to a shard; the
+	// shards must also have summarized them, or the centers can still move.
+	waitFor(t, "shards drained", func() bool {
+		var n int64
+		for _, st := range s.sh.PerShardStats() {
+			n += st.Ingested
+		}
+		return n == 2000
+	})
 
 	var first assignResponse
 	resp, body := postJSON(t, ts, "/v1/assign", assignRequest{Points: [][]float64{{1, 2}}})

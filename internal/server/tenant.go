@@ -86,12 +86,11 @@ type tenant struct {
 
 	// metrics is this tenant's telemetry set: per-route request/stage
 	// latency histograms (fed by the handler traces and the ingest worker)
-	// plus the stream shard metrics its ingester records into. Always
-	// non-nil for a live tenant; recording happens only while obs is armed.
+	// plus the stream shard metrics its ingester records into. nil when
+	// the Service runs without Telemetry, and for quarantined tenants.
 	metrics *obs.TenantMetrics
 
-	// Counters, reported by /v1/stats (per tenant) and mirrored into the
-	// process-wide expvar map.
+	// Counters, reported by /v1/stats and /metrics.
 	acceptedPoints  atomic.Int64 // points validated and queued
 	acceptedBatches atomic.Int64
 	pendingBatches  atomic.Int64 // queued but not yet pushed
@@ -204,14 +203,19 @@ func (s *Service) newTenant(name string, k, shards int) (*tenant, error) {
 	if shards <= 0 {
 		shards = s.cfg.Shards
 	}
-	metrics := obs.NewTenantMetrics()
-	sh, err := stream.NewSharded(stream.ShardedConfig{
+	cfg := stream.ShardedConfig{
 		K:      k,
 		Shards: shards,
 		Buffer: s.cfg.Buffer,
-		Obs:    &metrics.Stream,
 		Origin: s.cfg.NodeID,
-	})
+		Faults: s.cfg.Faults,
+	}
+	var metrics *obs.TenantMetrics
+	if s.cfg.Telemetry {
+		metrics = obs.NewTenantMetrics()
+		cfg.Obs = &metrics.Stream
+	}
+	sh, err := stream.NewSharded(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +404,6 @@ func (s *Service) quarantine(name string, cause error) {
 	s.tenants[name] = &tenant{
 		name:    name,
 		svc:     s,
-		metrics: obs.NewTenantMetrics(),
 		created: time.Now(),
 		failed:  fmt.Errorf("%w: %w", ErrTenantFailed, cause),
 	}
@@ -465,7 +468,6 @@ func (t *tenant) degrade(cause error) {
 	if t.degraded.CompareAndSwap(nil, info) {
 		obs.Default().Warn("tenant degraded, serving last good snapshot read-only",
 			"tenant", t.name, "err", cause.Error())
-		expstats.Add("degraded_tenants", 1)
 	}
 }
 
@@ -529,7 +531,6 @@ func (t *tenant) writeCheckpoint() error {
 	if err != nil {
 		t.ckptWriteFailed = true
 		t.ckptErrors.Add(1)
-		expstats.Add("checkpoint_errors", 1)
 		t.lastCkptErrMsg.Store(err.Error())
 		t.ckptFailStreak++
 		t.ckptRetryAt = now.Add(ckptBackoff(t.svc.cfg.CheckpointInterval, t.ckptFailStreak))
@@ -548,7 +549,6 @@ func (t *tenant) writeCheckpoint() error {
 	t.ckptWriteFailed = false
 	t.lastCkptErrMsg.Store("")
 	t.ckptWrites.Add(1)
-	expstats.Add("checkpoint_writes", 1)
 	return nil
 }
 
@@ -581,9 +581,9 @@ func (t *tenant) writeCheckpointLocked() (err error) {
 		return fmt.Errorf("server: discarding checkpoint captured from failed ingester: %w", ferr)
 	}
 	if keep := t.svc.cfg.CheckpointKeep; keep > 0 && !t.ckptWriteFailed {
-		checkpoint.Rotate(t.ckptPath, keep)
+		checkpoint.Rotate(t.ckptPath, keep, t.svc.cfg.Faults)
 	}
-	if err := checkpoint.Write(t.ckptPath, snap); err != nil {
+	if err := checkpoint.Write(t.ckptPath, snap, t.svc.cfg.Faults, t.svc.ckptMetrics); err != nil {
 		return err
 	}
 	t.ckptEver.Store(true)
@@ -617,7 +617,6 @@ func (t *tenant) ingestOne(batch [][]float64) {
 	defer func() {
 		if v := recover(); v != nil {
 			t.droppedPoints.Add(int64(len(batch)))
-			expstats.Add("dropped_points", int64(len(batch)))
 			t.degrade(fmt.Errorf("ingest worker panicked: %v", v))
 		}
 	}()
@@ -625,15 +624,14 @@ func (t *tenant) ingestOne(batch [][]float64) {
 		// Quarantined: queued work is discarded (and counted) rather than
 		// pushed into a suspect clustering.
 		t.droppedPoints.Add(int64(len(batch)))
-		expstats.Add("dropped_points", int64(len(batch)))
 		putPointsBuf(batch)
 		return
 	}
 	// Injection point for chaos testing: error and panic rules panic here
 	// (exercising the containment above), delay rules slow the worker so
-	// its queue backs up toward the shed watermark. Disarmed: one atomic
-	// load.
-	if err := fault.Hit(fault.ServerIngest); err != nil {
+	// its queue backs up toward the shed watermark. Without Faults: one nil
+	// check.
+	if err := t.svc.cfg.Faults.Hit(fault.ServerIngest); err != nil {
 		panic(err)
 	}
 	// Batches were validated at the handler, so PushBatch cannot fail on
@@ -644,14 +642,17 @@ func (t *tenant) ingestOne(batch [][]float64) {
 	// span is the ingest route's asynchronous stage: it belongs to the
 	// batch, not to the request that queued it, so it is recorded here
 	// rather than in the handler's trace.
-	pushStart := obs.Started()
+	var pushStart time.Time
+	if t.metrics != nil {
+		pushStart = time.Now()
+	}
 	if err := t.sh.PushBatch(batch); err == nil {
-		t.metrics.StageHist(obs.RouteIngest, obs.StagePush).ObserveSince(pushStart)
+		if t.metrics != nil {
+			t.metrics.StageHist(obs.RouteIngest, obs.StagePush).ObserveSince(pushStart)
+		}
 		t.ingestedPoints.Add(int64(len(batch)))
-		expstats.Add("ingested_points", int64(len(batch)))
 	} else {
 		t.droppedPoints.Add(int64(len(batch)))
-		expstats.Add("dropped_points", int64(len(batch)))
 	}
 	putPointsBuf(batch) // PushBatch copied into shard slabs; recycle
 	// Promote a shard failure this batch may have tripped, so the very next
@@ -712,8 +713,6 @@ func (t *tenant) enqueue(ctx context.Context, batch [][]float64) error {
 		t.pendingBatches.Add(-1)
 		t.shedBatches.Add(1)
 		t.shedPoints.Add(int64(len(batch)))
-		expstats.Add("shed_batches", 1)
-		expstats.Add("shed_points", int64(len(batch)))
 		return errOverCapacity
 	}
 }
@@ -768,6 +767,5 @@ func (t *tenant) snapshot() (*querySnapshot, error) {
 	}
 	t.snap.Store(qs)
 	t.snapshotBuilds.Add(1)
-	expstats.Add("snapshot_builds", 1)
 	return qs, nil
 }

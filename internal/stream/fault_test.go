@@ -14,8 +14,8 @@ import (
 )
 
 func TestShardPanicContained(t *testing.T) {
-	defer fault.Disable()
-	sh, err := NewSharded(ShardedConfig{K: 8, Shards: 4, Buffer: 16})
+	faults := new(fault.Set)
+	sh, err := NewSharded(ShardedConfig{K: 8, Shards: 4, Buffer: 16, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestShardPanicContained(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := fault.Enable(map[string]fault.Rule{
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.StreamShard: {Mode: fault.ModePanic},
 	}); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestShardPanicContained(t *testing.T) {
 	if _, err := sh.Snapshot(); !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("Snapshot after failure = %v, want ErrShardFailed", err)
 	}
-	fault.Disable()
+	faults.Disarm()
 	// Finish must still reap every goroutine, drain the backlog into the
 	// dropped counter, and refuse to produce a merge.
 	if _, err := sh.Finish(); !errors.Is(err, ErrShardFailed) {
@@ -84,13 +84,13 @@ func TestShardPanicContained(t *testing.T) {
 // must not mark the ingester failed — it models a wedged disk/CPU, not a
 // crash.
 func TestShardDelayWedgesWithoutFailure(t *testing.T) {
-	defer fault.Disable()
-	if err := fault.Enable(map[string]fault.Rule{
+	faults := new(fault.Set)
+	if err := faults.Arm(map[string]fault.Rule{
 		fault.StreamShard: {Mode: fault.ModeDelay, Delay: time.Millisecond},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewSharded(ShardedConfig{K: 4, Shards: 2, Buffer: 8})
+	sh, err := NewSharded(ShardedConfig{K: 4, Shards: 2, Buffer: 8, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,12 +52,15 @@ type ShardedConfig struct {
 	// default, fine for single-node use) sorts before any remote origin,
 	// preserving the historical local-shards-first order.
 	Origin string
-	// Obs, when non-nil, receives shard-side telemetry while the obs
-	// package is armed: how long each message dwelt in its shard channel
-	// (the ingest pipeline's internal queue wait) and burst-drain occupancy
-	// counters. nil — or obs disarmed — records nothing and costs at most
-	// one atomic load per message.
+	// Obs, when non-nil, receives shard-side telemetry: how long each
+	// message dwelt in its shard channel (the ingest pipeline's internal
+	// queue wait) and burst-drain occupancy counters. nil records nothing
+	// and costs one branch per message.
 	Obs *obs.StreamMetrics
+	// Faults is the fault-injection switchboard the shard goroutines hit
+	// (fault.StreamShard) as they consume each message; nil — the
+	// production state — never fires.
+	Faults *fault.Set
 }
 
 // ShardStats reports one shard's final state.
@@ -113,7 +116,7 @@ type shardMsg struct {
 	slab []float64
 	dim  int
 	// sent is the producer's send timestamp (UnixNano), set only when the
-	// ingester has an Obs sink and obs is armed; 0 means "not measured".
+	// ingester has an Obs sink; 0 means "not measured".
 	// The consuming shard observes now-sent as the message's channel dwell.
 	sent int64
 }
@@ -223,7 +226,7 @@ func (s *Sharded) consumeBurst(shard int, msg shardMsg) {
 	ch, lock := s.chans[shard], &s.sumLocks[shard]
 	cur := msg
 	drained := 1
-	if s.cfg.Obs != nil && obs.Enabled() {
+	if s.cfg.Obs != nil {
 		// One burst-drain round: its message count over Bursts is the mean
 		// burst occupancy (1 = no batching benefit, maxDrain under backlog).
 		defer func() {
@@ -273,15 +276,15 @@ func (s *Sharded) consumeBurst(shard int, msg shardMsg) {
 // lock) and recycles the slab.
 func (s *Sharded) consume(sum *Summary, msg shardMsg) {
 	if msg.sent != 0 && s.cfg.Obs != nil {
-		// Producer stamped the send (obs was armed): observe the channel
-		// dwell — the time this slab waited for its shard goroutine.
+		// Producer stamped the send: observe the channel dwell — the time
+		// this slab waited for its shard goroutine.
 		s.cfg.Obs.Dwell.Observe(time.Duration(time.Now().UnixNano() - msg.sent))
 	}
 	// Injection point for chaos testing: an armed error or panic rule
 	// panics here (the consume path has no error channel), exercising the
 	// same containment as an organic Summary.Push panic; a delay rule
-	// wedges the shard instead. Disarmed this is one atomic load.
-	if err := fault.Hit(fault.StreamShard); err != nil {
+	// wedges the shard instead. With no Faults set this is one nil check.
+	if err := s.cfg.Faults.Hit(fault.StreamShard); err != nil {
 		panic(err)
 	}
 	for off := 0; off < len(msg.slab); off += msg.dim {
@@ -332,16 +335,12 @@ func (s *Sharded) putSlab(slab []float64) {
 }
 
 // sendStamp returns the timestamp outgoing messages should carry: UnixNano
-// when this ingester has an Obs sink and the obs package is armed, 0 (no
-// clock read) otherwise.
+// when this ingester has an Obs sink, 0 (no clock read) otherwise.
 func (s *Sharded) sendStamp() int64 {
 	if s.cfg.Obs == nil {
 		return 0
 	}
-	if t0 := obs.Started(); !t0.IsZero() {
-		return t0.UnixNano()
-	}
-	return 0
+	return time.Now().UnixNano()
 }
 
 // CentersVersion returns the sum of the shard summaries' center-set version

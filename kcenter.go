@@ -442,10 +442,11 @@ type ServerOptions struct {
 	// ReplicateInterval is the replication push period (0 = 2s); staleness
 	// on a healthy link is bounded by about one interval.
 	ReplicateInterval time.Duration
-	// Telemetry arms the process-wide telemetry registry: per-stage request
-	// latency histograms served by GET /metrics (Prometheus text format)
-	// and the p50/p99/max fields in /v1/stats. Disarmed, every
-	// instrumentation point costs one atomic load.
+	// Telemetry arms this server's telemetry: per-stage request latency
+	// histograms served by GET /metrics (Prometheus text format) and the
+	// p50/p99/max fields in /v1/stats. It is per server — other servers in
+	// the process keep their own setting. Disarmed, every instrumentation
+	// point costs one nil check.
 	Telemetry bool
 	// Pprof mounts the net/http/pprof profiling handlers under
 	// /debug/pprof/ on the server's mux. Off by default.

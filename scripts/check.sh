@@ -1,7 +1,7 @@
 #!/bin/sh
 # Canonical tier-1 gate, mirroring `make check` for environments without
 # make. Runs vet, build, the full test suite, the race-detector pass (see
-# below), the fuzz gate, a chaos smoke (the fault-injection storm with its
+# below), the isolation flake gate, the fuzz gate, a chaos smoke (the fault-injection storm with its
 # four robustness assertions), a bench smoke, and the docs gate
 # (scripts/docscheck.sh).
 set -eu
@@ -22,14 +22,21 @@ go test ./...
 # ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
 # the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
 # create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle and
-# the assign linearizability test TestAssignLinearizable), the
-# fault-injection switchboard (TestConcurrentHits: armed/disarmed flips
-# racing hot-path Hit calls) and the telemetry registry (TestConcurrentObserve,
+# the assign linearizability test TestAssignLinearizable, and the per-Service
+# switchboard isolation test TestServiceSwitchboardIsolation), the
+# fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
+# Hit calls on one Set) and the telemetry layer (TestConcurrentObserve,
 # TestLoggerConcurrentLinesDoNotInterleave); -short keeps it under a few
 # seconds. `make race` runs the same package list.
 RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/..."
 echo "== go test -race -short $RACE_PKGS"
 go test -race -short $RACE_PKGS
+
+# Isolation flake gate (`make isolation`): the experiment smoke test, with
+# chaos's armed fault storm running beside every other experiment, and the
+# two-Service switchboard isolation test, repeated under GOMAXPROCS 1 and 2.
+echo "== isolation gate (TestExperimentsSmoke, TestServiceSwitchboardIsolation; -count=3 -cpu 1,2)"
+go test -count=3 -cpu 1,2 -run 'TestExperimentsSmoke|TestServiceSwitchboardIsolation' ./internal/harness ./internal/server
 
 # Fuzz gate: a short random-exploration budget per native fuzz target on
 # top of the committed seed corpora; any crasher fails the gate.
