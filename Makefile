@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race isolation chaos fuzz bench bench-smoke bench-all docs
+.PHONY: check vet build test race isolation chaos fuzz bench bench-smoke bench-all docs reach
 
-check: vet build test race isolation chaos fuzz bench-smoke docs
+check: vet build test race isolation chaos fuzz bench-smoke docs reach
 
 vet:
 	$(GO) vet ./...
@@ -84,3 +84,9 @@ bench-all:
 # link and make-target integrity (see scripts/docscheck.sh).
 docs:
 	sh scripts/docscheck.sh
+
+# Reachability gate: every internal/ package must be imported, directly or
+# not, by the facade, a command or an example, so code that only tests
+# reach cannot accumulate (see scripts/reachcheck.sh).
+reach:
+	sh scripts/reachcheck.sh

@@ -11,18 +11,14 @@ import (
 
 	"kcenter/internal/assign"
 	"kcenter/internal/core"
-	"kcenter/internal/coreset"
 	"kcenter/internal/dataset"
 	"kcenter/internal/eim"
-	"kcenter/internal/harness"
-	"kcenter/internal/hs"
-	"kcenter/internal/immoseley"
-	"kcenter/internal/kmedian"
 	"kcenter/internal/mapreduce"
 	"kcenter/internal/metric"
 	"kcenter/internal/mrg"
 	"kcenter/internal/outliers"
 	"kcenter/internal/quality"
+	"kcenter/internal/stream"
 )
 
 // TestAllAlgorithmsOnAllGenerators runs every algorithm family over every
@@ -65,16 +61,17 @@ func TestAllAlgorithmsOnAllGenerators(t *testing.T) {
 	}
 }
 
-// TestRadiiAgreeAcrossEvaluators cross-checks the three independent radius
-// implementations (core sequential, assign parallel, harness wrapper).
+// TestRadiiAgreeAcrossEvaluators cross-checks three independent radius
+// implementations: core's sequential scan, assign's parallel evaluator over
+// center indices, and stream.Cover's pruned scan over center coordinates.
 func TestRadiiAgreeAcrossEvaluators(t *testing.T) {
 	l := dataset.Gau(dataset.GauConfig{N: 5000, KPrime: 6, Seed: 7})
 	res := core.Gonzalez(l.Points, 6, core.Options{First: 0})
 	seq, _ := core.CoveringRadius(l.Points, res.Centers)
 	par := assign.Radius(l.Points, res.Centers)
-	facade := harness.EvaluateCenters(l.Points, res.Centers)
-	if math.Abs(seq-par) > 1e-9*(1+seq) || math.Abs(seq-facade) > 1e-9*(1+seq) {
-		t.Fatalf("evaluator disagreement: %v / %v / %v", seq, par, facade)
+	cov := stream.Cover(l.Points, l.Points.Subset(res.Centers), nil)
+	if math.Abs(seq-par) > 1e-9*(1+seq) || math.Abs(seq-cov) > 1e-9*(1+seq) {
+		t.Fatalf("evaluator disagreement: %v / %v / %v", seq, par, cov)
 	}
 	if math.Abs(seq-res.Radius) > 1e-9*(1+seq) {
 		t.Fatalf("Gonzalez self-reported radius %v vs evaluated %v", res.Radius, seq)
@@ -82,9 +79,10 @@ func TestRadiiAgreeAcrossEvaluators(t *testing.T) {
 }
 
 // TestGuaranteeLadder verifies, on one shared instance with a computable
-// optimum, that every algorithm respects its own guarantee: HS and GON
-// within 2·OPT, immoseley-search within 4.4·OPT, MRG within 4·OPT, EIM
-// within 10·OPT, streaming within 8·OPT.
+// optimum, that every algorithm respects its own guarantee: GON within
+// 2·OPT, MRG within 4·OPT, EIM within 10·OPT, and the doubling sketch the
+// server runs (stream.Summary) within 8·OPT, both its realized cover and
+// its certified bound.
 func TestGuaranteeLadder(t *testing.T) {
 	l := dataset.Unif(dataset.UnifConfig{N: 12, Seed: 8})
 	ds := l.Points
@@ -100,7 +98,6 @@ func TestGuaranteeLadder(t *testing.T) {
 		}
 	}
 	check("GON", core.Gonzalez(ds, k, core.Options{}).Radius, 2)
-	check("HS", hs.Run(ds, k).Radius, 2)
 	mres, err := mrg.Run(ds, mrg.Config{K: k, Cluster: mapreduce.Config{Machines: 3, Capacity: 12}})
 	if err != nil {
 		t.Fatal(err)
@@ -111,23 +108,12 @@ func TestGuaranteeLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("EIM", eres.Radius, 10)
-	ires, err := immoseley.Search(ds, immoseley.SearchConfig{K: k, Cluster: mapreduce.Config{Machines: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("immoseley", ires.Radius, 4.4)
-	s := coreset.Summarize(ds, k)
-	worst := 0.0
+	s := stream.NewSummary(k, stream.Options{})
 	for i := 0; i < ds.N; i++ {
-		best := math.Inf(1)
-		for _, c := range s.Centers() {
-			if sq := metric.SqDist(ds.At(i), c); sq < best {
-				best = sq
-			}
-		}
-		worst = math.Max(worst, best)
+		s.Push(ds.At(i))
 	}
-	check("streaming", math.Sqrt(worst), 8)
+	check("stream cover", stream.Cover(ds, s.Centers(), nil), 8)
+	check("stream bound", s.Bound(), 8)
 }
 
 // TestStreamingFeedsMRG exercises the §3.2 external-memory composition end
@@ -135,39 +121,24 @@ func TestGuaranteeLadder(t *testing.T) {
 func TestStreamingFeedsMRG(t *testing.T) {
 	l := dataset.Gau(dataset.GauConfig{N: 20000, KPrime: 10, Seed: 10})
 	const k, shards = 10, 4
-	var unionPts [][]float64
+	union := metric.NewDataset(0, l.Points.Dim)
 	per := l.Points.N / shards
 	for sh := 0; sh < shards; sh++ {
-		s := coreset.NewStreaming(4*k, l.Points.Dim) // oversampled summaries
+		s := stream.NewSummary(4*k, stream.Options{}) // oversampled summaries
 		for i := sh * per; i < (sh+1)*per; i++ {
-			s.Add(l.Points.At(i))
+			s.Push(l.Points.At(i))
 		}
-		unionPts = append(unionPts, s.Centers()...)
-	}
-	union, err := metric.FromPoints(unionPts)
-	if err != nil {
-		t.Fatal(err)
+		c := s.Centers()
+		for i := 0; i < c.N; i++ {
+			union.Append(c.At(i))
+		}
 	}
 	res, err := mrg.Run(union, mrg.Config{K: k, Cluster: mapreduce.Config{Machines: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Evaluate the final centers against the ORIGINAL data.
-	finalPts := make([][]float64, len(res.Centers))
-	for i, c := range res.Centers {
-		finalPts[i] = union.At(c)
-	}
-	worst := 0.0
-	for i := 0; i < l.Points.N; i++ {
-		best := math.Inf(1)
-		for _, fp := range finalPts {
-			if sq := metric.SqDist(l.Points.At(i), fp); sq < best {
-				best = sq
-			}
-		}
-		worst = math.Max(worst, best)
-	}
-	if r := math.Sqrt(worst); r > 20 {
+	if r := stream.Cover(l.Points, union.Subset(res.Centers), nil); r > 20 {
 		t.Fatalf("stream→MRG composition radius %v on tight clusters", r)
 	}
 }
@@ -220,33 +191,6 @@ func TestRobustVsPlainPipeline(t *testing.T) {
 	}
 }
 
-// TestKMedianVsKCenterObjectives runs both objectives on the same skewed
-// instance and confirms each optimizes its own target better than the other
-// algorithm's solution does.
-func TestKMedianVsKCenterObjectives(t *testing.T) {
-	l := dataset.Unb(dataset.GauConfig{N: 6000, KPrime: 6, Seed: 12})
-	ds := l.Points
-	const k = 6
-	gon := core.Gonzalez(ds, k, core.Options{First: 0})
-	med, err := kmedian.LocalSearch(ds, k, kmedian.Options{CandidateSample: 300, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Local search is seeded with the Gonzalez centers and only takes
-	// improving swaps, so its cost can never exceed theirs.
-	gonCost := kmedian.Cost(ds, gon.Centers)
-	if med.Cost > gonCost+1e-9 {
-		t.Fatalf("k-median local search (%v) worse at its own objective than GON centers (%v)", med.Cost, gonCost)
-	}
-	// No such guarantee holds in the other direction (GON is only a
-	// 2-approximation and median-like centers can beat it on the radius),
-	// but both solutions must be in the same regime — the clusters found.
-	medRadius := assign.Radius(ds, med.Centers)
-	if gon.Radius > 5*medRadius && gon.Radius > 10 {
-		t.Fatalf("GON radius %v wildly above k-median centers' radius %v", gon.Radius, medRadius)
-	}
-}
-
 // TestCSVRoundTripThroughFacade loads generated data through the public CSV
 // path and verifies algorithms see identical geometry.
 func TestCSVRoundTripThroughFacade(t *testing.T) {
@@ -272,7 +216,7 @@ func TestCSVRoundTripThroughFacade(t *testing.T) {
 // TestDeterministicEndToEnd locks the full deterministic pipeline: same
 // seeds, same centers, across every randomized component at once.
 func TestDeterministicEndToEnd(t *testing.T) {
-	run := func() (float64, float64, float64) {
+	run := func() (float64, float64) {
 		l := dataset.Gau(dataset.GauConfig{N: 10000, KPrime: 10, Seed: 15})
 		m, err := mrg.Run(l.Points, mrg.Config{K: 10, Seed: 16, ShufflePartition: true, RandomFirstCenter: true})
 		if err != nil {
@@ -282,15 +226,11 @@ func TestDeterministicEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		med, err := kmedian.LocalSearch(l.Points, 10, kmedian.Options{CandidateSample: 100, Seed: 18})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Radius, e.Radius, med.Cost
+		return m.Radius, e.Radius
 	}
-	a1, b1, c1 := run()
-	a2, b2, c2 := run()
-	if a1 != a2 || b1 != b2 || c1 != c2 {
-		t.Fatalf("pipeline not reproducible: (%v,%v,%v) vs (%v,%v,%v)", a1, b1, c1, a2, b2, c2)
+	a1, b1 := run()
+	a2, b2 := run()
+	if a1 != a2 || b1 != b2 {
+		t.Fatalf("pipeline not reproducible: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
 	}
 }

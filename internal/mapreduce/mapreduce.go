@@ -127,15 +127,6 @@ func (j *JobStats) TotalOps() int64 {
 	return total
 }
 
-// TotalWall returns total compute time across all machines and rounds.
-func (j *JobStats) TotalWall() time.Duration {
-	var total time.Duration
-	for _, r := range j.Rounds {
-		total += r.SumWall
-	}
-	return total
-}
-
 // Engine executes rounds of tasks against a simulated cluster and records
 // per-round statistics. An Engine is safe for use by a single job at a time;
 // create one Engine per job.
@@ -279,18 +270,4 @@ func Partition(n, m int) [][]int {
 		start += size
 	}
 	return parts
-}
-
-// PartitionShuffled is Partition after a deterministic shuffle of the
-// indices, for experiments that want to break any correlation between input
-// order and machine assignment. perm must be a permutation of [0, n).
-func PartitionShuffled(perm []int, m int) [][]int {
-	n := len(perm)
-	ranges := Partition(n, m)
-	for _, part := range ranges {
-		for j, idx := range part {
-			part[j] = perm[idx]
-		}
-	}
-	return ranges
 }

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"kcenter/internal/rng"
 )
 
 func TestPartitionInvariants(t *testing.T) {
@@ -73,26 +71,6 @@ func TestPartitionQuick(t *testing.T) {
 	}
 }
 
-func TestPartitionShuffled(t *testing.T) {
-	r := rng.New(1)
-	perm := r.Perm(100)
-	parts := PartitionShuffled(perm, 7)
-	seen := make([]bool, 100)
-	for _, p := range parts {
-		for _, idx := range p {
-			if seen[idx] {
-				t.Fatalf("duplicate index %d", idx)
-			}
-			seen[idx] = true
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d missing", i)
-		}
-	}
-}
-
 func TestEngineRunsAllTasks(t *testing.T) {
 	e, err := NewEngine(Config{Machines: 4})
 	if err != nil {
@@ -153,7 +131,7 @@ func TestJobStatsAccumulate(t *testing.T) {
 	if js.SimulatedOps() != 30 || js.TotalOps() != 30 {
 		t.Fatalf("ops %d / %d", js.SimulatedOps(), js.TotalOps())
 	}
-	if js.SimulatedWall() <= 0 || js.TotalWall() <= 0 {
+	if js.SimulatedWall() <= 0 {
 		t.Fatal("wall stats missing")
 	}
 }

@@ -160,78 +160,6 @@ func NearestInRange(ds *Dataset, lo, hi int, q []float64) (int, float64) {
 	return best, bestSq
 }
 
-// FirstWithin returns the index of the first point in [lo, hi) whose
-// squared distance to q is at most limSq, scanning in ascending index
-// order and stopping at the first hit — exactly the early-exit separation
-// test of the thresholding algorithms (immoseley's maximal 2τ-separated
-// scan), with the per-point SqDist calls fused into a dimension-
-// specialized kernel. It returns -1 when no point qualifies. The second
-// result is the number of distances evaluated (hit position + 1 - lo on a
-// hit, hi - lo otherwise), so callers charging evaluations to a simulated
-// cost model count exactly what the per-index loop counted.
-func FirstWithin(ds *Dataset, lo, hi int, q []float64, limSq float64) (int, int64) {
-	if hi <= lo {
-		return -1, 0
-	}
-	dim := ds.Dim
-	data := ds.Data[lo*dim : hi*dim]
-	switch dim {
-	case 2:
-		q0, q1 := q[0], q[1]
-		j := 0
-		for i := lo; i < hi; i++ {
-			d0 := data[j] - q0
-			d1 := data[j+1] - q1
-			j += 2
-			if d0*d0+d1*d1 <= limSq {
-				return i, int64(i - lo + 1)
-			}
-		}
-	case 3:
-		q0, q1, q2 := q[0], q[1], q[2]
-		j := 0
-		for i := lo; i < hi; i++ {
-			d0 := data[j] - q0
-			d1 := data[j+1] - q1
-			d2 := data[j+2] - q2
-			j += 3
-			if d0*d0+d1*d1+d2*d2 <= limSq {
-				return i, int64(i - lo + 1)
-			}
-		}
-	case 4:
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		j := 0
-		for i := lo; i < hi; i++ {
-			d0 := data[j] - q0
-			d1 := data[j+1] - q1
-			d2 := data[j+2] - q2
-			d3 := data[j+3] - q3
-			j += 4
-			if ((d0*d0+d1*d1)+d2*d2)+d3*d3 <= limSq {
-				return i, int64(i - lo + 1)
-			}
-		}
-	case 8:
-		j := 0
-		for i := lo; i < hi; i++ {
-			if sqDist8(data[j:j+8], q) <= limSq {
-				return i, int64(i - lo + 1)
-			}
-			j += 8
-		}
-	default:
-		j := 0
-		for i := lo; i < hi; i++ {
-			if SqDist(data[j:j+dim:j+dim], q) <= limSq {
-				return i, int64(i - lo + 1)
-			}
-			j += dim
-		}
-	}
-	return -1, int64(hi - lo)
-}
-
 // RelaxFarthest performs one Gonzalez relaxation step over [lo, hi): for
 // every point i it lowers minSq[i] to the squared distance from q when that
 // is smaller, and returns the index realizing the maximum of the updated

@@ -120,38 +120,6 @@ func TestQuickRelaxFarthestMatchesScan(t *testing.T) {
 	}
 }
 
-// TestQuickFirstWithinMatchesScan checks the fused early-exit threshold
-// scan against the per-index reference loop: same hit index (or -1), same
-// number of distances evaluated, across every specialized dimension. The
-// threshold is drawn around realized distances so hits, misses and
-// exact-boundary (<=) cases all occur.
-func TestQuickFirstWithinMatchesScan(t *testing.T) {
-	f := func(seed uint64, nRaw, dimRaw, loRaw uint8, pick uint8) bool {
-		ds, q := kernelInstance(seed, nRaw, dimRaw)
-		lo := int(loRaw) % ds.N
-		hi := ds.N
-		// Use an actual point's squared distance as the limit half the
-		// time, exercising the inclusive boundary exactly.
-		limSq := float64(pick) * 100
-		if pick%2 == 0 && hi > lo {
-			limSq = SqDist(ds.At(lo+int(pick)%(hi-lo)), q)
-		}
-		hit, evals := FirstWithin(ds, lo, hi, q, limSq)
-		wantHit, wantEvals := -1, int64(0)
-		for i := lo; i < hi; i++ {
-			wantEvals++
-			if SqDist(ds.At(i), q) <= limSq {
-				wantHit = i
-				break
-			}
-		}
-		return hit == wantHit && evals == wantEvals
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestKernelsEmptyRange pins the degenerate-range contract.
 func TestKernelsEmptyRange(t *testing.T) {
 	ds := NewDataset(4, 2)
@@ -164,9 +132,6 @@ func TestKernelsEmptyRange(t *testing.T) {
 		t.Fatalf("RelaxFarthest empty = (%d, %v)", next, far)
 	}
 	SqDistsInto(nil, ds, 1, 1, q) // must not panic
-	if hit, evals := FirstWithin(ds, 2, 2, q, 1); hit != -1 || evals != 0 {
-		t.Fatalf("FirstWithin empty = (%d, %d)", hit, evals)
-	}
 }
 
 // TestQuickPrunedNearestMatchesFullScan: triangle-inequality pruning must

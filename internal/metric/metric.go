@@ -274,63 +274,3 @@ func (d *Dataset) Diameter() float64 {
 	}
 	return math.Sqrt(best)
 }
-
-// PairwiseMatrix materializes the full n×n Euclidean distance matrix. The
-// paper deliberately avoids this representation at scale (§7.2); it exists
-// for the Hochbaum–Shmoys baseline and for test oracles on small inputs.
-func (d *Dataset) PairwiseMatrix() [][]float64 {
-	m := make([][]float64, d.N)
-	flat := make([]float64, d.N*d.N)
-	for i := range m {
-		m[i] = flat[i*d.N : (i+1)*d.N]
-	}
-	for i := 0; i < d.N; i++ {
-		for j := i + 1; j < d.N; j++ {
-			v := d.Dist(i, j)
-			m[i][j] = v
-			m[j][i] = v
-		}
-	}
-	return m
-}
-
-// Standardize rescales every dimension to zero mean and unit variance in
-// place (dimensions with zero variance are left centered). Real UCI data
-// mixes wildly different feature scales; the paper's KDD CUP runs operate on
-// raw numeric features, so standardization is optional and off by default in
-// the loaders.
-func (d *Dataset) Standardize() {
-	if d.N == 0 {
-		return
-	}
-	mean := make([]float64, d.Dim)
-	for i := 0; i < d.N; i++ {
-		p := d.At(i)
-		for j, v := range p {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(d.N)
-	}
-	variance := make([]float64, d.Dim)
-	for i := 0; i < d.N; i++ {
-		p := d.At(i)
-		for j, v := range p {
-			dv := v - mean[j]
-			variance[j] += dv * dv
-		}
-	}
-	for j := range variance {
-		variance[j] /= float64(d.N)
-	}
-	for i := 0; i < d.N; i++ {
-		p := d.At(i)
-		for j := range p {
-			p[j] -= mean[j]
-			if variance[j] > 0 {
-				p[j] /= math.Sqrt(variance[j])
-			}
-		}
-	}
-}

@@ -203,61 +203,6 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
-func TestPairwiseMatrixSymmetricZeroDiagonal(t *testing.T) {
-	r := rng.New(5)
-	pts := make([][]float64, 20)
-	for i := range pts {
-		pts[i] = randomVec(r, 3)
-	}
-	ds, _ := FromPoints(pts)
-	m := ds.PairwiseMatrix()
-	for i := 0; i < ds.N; i++ {
-		if m[i][i] != 0 {
-			t.Fatalf("diagonal %d = %v", i, m[i][i])
-		}
-		for j := 0; j < ds.N; j++ {
-			if m[i][j] != m[j][i] {
-				t.Fatalf("asymmetric at %d,%d", i, j)
-			}
-			if want := ds.Dist(i, j); !almostEqual(m[i][j], want, 1e-12) {
-				t.Fatalf("matrix[%d][%d]=%v want %v", i, j, m[i][j], want)
-			}
-		}
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	r := rng.New(6)
-	ds := NewDataset(500, 4)
-	for i := 0; i < ds.N; i++ {
-		p := ds.At(i)
-		p[0] = r.Float64Range(100, 200) // shifted
-		p[1] = r.NormFloat64() * 50     // scaled
-		p[2] = 7                        // constant
-		p[3] = r.Float64()              // already smallish
-	}
-	ds.Standardize()
-	for j := 0; j < ds.Dim; j++ {
-		sum, sumsq := 0.0, 0.0
-		for i := 0; i < ds.N; i++ {
-			v := ds.At(i)[j]
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / float64(ds.N)
-		if math.Abs(mean) > 1e-9 {
-			t.Fatalf("dim %d mean %v after standardize", j, mean)
-		}
-		variance := sumsq/float64(ds.N) - mean*mean
-		if j != 2 && math.Abs(variance-1) > 1e-9 {
-			t.Fatalf("dim %d variance %v after standardize", j, variance)
-		}
-		if j == 2 && math.Abs(variance) > 1e-9 {
-			t.Fatalf("constant dim should be zeroed, variance %v", variance)
-		}
-	}
-}
-
 func TestNewDatasetPanicsOnBadShape(t *testing.T) {
 	for _, tc := range []struct{ n, dim int }{{-1, 2}, {3, 0}, {3, -1}} {
 		func() {

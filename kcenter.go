@@ -383,78 +383,11 @@ var ErrNothingIngested = stream.ErrEmpty
 // "failed".
 var ErrTenantFailed = server.ErrTenantFailed
 
-// ServerOptions configures a clustering server.
-type ServerOptions struct {
-	// Shards is the number of concurrent ingestion shards; 0 means 1.
-	Shards int
-	// Buffer is the per-shard channel depth; 0 means the default.
-	Buffer int
-	// MaxBatch caps the points per ingest or assign request (0 = 4096);
-	// larger batches are rejected with HTTP 413.
-	MaxBatch int
-	// QueueDepth bounds the ingest queue in batches (0 = 64). A full queue
-	// is the service's overload watermark: ingest handlers wait up to
-	// ShedAfter for space, then shed the batch.
-	QueueDepth int
-	// ShedAfter is how long an ingest request may wait at a full queue
-	// before it is shed with HTTP 429 + Retry-After (0 = 1s). Negative
-	// disables shedding: requests block until their context expires, which
-	// can pin every server thread when producers are persistently over
-	// capacity.
-	ShedAfter time.Duration
-	// CheckpointPath, when non-empty, enables persistence: the server
-	// restores from this file on startup (if it exists) and checkpoints the
-	// clustering state to it periodically and on Shutdown, so a restarted
-	// server resumes with a warm clustering instead of re-clustering from
-	// scratch. Checkpoints are O(Shards·k) and written atomically.
-	CheckpointPath string
-	// CheckpointInterval is the background checkpoint period (0 = 15s).
-	// A checkpoint is written only when the center set changed since the
-	// last one, so quiet periods write nothing.
-	CheckpointInterval time.Duration
-	// CheckpointKeep retains the last N checkpoints per tenant as
-	// <path>.1 (newest) through <path>.N (oldest) so an operator can roll
-	// back after a bad feed; 0 keeps no history.
-	CheckpointKeep int
-	// MaxTenants enables multi-tenant serving when > 0: requests carrying
-	// an X-Kcenter-Tenant header (or a "tenant" body field) route to
-	// independent per-tenant clusterings, lazily created on first ingest
-	// contact until MaxTenants tenants exist (the implicit default tenant
-	// counts toward the cap; tenants restored from checkpoints are
-	// exempt). 0 serves the single default tenant only, byte-identical to
-	// the pre-tenancy wire format.
-	MaxTenants int
-	// DefaultK is the center budget for lazily created tenants that do
-	// not pin their own with the X-Kcenter-K header; 0 means k.
-	DefaultK int
-	// NodeID names this node in replication gossip: the origin label its
-	// pushed states carry and the key peers file them under. Required with
-	// ReplicatePeers; empty leaves the node an unlabeled receiver.
-	NodeID string
-	// ReplicatePeers lists peer server base URLs this node pushes every
-	// tenant's exported clustering state to, once per ReplicateInterval,
-	// so peers serve assign/centers against the union summary (followers
-	// need no local ingest; merge correctness carries the sharded 10-approx
-	// bound). Push failures quarantine the peer under capped backoff, never
-	// the tenant. Empty disables pushing; POST /v1/replicate accepts
-	// inbound states regardless.
-	ReplicatePeers []string
-	// ReplicateInterval is the replication push period (0 = 2s); staleness
-	// on a healthy link is bounded by about one interval.
-	ReplicateInterval time.Duration
-	// Telemetry arms this server's telemetry: per-stage request latency
-	// histograms served by GET /metrics (Prometheus text format) and the
-	// p50/p99/max fields in /v1/stats. It is per server — other servers in
-	// the process keep their own setting. Disarmed, every instrumentation
-	// point costs one nil check.
-	Telemetry bool
-	// Pprof mounts the net/http/pprof profiling handlers under
-	// /debug/pprof/ on the server's mux. Off by default.
-	Pprof bool
-	// SlowRequest, when > 0 (with Telemetry), logs any request at or above
-	// the threshold as one structured line with its per-stage breakdown.
-	SlowRequest time.Duration
-}
+// ServerOptions configures a clustering server. It is server.Config, so
+// every setting is documented and defaulted in one place. K may be left 0:
+// NewServer fills it from its k argument. Faults is typed from an internal
+// package, so callers outside this module leave it nil (no injection).
+type ServerOptions = server.Config
 
 // ServerRestore describes the warm start a server performed from its
 // checkpoint; see Server.Restored.
@@ -501,38 +434,24 @@ type Server struct {
 // NewServer starts the clustering service for at most k centers. It begins
 // serving traffic as soon as its Handler is mounted; the clustering runs on
 // the same streaming substrate as NewStream (8-approx single shard,
-// 10-approx sharded).
+// 10-approx sharded). opt.K may be left 0; a non-zero opt.K that differs
+// from k is an error.
 func NewServer(k int, opt ServerOptions) (*Server, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("kcenter: k must be >= 1, got %d", k)
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = 1
+	if opt.K != 0 && opt.K != k {
+		return nil, fmt.Errorf("kcenter: ServerOptions.K = %d conflicts with k = %d", opt.K, k)
 	}
-	svc, err := server.New(server.Config{
-		K:                  k,
-		Shards:             shards,
-		Buffer:             opt.Buffer,
-		MaxBatch:           opt.MaxBatch,
-		QueueDepth:         opt.QueueDepth,
-		ShedAfter:          opt.ShedAfter,
-		CheckpointPath:     opt.CheckpointPath,
-		CheckpointInterval: opt.CheckpointInterval,
-		CheckpointKeep:     opt.CheckpointKeep,
-		MaxTenants:         opt.MaxTenants,
-		DefaultK:           opt.DefaultK,
-		NodeID:             opt.NodeID,
-		ReplicatePeers:     opt.ReplicatePeers,
-		ReplicateInterval:  opt.ReplicateInterval,
-		Telemetry:          opt.Telemetry,
-		Pprof:              opt.Pprof,
-		SlowRequest:        opt.SlowRequest,
-	})
+	opt.K = k
+	if opt.Shards <= 0 {
+		opt.Shards = 1
+	}
+	svc, err := server.New(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{svc: svc, shards: shards}, nil
+	return &Server{svc: svc, shards: opt.Shards}, nil
 }
 
 // Restored reports the warm start this server performed from its configured

@@ -2,8 +2,8 @@
 # Canonical tier-1 gate, mirroring `make check` for environments without
 # make. Runs vet, build, the full test suite, the race-detector pass (see
 # below), the isolation flake gate, the fuzz gate, a chaos smoke (the fault-injection storm with its
-# four robustness assertions), a bench smoke, and the docs gate
-# (scripts/docscheck.sh).
+# four robustness assertions), a bench smoke, the docs gate
+# (scripts/docscheck.sh) and the reach gate (scripts/reachcheck.sh).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,5 +63,10 @@ OUT="${TMPDIR:-/tmp}/BENCH_kernels.smoke.json" sh scripts/bench.sh
 
 echo "== docs gate (scripts/docscheck.sh)"
 sh scripts/docscheck.sh
+
+# Reach gate (`make reach`): every internal/ package is a dependency of the
+# facade, a command or an example.
+echo "== reach gate (scripts/reachcheck.sh)"
+sh scripts/reachcheck.sh
 
 echo "OK"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -86,9 +87,43 @@ func TestServerFacadeLifecycle(t *testing.T) {
 	}
 }
 
+// TestNewServerValidation pins how NewServer's k meets ServerOptions.K
+// (ServerOptions is server.Config): a zero K takes k, a matching K is
+// accepted, and a conflicting K is an error rather than a second source
+// for the center budget.
 func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(0, ServerOptions{}); err == nil {
 		t.Fatal("k=0 should fail")
+	}
+	if _, err := NewServer(3, ServerOptions{K: 5}); err == nil {
+		t.Fatal("ServerOptions.K=5 with k=3 should fail")
+	}
+	for _, optK := range []int{0, 3} {
+		srv, err := NewServer(3, ServerOptions{K: optK, MaxBatch: 10})
+		if err != nil {
+			t.Fatalf("K=%d: %v", optK, err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			K      int `json:"k"`
+			Shards int `json:"shards"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.K != 3 || st.Shards != 1 {
+			t.Fatalf("K=%d: serves k=%d shards=%d, want k=3 shards=1", optK, st.K, st.Shards)
+		}
+		if _, err := srv.Shutdown(context.Background()); !errors.Is(err, ErrNothingIngested) {
+			t.Fatalf("K=%d: idle Shutdown = %v, want ErrNothingIngested", optK, err)
+		}
 	}
 }
 
