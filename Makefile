@@ -25,11 +25,16 @@ test:
 # the assign linearizability test TestAssignLinearizable, and the per-Service
 # switchboard isolation test TestServiceSwitchboardIsolation), the
 # fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
-# Hit calls on one Set) and the telemetry layer (TestConcurrentObserve,
-# TestLoggerConcurrentLinesDoNotInterleave); -short keeps it under a few
-# seconds. scripts/check.sh runs the same package list.
+# Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
+# TestLoggerConcurrentLinesDoNotInterleave) and the harness loopback fixture
+# that the serving experiments share (their TestRun* tests, the chaos nudge
+# tally TestRunChaosCountsNudges and the replicate shutdown test
+# TestRunServeReplicateErrorStopsGoroutines); -short keeps it under a few
+# seconds. scripts/check.sh runs the same package list and harness tests.
+RACE_HARNESS = TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/...
+	$(GO) test -race -short -run '$(RACE_HARNESS)' ./internal/harness
 
 # Isolation flake gate: the experiment smoke test (every experiment in
 # parallel, chaos's armed fault storm among them) and the two-Service

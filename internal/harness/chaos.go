@@ -10,12 +10,10 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,46 +71,6 @@ type ChaosMeasurement struct {
 	// checkpoint's by the bit-identity assertion.
 	RestoredIngested int64
 	RestoredVersion  uint64
-}
-
-// chaosStats is the slice of /v1/stats the chaos accounting reads.
-type chaosStats struct {
-	AcceptedPoints int64 `json:"accepted_points"`
-	IngestedPoints int64 `json:"ingested_points"`
-	PendingBatches int64 `json:"pending_batches"`
-	ShedPoints     int64 `json:"shed_points"`
-	DroppedPoints  int64 `json:"dropped_points"`
-	Degraded       bool  `json:"degraded"`
-	PerShard       []struct {
-		Ingested int64 `json:"ingested"`
-	} `json:"per_shard"`
-	CheckpointErrors int64 `json:"checkpoint_errors"`
-}
-
-func (tc *tenantClient) stats(tenant string) (chaosStats, error) {
-	var st chaosStats
-	req, err := http.NewRequest(http.MethodGet, tc.base+"/v1/stats", nil)
-	if err != nil {
-		return st, err
-	}
-	req.Header.Set(server.TenantHeader, tenant)
-	resp, err := tc.client.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("stats %s: status %d", tenant, resp.StatusCode)
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
-}
-
-func (st chaosStats) summarized() int64 {
-	var n int64
-	for _, sh := range st.PerShard {
-		n += sh.Ingested
-	}
-	return n
 }
 
 func fileHash(path string) ([32]byte, error) {
@@ -177,42 +135,32 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 		CheckpointPath: ckptPath, CheckpointInterval: time.Hour,
 		Faults: faults,
 	}
-	svc, err := server.New(cfg)
+	n, err := startNode(cfg)
 	if err != nil {
 		return m, err
 	}
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	tc := &tenantClient{base: ts.URL, client: &http.Client{Timeout: 60 * time.Second}}
+	defer n.close() // after the explicit close below this only returns an ignored error
+	victim, quiet := n.client("victim"), n.client("quiet")
 
 	// Disjoint regions per tenant (as in the isolation experiment), plus a
 	// small default-tenant seed so the final drain has a result to return.
-	seedN := batch
-	if seedN > ds.N {
-		seedN = ds.N
-	}
-	quietPts := make([][]float64, seedN)
-	victimSeed := make([][]float64, seedN)
-	for i := 0; i < seedN; i++ {
-		p := ds.At(i)
-		q := make([]float64, len(p))
-		copy(q, p)
-		q[0] += 1e6
-		quietPts[i] = q
-		victimSeed[i] = p
-	}
-	if err := tc.warm("victim", victimSeed); err != nil {
+	seedN := min(batch, ds.N)
+	quietPts, quietBodies, err := quietWorld(ds, seedN)
+	if err != nil {
 		return m, err
 	}
-	if err := tc.warm("quiet", quietPts); err != nil {
+	if err := victim.warm(rows(ds, 0, seedN)); err != nil {
 		return m, err
 	}
-	if code, err := tc.post("/v1/ingest", "", victimSeed[:16]); err != nil || code != http.StatusAccepted {
-		return m, fmt.Errorf("default seed: code %d err %w", code, err)
+	if err := quiet.warm(quietPts); err != nil {
+		return m, err
+	}
+	if err := n.client("").warm(rows(ds, 0, 16)); err != nil {
+		return m, err
 	}
 
 	// The last good checkpoint: everything after this must leave it intact.
-	if err := svc.CheckpointNow(); err != nil {
+	if err := n.svc.CheckpointNow(); err != nil {
 		return m, fmt.Errorf("pre-chaos checkpoint: %w", err)
 	}
 	lastGood, err := checkpoint.Read(victimPath)
@@ -224,36 +172,22 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 		return m, err
 	}
 
-	quietBodies := make([][]byte, 0, 8)
-	for lo := 0; lo+16 <= len(quietPts) && len(quietBodies) < 8; lo += 16 {
-		b, err := marshalPoints(quietPts[lo : lo+16])
-		if err != nil {
-			return m, err
-		}
-		quietBodies = append(quietBodies, b)
-	}
-	base, err := quietPhase(tc, quietBodies, quietAssigns)
+	base, err := quietPhase(quiet, quietBodies, quietAssigns)
 	if err != nil {
 		return m, err
 	}
 	m.QuietBaseP50 = percentile(base, 0.50)
 	m.QuietBaseP99 = percentile(base, 0.99)
 
-	// Victim feed bodies: the rest of the data set, round-robined.
-	var victimBodies [][]byte
-	for lo := seedN; lo+batch <= ds.N && len(victimBodies) < 32; lo += batch {
-		pts := make([][]float64, 0, batch)
-		for i := lo; i < lo+batch; i++ {
-			pts = append(pts, ds.At(i))
-		}
-		b, err := marshalPoints(pts)
-		if err != nil {
-			return m, err
-		}
-		victimBodies = append(victimBodies, b)
-	}
-	if len(victimBodies) == 0 {
+	// Victim feed bodies: the rest of the data set in full batches, at most
+	// 32 of them, round-robined.
+	feedN := min((ds.N-seedN)/batch, 32) * batch
+	if feedN <= 0 {
 		return m, fmt.Errorf("chaos: dataset too small for a victim feed (n=%d)", ds.N)
+	}
+	victimBodies, err := batchBodies(ds, seedN, seedN+feedN, batch)
+	if err != nil {
+		return m, err
 	}
 
 	// Arm the storm: every further shard message beyond PanicAfter panics a
@@ -269,13 +203,27 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 	armedAt := time.Now()
 
 	// The storm: one goroutine hammers the victim until the quiet phase
-	// completes, tracking what every response promised (202 accepted, 429
-	// shed, 409 refused after the quarantine).
+	// completes. tally records what every victim ingest response promised
+	// (202 accepted, 429 shed, 409 refused after the quarantine), for the
+	// feed and for the nudges after it alike.
+	var cAccepted, cShed, cRejected int64
+	tally := func(code int) error {
+		switch code {
+		case http.StatusAccepted:
+			cAccepted += int64(batch)
+		case http.StatusTooManyRequests:
+			cShed += int64(batch)
+		case http.StatusConflict: // quarantined: keep probing, it must stay refused
+			cRejected += int64(batch)
+		default:
+			return fmt.Errorf("victim ingest: unexpected status %d", code)
+		}
+		return nil
+	}
 	stop := make(chan struct{})
 	feedDone := make(chan error, 1)
-	var cAccepted, cShed, cRejected int64
 	go func() {
-		feed := &tenantClient{base: ts.URL, client: &http.Client{Timeout: 60 * time.Second}}
+		feed := n.client("victim")
 		for round := 0; ; round++ {
 			select {
 			case <-stop:
@@ -283,20 +231,12 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 				return
 			default:
 			}
-			code, err := feed.postRaw("/v1/ingest", "victim", victimBodies[round%len(victimBodies)])
+			code, err := feed.post("/v1/ingest", victimBodies[round%len(victimBodies)])
+			if err == nil {
+				err = tally(code)
+			}
 			if err != nil {
 				feedDone <- err
-				return
-			}
-			switch code {
-			case http.StatusAccepted:
-				cAccepted += int64(batch)
-			case http.StatusTooManyRequests:
-				cShed += int64(batch)
-			case http.StatusConflict: // quarantined: keep probing, it must stay refused
-				cRejected += int64(batch)
-			default:
-				feedDone <- fmt.Errorf("victim ingest: unexpected status %d", code)
 				return
 			}
 		}
@@ -304,7 +244,7 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 
 	// Assertion 1 (first half): the quiet tenant's probes all answer 200
 	// while the storm runs — quietPhase fails on any other status.
-	chaos, qerr := quietPhase(tc, quietBodies, quietAssigns)
+	chaos, qerr := quietPhase(quiet, quietBodies, quietAssigns)
 	close(stop)
 	if ferr := <-feedDone; ferr != nil {
 		return m, ferr
@@ -319,7 +259,7 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 	// inside the feed).
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		st, err := tc.stats("victim")
+		st, err := victim.stats()
 		if err != nil {
 			return m, err
 		}
@@ -330,8 +270,15 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 			return m, fmt.Errorf("chaos: victim never degraded")
 		}
 		// Keep nudging: one more batch trips the armed panic if the feed
-		// stopped before it fired.
-		_, _ = tc.postRaw("/v1/ingest", "victim", victimBodies[0])
+		// stopped before it fired. The feed has exited, so the nudge owns
+		// the tally.
+		code, err := victim.post("/v1/ingest", victimBodies[0])
+		if err == nil {
+			err = tally(code)
+		}
+		if err != nil {
+			return m, err
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	m.DegradeAfter = time.Since(armedAt)
@@ -340,19 +287,19 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 	// never corrupt the files on disk. The degraded victim is skipped by
 	// contract — the injected failures land on its healthy siblings, whose
 	// stats carry the error counter.
-	if err := svc.CheckpointNow(); err == nil {
+	if err := n.svc.CheckpointNow(); err == nil {
 		return m, fmt.Errorf("chaos: checkpoint under fsync fault unexpectedly succeeded")
 	}
-	if dst, err := tc.stats(""); err == nil {
+	if dst, err := n.client("").stats(); err == nil {
 		m.CheckpointErrors = dst.CheckpointErrors
 	}
 	faults.Disarm()
 
 	// Let the backlog settle: the victim's queue drains (discarding) and
 	// the shard channels empty into the dropped counter.
-	var st chaosStats
+	var st stats
 	for prev := int64(-1); ; {
-		st, err = tc.stats("victim")
+		st, err = victim.stats()
 		if err != nil {
 			return m, err
 		}
@@ -376,18 +323,12 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 		Live  bool `json:"live"`
 		Ready bool `json:"ready"`
 	}
-	resp, err := tc.client.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		return m, err
-	}
-	err = json.NewDecoder(resp.Body).Decode(&hz)
-	resp.Body.Close()
-	if err != nil || !hz.Live || !hz.Ready {
+	if err := n.client("").get("/v1/healthz", &hz); err != nil || !hz.Live || !hz.Ready {
 		return m, fmt.Errorf("chaos: healthz after storm: live=%v ready=%v err=%v", hz.Live, hz.Ready, err)
 	}
 
 	// Assertion 2: the quiet tenant is untouched.
-	qst, err := tc.stats("quiet")
+	qst, err := quiet.stats()
 	if err != nil {
 		return m, err
 	}
@@ -421,7 +362,7 @@ func RunChaos(ds *metric.Dataset, spec ChaosSpec) (ChaosMeasurement, error) {
 
 	// Shut down (the degraded victim's contained shard failure surfaces
 	// here, by contract) and restart over the same directory.
-	if _, err := svc.Close(context.Background()); err != nil && !errors.Is(err, stream.ErrShardFailed) {
+	if _, err := n.close(); err != nil && !errors.Is(err, stream.ErrShardFailed) {
 		return m, fmt.Errorf("chaos: close: %w", err)
 	}
 	svc2, err := server.New(cfg)

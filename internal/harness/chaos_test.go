@@ -53,3 +53,14 @@ func TestChaosExperimentRegistered(t *testing.T) {
 		t.Fatalf("missing assertion summary:\n%s", buf.String())
 	}
 }
+
+// TestRunChaosCountsNudges: with a single quiet probe the storm's feed stops
+// before the armed shard panic fires, so the degrade-wait nudges are what
+// push the victim over. Their 202s must reach the same client-side tally as
+// the feed's, or assertion 3 reports a lying response.
+func TestRunChaosCountsNudges(t *testing.T) {
+	ds := dataset.Gau(dataset.GauConfig{N: 20_000, KPrime: 10, Seed: 99}).Points
+	if _, err := RunChaos(ds, ChaosSpec{K: 10, Shards: 4, Batch: 128, QuietAssigns: 1, PanicAfter: 64}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,18 +1,14 @@
 // Telemetry overhead experiment: the same mixed serving workload run twice —
-// telemetry disarmed, then armed — so the cost of the tentpole telemetry
+// telemetry disarmed, then armed — so the cost of the telemetry
 // layer (request traces, stage histograms, shard dwell stamps) is measured
 // as a self-relative delta on this machine, not against numbers recorded on
-// different hardware. The committed BENCH_kernels.json serve baselines are
-// printed alongside as the cross-machine reference the bench gate enforces.
+// different hardware.
 
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // ObsOverheadMeasurement is the outcome of one armed-vs-disarmed pair.
@@ -50,43 +46,6 @@ func RunObsOverhead(spec ServeSpec, n int, seed uint64) (ObsOverheadMeasurement,
 	}, nil
 }
 
-// benchBaseline reads one committed ns/op from BENCH_kernels.json, searching
-// upward from the working directory (experiments run from the repo root or a
-// package directory). Returns 0 when not found — the reference line is then
-// omitted rather than failing the experiment.
-func benchBaseline(name string) int64 {
-	dir, err := os.Getwd()
-	if err != nil {
-		return 0
-	}
-	for i := 0; i < 6; i++ {
-		b, err := os.ReadFile(filepath.Join(dir, "BENCH_kernels.json"))
-		if err == nil {
-			var doc struct {
-				Benchmarks []struct {
-					Name    string `json:"name"`
-					NsPerOp int64  `json:"ns_per_op"`
-				} `json:"benchmarks"`
-			}
-			if json.Unmarshal(b, &doc) != nil {
-				return 0
-			}
-			for _, bm := range doc.Benchmarks {
-				if bm.Name == name {
-					return bm.NsPerOp
-				}
-			}
-			return 0
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return 0
-		}
-		dir = parent
-	}
-	return 0
-}
-
 func init() {
 	registry = append(registry, Experiment{
 		ID:    "serve-obs",
@@ -99,10 +58,6 @@ func init() {
 			// plus 32 measured batches of 256 points.
 			n := max(cfg.scaled(200_000), 33*256)
 			fmt.Fprintf(w, "GAU k'=25 n=%d, k=25, shards=4, batch=256, clients=1, one assign per ingest; latencies in ms\n", n)
-			if ing, asg := benchBaseline("BenchmarkServeIngest"), benchBaseline("BenchmarkServeAssign"); ing > 0 && asg > 0 {
-				fmt.Fprintf(w, "committed BENCH_kernels.json reference (disarmed, GOMAXPROCS=1): ingest %.3f ms/op, assign %.3f ms/op\n",
-					float64(ing)/1e6, float64(asg)/1e6)
-			}
 			m, err := RunObsOverhead(ServeSpec{K: 25, Shards: 4, Clients: 1, Batch: 256}, n, cfg.Seed)
 			if err != nil {
 				return err

@@ -11,14 +11,11 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kcenter/internal/metric"
@@ -63,26 +60,11 @@ type ReplicateMeasurement struct {
 	AssignRequests int
 }
 
-// replStats is the slice of /v1/stats this experiment samples.
-type replStats struct {
-	IngestedPoints int64 `json:"ingested_points"`
-	Replication    *struct {
-		Origins []struct {
-			Merges           int64   `json:"merges"`
-			StalenessSeconds float64 `json:"staleness_seconds"`
-		} `json:"origins"`
-	} `json:"replication"`
-}
-
 // RunServeReplicate drives the two-node topology over ds and measures the
 // follower.
 func RunServeReplicate(ds *metric.Dataset, spec ReplicateSpec) (ReplicateMeasurement, error) {
-	if spec.Shards <= 0 {
-		spec.Shards = 1
-	}
-	if spec.Clients <= 0 {
-		spec.Clients = 1
-	}
+	spec.Shards = max(spec.Shards, 1)
+	spec.Clients = max(spec.Clients, 1)
 	if spec.Batch <= 0 {
 		spec.Batch = 256
 	}
@@ -91,59 +73,50 @@ func RunServeReplicate(ds *metric.Dataset, spec ReplicateSpec) (ReplicateMeasure
 	}
 	var m ReplicateMeasurement
 
-	follower, err := server.New(server.Config{K: spec.K, Shards: spec.Shards, NodeID: "follower"})
+	fn, err := startNode(server.Config{K: spec.K, Shards: spec.Shards, NodeID: "follower"})
 	if err != nil {
 		return m, err
 	}
-	tsF := httptest.NewServer(follower.Handler())
-	defer tsF.Close()
-	leader, err := server.New(server.Config{
+	defer fn.close()
+	ln, err := startNode(server.Config{
 		K: spec.K, Shards: spec.Shards, NodeID: "leader",
-		ReplicatePeers:    []string{tsF.URL},
+		ReplicatePeers:    []string{fn.ts.URL},
 		ReplicateInterval: spec.Interval,
 	})
 	if err != nil {
 		return m, err
 	}
-	tsL := httptest.NewServer(leader.Handler())
-	defer tsL.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		leader.Close(ctx)
-		follower.Close(ctx)
-	}()
+	defer ln.close()
+	leader, follower := ln.client(""), fn.client("")
 
-	client := &http.Client{}
-	post := func(url, path string, body []byte) (int, []byte, error) {
-		resp, err := client.Post(url+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, b, err
-	}
-	getInto := func(url, path string, out any) error {
-		resp, err := client.Get(url + path)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-
-	n := ds.N
+	// The staleness sampler and the assign clients run until stop, which
+	// every return path calls before the nodes close.
 	done := make(chan struct{})
-	var sampleWG sync.WaitGroup
+	var wg sync.WaitGroup
+	stop := sync.OnceFunc(func() {
+		close(done)
+		wg.Wait()
+	})
+	defer stop()
 
 	// Staleness sampler: the follower's lag behind the leader, at twice the
-	// push rate.
+	// push rate. sample records one reading.
 	var stalenessMs []float64
-	var folds atomic.Int64
-	sampleWG.Add(1)
+	var folds int64
+	sample := func() {
+		st, err := follower.stats()
+		if err != nil || st.Replication == nil || len(st.Replication.Origins) != 1 {
+			return
+		}
+		o := st.Replication.Origins[0]
+		folds = o.Merges
+		if o.Merges > 0 {
+			stalenessMs = append(stalenessMs, o.StalenessSeconds*1000)
+		}
+	}
+	wg.Add(1)
 	go func() {
-		defer sampleWG.Done()
+		defer wg.Done()
 		tick := time.NewTicker(spec.Interval / 2)
 		defer tick.Stop()
 		for {
@@ -151,17 +124,7 @@ func RunServeReplicate(ds *metric.Dataset, spec ReplicateSpec) (ReplicateMeasure
 			case <-done:
 				return
 			case <-tick.C:
-				var st replStats
-				if err := getInto(tsF.URL, "/v1/stats", &st); err != nil {
-					continue
-				}
-				if st.Replication != nil && len(st.Replication.Origins) == 1 {
-					o := st.Replication.Origins[0]
-					folds.Store(o.Merges)
-					if o.Merges > 0 {
-						stalenessMs = append(stalenessMs, o.StalenessSeconds*1000)
-					}
-				}
+				sample()
 			}
 		}
 	}()
@@ -170,131 +133,72 @@ func RunServeReplicate(ds *metric.Dataset, spec ReplicateSpec) (ReplicateMeasure
 	// follower has no state yet) are skipped, not measured.
 	queries := make([][]float64, spec.Batch)
 	for i := range queries {
-		queries[i] = ds.At(i % n)
+		queries[i] = ds.At(i % ds.N)
 	}
-	assignBody, err := json.Marshal(struct {
-		Points [][]float64 `json:"points"`
-	}{queries})
+	assignBody, err := pointsBody(queries)
 	if err != nil {
 		return m, err
 	}
-	latCh := make(chan []float64, spec.Clients)
-	for c := 0; c < spec.Clients; c++ {
-		go func() {
-			var lat []float64
+	lats := make([][]float64, spec.Clients)
+	for c := range lats {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
 			for {
 				select {
 				case <-done:
-					latCh <- lat
 					return
 				default:
 				}
-				start := time.Now()
-				code, _, err := post(tsF.URL, "/v1/assign", assignBody)
-				if err == nil && code == http.StatusOK {
-					lat = append(lat, float64(time.Since(start).Microseconds())/1000)
+				t0 := time.Now()
+				if code, err := follower.post("/v1/assign", assignBody); err == nil && code == http.StatusOK {
+					lats[c] = append(lats[c], msSince(t0))
 				}
 			}
-		}()
+		}(c)
 	}
 
-	// The leader ingests the whole stream, then we wait for the drain.
-	buf := make([][]float64, 0, spec.Batch)
-	for lo := 0; lo < n; lo += spec.Batch {
-		buf = buf[:0]
-		for i := lo; i < lo+spec.Batch && i < n; i++ {
-			buf = append(buf, ds.At(i))
-		}
-		body, err := json.Marshal(struct {
-			Points [][]float64 `json:"points"`
-		}{buf})
-		if err != nil {
-			return m, err
-		}
-		for {
-			code, respBody, err := post(tsL.URL, "/v1/ingest", body)
-			if err != nil {
-				return m, err
-			}
-			if code == http.StatusAccepted {
-				break
-			}
-			if code == http.StatusTooManyRequests {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			return m, fmt.Errorf("leader ingest: %d %s", code, respBody)
-		}
-	}
-	drainDeadline := time.Now().Add(60 * time.Second)
-	for {
-		var st replStats
-		if err := getInto(tsL.URL, "/v1/stats", &st); err != nil {
-			return m, err
-		}
-		if st.IngestedPoints >= int64(n) {
-			break
-		}
-		if time.Now().After(drainDeadline) {
-			return m, fmt.Errorf("leader drained %d of %d points before timeout", st.IngestedPoints, n)
-		}
-		time.Sleep(time.Millisecond)
+	// The leader ingests the whole stream; ingestAll waits for its shards
+	// to consume every point.
+	if err := leader.ingestAll(ds, spec.Batch); err != nil {
+		return m, fmt.Errorf("leader ingest: %w", err)
 	}
 	drained := time.Now()
 
 	// Convergence: the follower serves centers byte-identical to the
-	// leader's final set.
-	centersOf := func(url string) ([]byte, error) {
+	// leader's final set. The follower answers 409 until its first fold.
+	centersOf := func(c *client) []byte {
 		var cr struct {
 			Centers json.RawMessage `json:"centers"`
 		}
-		if err := getInto(url, "/v1/centers", &cr); err != nil {
-			return nil, err
-		}
-		return cr.Centers, nil
+		_ = c.get("/v1/centers", &cr)
+		return cr.Centers
 	}
 	convergeDeadline := time.Now().Add(30 * time.Second)
 	for !m.Converged && time.Now().Before(convergeDeadline) {
-		lc, err := centersOf(tsL.URL)
-		if err != nil {
-			return m, err
-		}
-		fc, err := centersOf(tsF.URL)
-		if err != nil {
-			return m, err
-		}
+		lc, fc := centersOf(leader), centersOf(follower)
 		if len(lc) > 0 && bytes.Equal(lc, fc) {
 			m.Converged = true
-			m.ConvergeMs = float64(time.Since(drained).Microseconds()) / 1000
+			m.ConvergeMs = msSince(drained)
 			break
 		}
 		time.Sleep(spec.Interval / 4)
 	}
 
-	close(done)
+	stop()
 	var assignMs []float64
-	for c := 0; c < spec.Clients; c++ {
-		assignMs = append(assignMs, <-latCh...)
+	for _, l := range lats {
+		assignMs = append(assignMs, l...)
 	}
-	sampleWG.Wait()
-
 	// One final authoritative sample: on a short stream the periodic
 	// sampler can finish between folds, but the fold ledger is exact.
-	var st replStats
-	if err := getInto(tsF.URL, "/v1/stats", &st); err == nil &&
-		st.Replication != nil && len(st.Replication.Origins) == 1 {
-		o := st.Replication.Origins[0]
-		folds.Store(o.Merges)
-		if o.Merges > 0 {
-			stalenessMs = append(stalenessMs, o.StalenessSeconds*1000)
-		}
-	}
+	sample()
 
 	m.AssignP50 = percentile(assignMs, 0.50)
 	m.AssignP99 = percentile(assignMs, 0.99)
 	m.StalenessP50Ms = percentile(stalenessMs, 0.50)
 	m.StalenessMaxMs = percentile(stalenessMs, 1.0)
-	m.Folds = folds.Load()
+	m.Folds = folds
 	m.AssignRequests = len(assignMs)
 	return m, nil
 }

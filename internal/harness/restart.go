@@ -9,15 +9,11 @@
 package harness
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"time"
 
 	"kcenter/internal/metric"
@@ -53,136 +49,34 @@ type RestartMeasurement struct {
 	StateMatches bool
 }
 
-// restartClient bundles the few HTTP calls the experiment makes.
-type restartClient struct {
-	base string
-	c    *http.Client
-}
-
+// restartCenters is the slice of a /v1/centers reply the state check
+// compares. The snapshot's own ingested count is left out: a cached
+// snapshot keeps the count of its last center change.
 type restartCenters struct {
 	Snapshot struct {
 		Version    uint64  `json:"version"`
 		Radius     float64 `json:"radius"`
 		LowerBound float64 `json:"lower_bound"`
-		Ingested   int64   `json:"ingested"`
 	} `json:"snapshot"`
 	Centers [][]float64 `json:"centers"`
 }
 
-func (rc *restartClient) post(path string, pts [][]float64) (int, error) {
-	body, err := json.Marshal(struct {
-		Points [][]float64 `json:"points"`
-	}{pts})
-	if err != nil {
-		return 0, err
+// firstAssign waits for n's first served assign and returns the snapshot
+// it answered from.
+func firstAssign(n *node, ds *metric.Dataset) (restartCenters, error) {
+	var c restartCenters
+	cl := n.client("")
+	if err := cl.awaitAssign(rows(ds, 0, 1)); err != nil {
+		return c, err
 	}
-	resp, err := rc.c.Post(rc.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-func (rc *restartClient) get(path string, out any) error {
-	resp, err := rc.c.Get(rc.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("%s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// ingest replays ds into the service in batches and waits until every point
-// has been consumed by a shard (so a checkpoint or a "recovered" verdict
-// covers the full feed).
-func (rc *restartClient) ingest(ds *metric.Dataset, batch int, alreadyIngested int64) error {
-	for lo := 0; lo < ds.N; lo += batch {
-		hi := lo + batch
-		if hi > ds.N {
-			hi = ds.N
-		}
-		pts := make([][]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			pts = append(pts, ds.At(i))
-		}
-		for {
-			code, err := rc.post("/v1/ingest", pts)
-			if err != nil {
-				return err
-			}
-			if code == http.StatusAccepted {
-				break
-			}
-			if code == http.StatusTooManyRequests {
-				time.Sleep(time.Millisecond) // shed: the feed replays as fast as the server admits
-				continue
-			}
-			return fmt.Errorf("ingest: status %d", code)
-		}
-	}
-	want := alreadyIngested + int64(ds.N)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st struct {
-			PerShard []struct {
-				Ingested int64 `json:"ingested"`
-			} `json:"per_shard"`
-		}
-		if err := rc.get("/v1/stats", &st); err != nil {
-			return err
-		}
-		var got int64
-		for _, sh := range st.PerShard {
-			got += sh.Ingested
-		}
-		if got == want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("drain: %d of %d points consumed", got, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// firstAssign polls one assign request until the service answers 200 and
-// returns the snapshot it answered from.
-func (rc *restartClient) firstAssign(q []float64) (restartCenters, error) {
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		code, err := rc.post("/v1/assign", [][]float64{q})
-		if err != nil {
-			return restartCenters{}, err
-		}
-		if code == http.StatusOK {
-			var c restartCenters
-			err := rc.get("/v1/centers", &c)
-			return c, err
-		}
-		if code != http.StatusConflict {
-			return restartCenters{}, fmt.Errorf("assign: status %d", code)
-		}
-		if time.Now().After(deadline) {
-			return restartCenters{}, fmt.Errorf("assign never left the cold 409 window")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return c, cl.get("/v1/centers", &c)
 }
 
 // RunRestart loads a checkpointing server with ds over loopback HTTP, kills
 // it after a checkpoint, and measures warm (restore) versus cold (replay)
 // recovery to a serving state.
 func RunRestart(ds *metric.Dataset, spec RestartSpec) (RestartMeasurement, error) {
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = 1
-	}
+	shards := max(spec.Shards, 1)
 	batch := spec.Batch
 	if batch <= 0 {
 		batch = 512
@@ -199,33 +93,29 @@ func RunRestart(ds *metric.Dataset, spec RestartSpec) (RestartMeasurement, error
 	// explicitly at the kill point.
 	cfg := server.Config{K: spec.K, Shards: shards, MaxBatch: batch,
 		CheckpointPath: ckpt, CheckpointInterval: time.Hour}
-	svc1, err := server.New(cfg)
+	n1, err := startNode(cfg)
 	if err != nil {
 		return RestartMeasurement{}, err
 	}
-	ts1 := httptest.NewServer(svc1.Handler())
-	rc1 := &restartClient{base: ts1.URL, c: ts1.Client()}
-	if err := rc1.ingest(ds, batch, 0); err != nil {
-		ts1.Close()
-		return RestartMeasurement{}, err
+	var killed restartCenters
+	var killedCkpt []byte
+	err = n1.client("").ingestAll(ds, batch)
+	if err == nil {
+		err = n1.svc.CheckpointNow()
 	}
-	if err := svc1.CheckpointNow(); err != nil {
-		ts1.Close()
-		return RestartMeasurement{}, err
+	if err == nil {
+		killed, err = firstAssign(n1, ds)
 	}
-	killed, err := rc1.firstAssign(ds.At(0))
+	if err == nil {
+		killedCkpt, err = os.ReadFile(ckpt)
+	}
 	if err != nil {
-		ts1.Close()
+		n1.close()
 		return RestartMeasurement{}, err
 	}
-	ts1.Close()
-	// The graceful Close here only reclaims goroutines; recovery below uses
+	// The graceful close only reclaims goroutines; recovery below uses
 	// exactly the state frozen at CheckpointNow, as a kill would leave it.
-	killedCkpt, err := os.ReadFile(ckpt)
-	if err != nil {
-		return RestartMeasurement{}, err
-	}
-	if _, err := svc1.Close(context.Background()); err != nil {
+	if _, err := n1.close(); err != nil {
 		return RestartMeasurement{}, err
 	}
 	if err := os.WriteFile(ckpt, killedCkpt, 0o644); err != nil {
@@ -233,62 +123,45 @@ func RunRestart(ds *metric.Dataset, spec RestartSpec) (RestartMeasurement, error
 	}
 
 	m := RestartMeasurement{
-		Ingested:        killed.Snapshot.Ingested,
+		Ingested:        int64(ds.N), // ingestAll returned once the shards had consumed all of ds
 		CheckpointBytes: int64(len(killedCkpt)),
 	}
 
 	// Phase 2: warm recovery — restore the checkpoint, serve.
 	warmStart := time.Now()
-	svc2, err := server.New(cfg)
+	n2, err := startNode(cfg)
 	if err != nil {
 		return RestartMeasurement{}, err
 	}
-	ts2 := httptest.NewServer(svc2.Handler())
-	rc2 := &restartClient{base: ts2.URL, c: ts2.Client()}
-	resumed, err := rc2.firstAssign(ds.At(0))
+	resumed, err := firstAssign(n2, ds)
 	if err != nil {
-		ts2.Close()
+		n2.close()
 		return RestartMeasurement{}, err
 	}
-	m.WarmMs = float64(time.Since(warmStart).Microseconds()) / 1e3
-	rs := svc2.Restored()
-	m.StateMatches = rs != nil && rs.CentersVersion == killed.Snapshot.Version &&
-		resumed.Snapshot == killed.Snapshot && len(resumed.Centers) == len(killed.Centers)
-	if m.StateMatches {
-	outer:
-		for i := range killed.Centers {
-			for d := range killed.Centers[i] {
-				if resumed.Centers[i][d] != killed.Centers[i][d] {
-					m.StateMatches = false
-					break outer
-				}
-			}
-		}
-	}
-	ts2.Close()
-	if _, err := svc2.Close(context.Background()); err != nil {
+	m.WarmMs = msSince(warmStart)
+	rs := n2.svc.Restored()
+	m.StateMatches = rs != nil && rs.CentersVersion == killed.Snapshot.Version && rs.Ingested == m.Ingested &&
+		resumed.Snapshot == killed.Snapshot && reflect.DeepEqual(resumed.Centers, killed.Centers)
+	if _, err := n2.close(); err != nil {
 		return RestartMeasurement{}, err
 	}
 
 	// Phase 3: cold recovery — no checkpoint, replay the feed.
 	coldStart := time.Now()
-	svc3, err := server.New(server.Config{K: spec.K, Shards: shards, MaxBatch: batch})
+	n3, err := startNode(server.Config{K: spec.K, Shards: shards, MaxBatch: batch})
 	if err != nil {
 		return RestartMeasurement{}, err
 	}
-	ts3 := httptest.NewServer(svc3.Handler())
-	rc3 := &restartClient{base: ts3.URL, c: ts3.Client()}
-	if err := rc3.ingest(ds, batch, 0); err != nil {
-		ts3.Close()
+	err = n3.client("").ingestAll(ds, batch)
+	if err == nil {
+		_, err = firstAssign(n3, ds)
+	}
+	if err != nil {
+		n3.close()
 		return RestartMeasurement{}, err
 	}
-	if _, err := rc3.firstAssign(ds.At(0)); err != nil {
-		ts3.Close()
-		return RestartMeasurement{}, err
-	}
-	m.ColdMs = float64(time.Since(coldStart).Microseconds()) / 1e3
-	ts3.Close()
-	if _, err := svc3.Close(context.Background()); err != nil {
+	m.ColdMs = msSince(coldStart)
+	if _, err := n3.close(); err != nil {
 		return RestartMeasurement{}, err
 	}
 	return m, nil

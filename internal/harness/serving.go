@@ -8,15 +8,9 @@
 package harness
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"net/http/httptest"
-	"sort"
 	"sync"
 	"time"
 
@@ -60,181 +54,92 @@ type ServeMeasurement struct {
 	Ingested int64
 }
 
-// percentile returns the p-quantile (0 < p <= 1) of xs by the nearest-rank
-// method; 0 for empty input. xs is sorted in place.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	rank := int(math.Ceil(p*float64(len(xs)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(xs) {
-		rank = len(xs) - 1
-	}
-	return xs[rank]
-}
-
 // RunServe splits ds across Clients concurrent clients, each POSTing its
 // share as ingest batches interleaved with assign batches of sampled
 // points, against a fresh service over loopback HTTP. The service is
 // drained and closed before returning, so every accepted point is
 // clustered.
 func RunServe(ds *metric.Dataset, spec ServeSpec) (ServeMeasurement, error) {
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	clients := spec.Clients
-	if clients <= 0 {
-		clients = 1
-	}
+	shards := max(spec.Shards, 1)
+	clients := max(spec.Clients, 1)
 	batch := spec.Batch
 	if batch <= 0 {
 		batch = 256
 	}
-	assignEvery := spec.AssignEvery
-	if assignEvery <= 0 {
-		assignEvery = 1
-	}
+	assignEvery := max(spec.AssignEvery, 1)
 
-	svc, err := server.New(server.Config{K: spec.K, Shards: shards, MaxBatch: batch, Telemetry: spec.Telemetry})
+	n, err := startNode(server.Config{K: spec.K, Shards: shards, MaxBatch: batch, Telemetry: spec.Telemetry})
 	if err != nil {
 		return ServeMeasurement{}, err
 	}
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	post := func(client *http.Client, path string, body []byte) (int, error) {
-		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, nil
-	}
-
-	marshal := func(pts [][]float64) ([]byte, error) {
-		return json.Marshal(struct {
-			Points [][]float64 `json:"points"`
-		}{pts})
-	}
-
 	// Seed one batch and wait for it to drain so assign requests never hit
 	// the cold 409 window and every latency sample measures served traffic.
-	seedN := batch
-	if seedN > ds.N {
-		seedN = ds.N
-	}
-	seed := make([][]float64, seedN)
-	for i := range seed {
-		seed[i] = ds.At(i)
-	}
-	seedBody, err := marshal(seed)
-	if err != nil {
+	seedN := min(batch, ds.N)
+	if err := n.client("").warm(rows(ds, 0, seedN)); err != nil {
+		n.close()
 		return ServeMeasurement{}, err
-	}
-	if code, err := post(ts.Client(), "/v1/ingest", seedBody); err != nil || code != http.StatusAccepted {
-		return ServeMeasurement{}, fmt.Errorf("seed ingest: code %d err %w", code, err)
-	}
-	warmDeadline := time.Now().Add(30 * time.Second)
-	for {
-		code, err := post(ts.Client(), "/v1/assign", seedBody)
-		if err != nil {
-			return ServeMeasurement{}, err
-		}
-		if code == http.StatusOK {
-			break
-		}
-		if time.Now().After(warmDeadline) {
-			return ServeMeasurement{}, fmt.Errorf("serve warmup: assign still %d", code)
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	type clientStats struct {
 		ingestMs, assignMs []float64
 		err                error
 	}
-	stats := make([]clientStats, clients)
-	rest := ds.N - seedN
-	chunk := (rest + clients - 1) / clients
+	results := make([]clientStats, clients)
+	chunk := (ds.N - seedN + clients - 1) / clients
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client := &http.Client{Timeout: 60 * time.Second}
-			st := &stats[c]
-			lo, hi := seedN+c*chunk, seedN+(c+1)*chunk
-			if hi > ds.N {
-				hi = ds.N
+			cl := n.client("")
+			st := &results[c]
+			lo := seedN + c*chunk
+			bodies, err := batchBodies(ds, lo, min(lo+chunk, ds.N), batch)
+			if err != nil {
+				st.err = err
+				return
 			}
-			sinceAssign := 0
-			for b := lo; b < hi; b += batch {
-				be := b + batch
-				if be > hi {
-					be = hi
-				}
-				pts := make([][]float64, 0, be-b)
-				for i := b; i < be; i++ {
-					pts = append(pts, ds.At(i))
-				}
-				body, err := marshal(pts)
-				if err != nil {
-					st.err = err
-					return
-				}
+			for i, body := range bodies {
 				t0 := time.Now()
-				code, err := post(client, "/v1/ingest", body)
+				code, err := cl.post("/v1/ingest", body)
+				if err == nil && code != http.StatusAccepted {
+					err = fmt.Errorf("ingest status %d", code)
+				}
 				if err != nil {
 					st.err = err
 					return
 				}
-				if code != http.StatusAccepted {
-					st.err = fmt.Errorf("ingest status %d", code)
-					return
-				}
-				st.ingestMs = append(st.ingestMs, float64(time.Since(t0).Microseconds())/1e3)
-				sinceAssign++
-				if sinceAssign >= assignEvery {
-					sinceAssign = 0
+				st.ingestMs = append(st.ingestMs, msSince(t0))
+				if (i+1)%assignEvery == 0 {
 					t0 = time.Now()
-					code, err := post(client, "/v1/assign", body)
+					code, err := cl.post("/v1/assign", body)
+					if err == nil && code != http.StatusOK {
+						err = fmt.Errorf("assign status %d", code)
+					}
 					if err != nil {
 						st.err = err
 						return
 					}
-					if code != http.StatusOK {
-						st.err = fmt.Errorf("assign status %d", code)
-						return
-					}
-					st.assignMs = append(st.assignMs, float64(time.Since(t0).Microseconds())/1e3)
+					st.assignMs = append(st.assignMs, msSince(t0))
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	ts.Close()
-	res, closeErr := svc.Close(context.Background())
+	res, closeErr := n.close()
 	if closeErr != nil {
 		return ServeMeasurement{}, closeErr
 	}
 	var ingestMs, assignMs []float64
-	requests := 1 + 1 // seed ingest + warmup's final assign (others uncounted)
-	for c := range stats {
-		if stats[c].err != nil {
-			return ServeMeasurement{}, stats[c].err
+	for c := range results {
+		if results[c].err != nil {
+			return ServeMeasurement{}, results[c].err
 		}
-		ingestMs = append(ingestMs, stats[c].ingestMs...)
-		assignMs = append(assignMs, stats[c].assignMs...)
+		ingestMs = append(ingestMs, results[c].ingestMs...)
+		assignMs = append(assignMs, results[c].assignMs...)
 	}
-	requests += len(ingestMs) + len(assignMs)
 	m := ServeMeasurement{
 		IngestP50:          percentile(ingestMs, 0.50),
 		IngestP99:          percentile(ingestMs, 0.99),
@@ -242,8 +147,10 @@ func RunServe(ds *metric.Dataset, spec ServeSpec) (ServeMeasurement, error) {
 		AssignP99:          percentile(assignMs, 0.99),
 		QPS:                float64(len(ingestMs)+len(assignMs)) / elapsed,
 		IngestPointsPerSec: float64(res.Ingested) / elapsed,
-		Requests:           requests,
-		Ingested:           res.Ingested,
+		// The seed ingest and warm-up's final assign count too; the cold
+		// 409 polls before it do not.
+		Requests: 2 + len(ingestMs) + len(assignMs),
+		Ingested: res.Ingested,
 	}
 	return m, nil
 }

@@ -9,15 +9,12 @@
 package harness
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kcenter/internal/metric"
@@ -66,88 +63,6 @@ type TenantServeMeasurement struct {
 	HotIngested int64
 }
 
-// tenantClient posts batches with the tenant routing header.
-type tenantClient struct {
-	base   string
-	client *http.Client
-}
-
-func (tc *tenantClient) post(path, tenant string, pts [][]float64) (int, error) {
-	body, err := json.Marshal(struct {
-		Points [][]float64 `json:"points"`
-	}{pts})
-	if err != nil {
-		return 0, err
-	}
-	return tc.postRaw(path, tenant, body)
-}
-
-// postRaw posts a pre-marshaled body, so steady-state loops don't re-pay
-// client-side encoding on every request.
-func (tc *tenantClient) postRaw(path, tenant string, body []byte) (int, error) {
-	req, err := http.NewRequest(http.MethodPost, tc.base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.TenantHeader, tenant)
-	resp, err := tc.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// warm seeds a tenant with one batch and waits until assigns answer 200.
-func (tc *tenantClient) warm(tenant string, seed [][]float64) error {
-	if code, err := tc.post("/v1/ingest", tenant, seed); err != nil || code != http.StatusAccepted {
-		return fmt.Errorf("seed ingest %s: code %d err %w", tenant, code, err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		code, err := tc.post("/v1/assign", tenant, seed[:1])
-		if err != nil {
-			return err
-		}
-		if code == http.StatusOK {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("warmup %s: assign still %d", tenant, code)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// quietPhase issues n sparse assign requests for the quiet tenant (a few
-// pre-marshaled 16-point query bodies, round-robin) and returns their
-// latencies in ms.
-func quietPhase(tc *tenantClient, bodies [][]byte, n int) ([]float64, error) {
-	ms := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		code, err := tc.postRaw("/v1/assign", "quiet", bodies[i%len(bodies)])
-		if err != nil {
-			return nil, err
-		}
-		if code != http.StatusOK {
-			return nil, fmt.Errorf("quiet assign: status %d", code)
-		}
-		ms = append(ms, float64(time.Since(t0).Microseconds())/1e3)
-		time.Sleep(time.Millisecond) // sparse, not saturating
-	}
-	return ms, nil
-}
-
-// marshalPoints pre-encodes a points body.
-func marshalPoints(pts [][]float64) ([]byte, error) {
-	return json.Marshal(struct {
-		Points [][]float64 `json:"points"`
-	}{pts})
-}
-
 // RunServeTenants starts a multi-tenant service over loopback HTTP, seeds
 // a quiet and a hot tenant from disjoint translates of ds, measures the
 // quiet tenant's assign latency solo, then re-measures it while HotClients
@@ -155,10 +70,7 @@ func marshalPoints(pts [][]float64) ([]byte, error) {
 // percentiles plus the generated interference load. The service is drained
 // and closed before returning.
 func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasurement, error) {
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = 1
-	}
+	shards := max(spec.Shards, 1)
 	hotClients := spec.HotClients
 	if hotClients <= 0 {
 		hotClients = 4
@@ -185,56 +97,31 @@ func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasu
 	oldGC := debug.SetGCPercent(400)
 	defer debug.SetGCPercent(oldGC)
 
-	svc, err := server.New(server.Config{
+	n, err := startNode(server.Config{
 		K: spec.K, Shards: shards, MaxBatch: batch, MaxTenants: 4, QueueDepth: 64,
 	})
 	if err != nil {
 		return TenantServeMeasurement{}, err
 	}
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Close(context.Background())
-
-	tc := &tenantClient{base: ts.URL, client: &http.Client{Timeout: 60 * time.Second}}
+	defer n.close()
 
 	// Disjoint regions per tenant: the quiet tenant's world is ds shifted
-	// far away, so any cross-tenant leakage would also corrupt its centers,
-	// not just its latency.
-	seedN := batch
-	if seedN > ds.N {
-		seedN = ds.N
-	}
-	quietPts := make([][]float64, seedN)
-	hotSeed := make([][]float64, seedN)
-	for i := 0; i < seedN; i++ {
-		p := ds.At(i)
-		q := make([]float64, len(p))
-		copy(q, p)
-		q[0] += 1e6
-		quietPts[i] = q
-		hotSeed[i] = p
-	}
-	if err := tc.warm("quiet", quietPts); err != nil {
+	// far away.
+	seedN := min(batch, ds.N)
+	quietPts, quietBodies, err := quietWorld(ds, seedN)
+	if err != nil {
 		return TenantServeMeasurement{}, err
 	}
-	if err := tc.warm("hot", hotSeed); err != nil {
+	quiet, hot := n.client("quiet"), n.client("hot")
+	if err := quiet.warm(quietPts); err != nil {
 		return TenantServeMeasurement{}, err
 	}
-
-	// The quiet tenant's sparse workload: a handful of pre-marshaled
-	// 16-point query bodies, so the measurement is the request path, not
-	// client-side encoding.
-	quietBodies := make([][]byte, 0, 8)
-	for lo := 0; lo+16 <= len(quietPts) && len(quietBodies) < 8; lo += 16 {
-		b, err := marshalPoints(quietPts[lo : lo+16])
-		if err != nil {
-			return TenantServeMeasurement{}, err
-		}
-		quietBodies = append(quietBodies, b)
+	if err := hot.warm(rows(ds, 0, seedN)); err != nil {
+		return TenantServeMeasurement{}, err
 	}
 
 	// Phase 1: the quiet tenant alone.
-	solo, err := quietPhase(tc, quietBodies, quietAssigns)
+	solo, err := quietPhase(quiet, quietBodies, quietAssigns)
 	if err != nil {
 		return TenantServeMeasurement{}, err
 	}
@@ -248,29 +135,17 @@ func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasu
 	// structural — per-tenant queues, workers and caches — and the fixed
 	// rate is what lets the measurement show it instead of dissolving into
 	// CPU-scheduling noise when the host is smaller than the load.
-	rest := ds.N - seedN
-	chunk := (rest + hotClients - 1) / hotClients
+	chunk := (ds.N - seedN + hotClients - 1) / hotClients
 	var wg sync.WaitGroup
 	hotErr := make([]error, hotClients)
-	var hotRequests int64
-	var reqMu sync.Mutex
+	var hotRequests atomic.Int64
 	stop := make(chan struct{})
 	start := time.Now()
 	for c := 0; c < hotClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client := &tenantClient{base: ts.URL, client: &http.Client{Timeout: 60 * time.Second}}
-			reqs := int64(0)
-			defer func() {
-				reqMu.Lock()
-				hotRequests += reqs
-				reqMu.Unlock()
-			}()
-			lo, hi := seedN+c*chunk, seedN+(c+1)*chunk
-			if hi > ds.N {
-				hi = ds.N
-			}
+			cl := n.client("hot")
 			// Pre-marshal this client's ingest bodies once; the loop
 			// re-feeds them (the summarizer discards covered points, so
 			// re-ingestion is the steady-state regime, exactly what a
@@ -278,33 +153,17 @@ func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasu
 			// uses a small 32-point body: a live feed ingests far more
 			// than it queries, and the probe is there to keep the hot
 			// tenant's snapshot path churning, not to benchmark it.
-			var bodies [][]byte
-			var probe []byte
-			for b := lo; b < hi; b += batch {
-				be := b + batch
-				if be > hi {
-					be = hi
-				}
-				pts := make([][]float64, 0, be-b)
-				for i := b; i < be; i++ {
-					pts = append(pts, ds.At(i))
-				}
-				body, err := marshalPoints(pts)
-				if err != nil {
-					hotErr[c] = err
-					return
-				}
-				bodies = append(bodies, body)
-				if probe == nil {
-					n := 32
-					if n > len(pts) {
-						n = len(pts)
-					}
-					if probe, err = marshalPoints(pts[:n]); err != nil {
-						hotErr[c] = err
-						return
-					}
-				}
+			lo := seedN + c*chunk
+			hi := min(lo+chunk, ds.N)
+			bodies, err := batchBodies(ds, lo, hi, batch)
+			if err != nil {
+				hotErr[c] = err
+				return
+			}
+			probe, err := pointsBody(rows(ds, lo, min(lo+32, lo+batch, hi)))
+			if err != nil {
+				hotErr[c] = err
+				return
 			}
 			// This client's share of the offered load, as a send interval,
 			// phase-staggered across clients so the fleet offers a smooth
@@ -325,24 +184,25 @@ func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasu
 					return
 				default:
 				}
-				body := bodies[round%len(bodies)]
-				if code, err := client.postRaw("/v1/ingest", "hot", body); err != nil {
+				code, err := cl.post("/v1/ingest", bodies[round%len(bodies)])
+				if err == nil && code != http.StatusAccepted && code != http.StatusTooManyRequests {
+					err = fmt.Errorf("hot ingest status %d", code)
+				}
+				if err != nil {
 					hotErr[c] = err
 					return
-				} else if code != http.StatusAccepted && code != http.StatusTooManyRequests {
-					hotErr[c] = fmt.Errorf("hot ingest status %d", code)
-					return
 				}
-				reqs++
+				hotRequests.Add(1)
 				if round%4 == 0 {
-					if code, err := client.postRaw("/v1/assign", "hot", probe); err != nil {
+					code, err := cl.post("/v1/assign", probe)
+					if err == nil && code != http.StatusOK {
+						err = fmt.Errorf("hot assign status %d", code)
+					}
+					if err != nil {
 						hotErr[c] = err
 						return
-					} else if code != http.StatusOK {
-						hotErr[c] = fmt.Errorf("hot assign status %d", code)
-						return
 					}
-					reqs++
+					hotRequests.Add(1)
 				}
 				next = next.Add(interval)
 				if d := time.Until(next); d > 0 {
@@ -353,7 +213,7 @@ func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasu
 			}
 		}(c)
 	}
-	contended, err := quietPhase(tc, quietBodies, quietAssigns)
+	contended, err := quietPhase(quiet, quietBodies, quietAssigns)
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
@@ -371,20 +231,13 @@ func RunServeTenants(ds *metric.Dataset, spec TenantServeSpec) (TenantServeMeasu
 		QuietSoloP99: percentile(solo, 0.99),
 		QuietHotP50:  percentile(contended, 0.50),
 		QuietHotP99:  percentile(contended, 0.99),
-		HotQPS:       float64(hotRequests) / elapsed,
+		HotQPS:       float64(hotRequests.Load()) / elapsed,
 	}
 	if m.QuietSoloP99 > 0 {
 		m.P99Ratio = m.QuietHotP99 / m.QuietSoloP99
 	}
 	// The hot tenant's ingested total, read from its per-tenant stats.
-	var st struct {
-		IngestedPoints int64 `json:"ingested_points"`
-	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
-	req.Header.Set(server.TenantHeader, "hot")
-	if resp, err := tc.client.Do(req); err == nil {
-		_ = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
+	if st, err := hot.stats(); err == nil {
 		m.HotIngested = st.IngestedPoints
 	}
 	return m, nil

@@ -260,17 +260,3 @@ func (d *Dataset) Bounds() (lo, hi []float64) {
 	}
 	return lo, hi
 }
-
-// Diameter returns the exact maximum pairwise distance, an O(n²) operation
-// intended for tests and small diagnostic runs only.
-func (d *Dataset) Diameter() float64 {
-	var best float64
-	for i := 0; i < d.N; i++ {
-		for j := i + 1; j < d.N; j++ {
-			if sq := d.SqDist(i, j); sq > best {
-				best = sq
-			}
-		}
-	}
-	return math.Sqrt(best)
-}

@@ -195,14 +195,6 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestDiameter(t *testing.T) {
-	ds, _ := FromPoints([][]float64{{0, 0}, {1, 0}, {0, 1}, {5, 5}})
-	want := math.Sqrt(50) // (0,0) to (5,5)
-	if got := ds.Diameter(); !almostEqual(got, want, 1e-12) {
-		t.Fatalf("Diameter = %v, want %v", got, want)
-	}
-}
-
 func TestNewDatasetPanicsOnBadShape(t *testing.T) {
 	for _, tc := range []struct{ n, dim int }{{-1, 2}, {3, 0}, {3, -1}} {
 		func() {

@@ -164,15 +164,6 @@ func (s *Source) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function, mirroring
-// math/rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bernoulli reports true with probability p (clamped to [0, 1]).
 func (s *Source) Bernoulli(p float64) bool {
 	if p <= 0 {

@@ -218,26 +218,6 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 }
 
-func TestShuffleSwapCount(t *testing.T) {
-	s := New(19)
-	arr := []string{"a", "b", "c", "d", "e"}
-	orig := append([]string(nil), arr...)
-	s.Shuffle(len(arr), func(i, j int) { arr[i], arr[j] = arr[j], arr[i] })
-	// Multiset must be preserved.
-	count := map[string]int{}
-	for _, v := range arr {
-		count[v]++
-	}
-	for _, v := range orig {
-		count[v]--
-	}
-	for k, c := range count {
-		if c != 0 {
-			t.Fatalf("Shuffle lost/duplicated element %q", k)
-		}
-	}
-}
-
 func TestMul64AgainstBigMultiplication(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul64(a, b)

@@ -25,12 +25,18 @@ go test ./...
 # the assign linearizability test TestAssignLinearizable, and the per-Service
 # switchboard isolation test TestServiceSwitchboardIsolation), the
 # fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
-# Hit calls on one Set) and the telemetry layer (TestConcurrentObserve,
-# TestLoggerConcurrentLinesDoNotInterleave); -short keeps it under a few
-# seconds. `make race` runs the same package list.
+# Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
+# TestLoggerConcurrentLinesDoNotInterleave) and the harness loopback fixture
+# that the serving experiments share (their TestRun* tests, the chaos nudge
+# tally TestRunChaosCountsNudges and the replicate shutdown test
+# TestRunServeReplicateErrorStopsGoroutines); -short keeps it under a few
+# seconds. `make race` runs the same package list and harness tests.
 RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/..."
 echo "== go test -race -short $RACE_PKGS"
 go test -race -short $RACE_PKGS
+RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
+echo "== go test -race -short -run '$RACE_HARNESS' ./internal/harness"
+go test -race -short -run "$RACE_HARNESS" ./internal/harness
 
 # Isolation flake gate (`make isolation`): the experiment smoke test, with
 # chaos's armed fault storm running beside every other experiment, and the
