@@ -55,7 +55,8 @@ chaos:
 	$(GO) run ./cmd/experiments -exp chaos -scale 10
 
 # Fuzz gate: a short budget per native fuzz target — the HTTP decoders
-# (pooled buffers must never alias into a response), the replication
+# (pooled buffers must never alias into a response, and the points codec
+# must accept, reject and parse exactly as encoding/json does), the replication
 # receiver (arbitrary bytes must answer a documented 4xx and never
 # half-merge), the checkpoint reader (arbitrary bytes must fail typed,
 # never panic) and the fault-spec grammar. The committed seed corpora

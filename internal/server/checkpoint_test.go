@@ -300,7 +300,7 @@ func TestLoadShedding(t *testing.T) {
 		shards: 1,
 		svc:    s,
 		sh:     sh,
-		queue:  make(chan [][]float64, cfg.QueueDepth),
+		queue:  make(chan *pointBatch, cfg.QueueDepth),
 	}
 	s.tenants[DefaultTenant] = s.tenant
 	s.routes()
@@ -349,9 +349,9 @@ func TestSheddingDisabledBlocksOnContext(t *testing.T) {
 	s.tenant = &tenant{
 		name:  DefaultTenant,
 		svc:   s,
-		queue: make(chan [][]float64, cfg.QueueDepth),
+		queue: make(chan *pointBatch, cfg.QueueDepth),
 	}
-	batch := [][]float64{{1, 2}}
+	batch := slabBatch([][]float64{{1, 2}})
 	if err := s.enqueue(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,18 @@ func knownStatus(code int) bool {
 	return false
 }
 
+// addDecodeShapes seeds a decode target's corpus with every fallback shape
+// of the points codec and the edge cases of its fast path.
+func addDecodeShapes(f *testing.F) {
+	for _, s := range append(fallbackShapes, fastShapes...) {
+		f.Add([]byte(s))
+	}
+}
+
 // FuzzDecodeIngest feeds arbitrary bytes to the ingest decode path: the
 // handler must answer a documented status with a valid JSON body and never
-// panic, whatever the bytes are.
+// panic, whatever the bytes are, and the points codec must agree with
+// encoding/json on every input (checkDecodeOracle).
 func FuzzDecodeIngest(f *testing.F) {
 	f.Add([]byte(`{"points":[[1,2],[3,4]]}`))
 	f.Add([]byte(`{"points":[]}`))
@@ -90,8 +99,10 @@ func FuzzDecodeIngest(f *testing.F) {
 	f.Add([]byte(`{"points":[[null]],"tenant":"x"}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
+	addDecodeShapes(f)
 	ingestSvc, _ := fuzzServices(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeOracle(t, body)
 		before := ingestSvc.handlerPanics.Load()
 		rec := fuzzPost(ingestSvc, "/v1/ingest", body)
 		if ingestSvc.handlerPanics.Load() != before {
@@ -110,7 +121,8 @@ func FuzzDecodeIngest(f *testing.F) {
 // a frozen snapshot. Beyond no-panic and valid-JSON it sends every input
 // TWICE and requires byte-identical responses: the pooled decode buffers
 // are recycled between the two calls, so any aliasing of pooled memory into
-// the response surfaces as a diff.
+// the response surfaces as a diff. The points codec must agree with
+// encoding/json on every input (checkDecodeOracle).
 func FuzzDecodeAssign(f *testing.F) {
 	f.Add([]byte(`{"points":[[1,2],[3,4]]}`))
 	f.Add([]byte(`{"points":[[0,0]]}`))
@@ -119,8 +131,10 @@ func FuzzDecodeAssign(f *testing.F) {
 	f.Add([]byte(`{"points":[[NaN,1]]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte{'{', 0x00})
+	addDecodeShapes(f)
 	_, assignSvc := fuzzServices(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeOracle(t, body)
 		before := assignSvc.handlerPanics.Load()
 		first := fuzzPost(assignSvc, "/v1/assign", body)
 		second := fuzzPost(assignSvc, "/v1/assign", body)

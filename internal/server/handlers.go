@@ -25,57 +25,12 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
+	"kcenter/internal/assign"
 	"kcenter/internal/fault"
 	"kcenter/internal/obs"
 )
-
-// pointsPool recycles decoded point batches across requests. encoding/json
-// decodes an array into an existing slice by resetting its length and
-// re-filling elements in place, reusing both the outer backing array and
-// each row's capacity — so after warmup the ingest/assign decode path
-// allocates almost nothing, and the GC pauses that per-request batch
-// allocations cause (visible as cross-tenant p99 noise on small hosts)
-// disappear. Ownership is linear: the handler owns the batch until it
-// either hands it to the tenant's queue (the ingest worker recycles after
-// copying into the shard slabs) or finishes the response.
-var pointsPool sync.Pool
-
-func getPointsBuf() [][]float64 {
-	if v := pointsPool.Get(); v != nil {
-		return v.([][]float64)[:0]
-	}
-	return nil
-}
-
-// Pool retention caps: outlier requests near the body byte limit must not
-// park multi-MB buffers in the pools indefinitely (the pooling exists to
-// make GCs rarer, so the pools drain slowly). Oversized buffers are
-// dropped back to the GC instead of pooled.
-const (
-	maxPooledPoints    = 1 << 13 // rows retained in a pooled batch
-	maxPooledBodyBytes = 1 << 20
-)
-
-func putPointsBuf(pts [][]float64) {
-	if cap(pts) > 0 && cap(pts) <= maxPooledPoints {
-		pointsPool.Put(pts[:0])
-	}
-}
-
-// bodyBufPool recycles request-body read buffers for the same reason: a
-// per-request json.Decoder allocates an internal buffer that grows to the
-// body size and dies with the request. Reading into a pooled buffer and
-// unmarshalling from it keeps the decode path allocation-flat.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func putBodyBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBodyBytes {
-		bodyBufPool.Put(buf)
-	}
-}
 
 // Routing headers (wire-format v1.1).
 const (
@@ -481,7 +436,7 @@ func (s *Service) resolveIngest(w http.ResponseWriter, r *http.Request, name str
 // validation happens in validatePoints once the tenant — whose pinned
 // dimension is the reference — is known. It writes the error response
 // itself and returns nil when the batch is rejected.
-func (s *Service) decodePoints(w http.ResponseWriter, r *http.Request) *ingestRequest {
+func (s *Service) decodePoints(w http.ResponseWriter, r *http.Request) *pointBatch {
 	defer r.Body.Close()
 	// Injectable decode failure (server.decode): an error rule models a
 	// malformed request (400); a panic rule exercises the recovery
@@ -513,24 +468,25 @@ func (s *Service) decodePoints(w http.ResponseWriter, r *http.Request) *ingestRe
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return nil
 	}
-	req := ingestRequest{Points: getPointsBuf()} // assignRequest has the same shape
-	if err := json.Unmarshal(buf.Bytes(), &req); err != nil {
-		putPointsBuf(req.Points)
+	b := getBatch()
+	if err := b.decode(buf.Bytes()); err != nil {
+		putBatch(b)
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return nil
 	}
-	if len(req.Points) == 0 {
-		putPointsBuf(req.Points)
+	n := b.count()
+	if n == 0 {
+		putBatch(b)
 		writeError(w, http.StatusBadRequest, "empty batch: need at least one point")
 		return nil
 	}
-	if len(req.Points) > s.cfg.MaxBatch {
-		putPointsBuf(req.Points)
+	if n > s.cfg.MaxBatch {
+		putBatch(b)
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of "+strconv.Itoa(len(req.Points))+" points exceeds max_batch="+strconv.Itoa(s.cfg.MaxBatch))
+			"batch of "+strconv.Itoa(n)+" points exceeds max_batch="+strconv.Itoa(s.cfg.MaxBatch))
 		return nil
 	}
-	return &req
+	return b
 }
 
 // validatePoints runs the per-point checks: every point non-empty with
@@ -538,9 +494,24 @@ func (s *Service) decodePoints(w http.ResponseWriter, r *http.Request) *ingestRe
 // pins the dimension (the tenant's first-seen one); wantDim == 0 accepts
 // the batch's own first row as the reference. It writes the error response
 // itself and returns false when the batch is rejected.
-func validatePoints(w http.ResponseWriter, points [][]float64, wantDim int) bool {
+func validatePoints(w http.ResponseWriter, b *pointBatch, wantDim int) bool {
+	if b.ragged == nil {
+		// The slab's rows share one non-zero dimension by construction.
+		if wantDim > 0 && b.ds.Dim != wantDim {
+			writeError(w, http.StatusBadRequest,
+				"point 0 has dimension "+strconv.Itoa(b.ds.Dim)+", want "+strconv.Itoa(wantDim))
+			return false
+		}
+		for j, v := range b.ds.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				writeError(w, http.StatusBadRequest, "point "+strconv.Itoa(j/b.ds.Dim)+" has a non-finite coordinate")
+				return false
+			}
+		}
+		return true
+	}
 	dim := wantDim
-	for i, p := range points {
+	for i, p := range b.ragged {
 		if len(p) == 0 {
 			writeError(w, http.StatusBadRequest, "point "+strconv.Itoa(i)+" is empty")
 			return false
@@ -575,28 +546,27 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var trMetrics *obs.TenantMetrics
 	var trTenant string
 	defer func() { tr.Finish(trMetrics, trTenant, s.cfg.SlowRequest) }()
-	req := s.decodePoints(w, r)
-	if req == nil {
+	batch := s.decodePoints(w, r)
+	if batch == nil {
 		return
 	}
-	batch := req.Points
 	// Batch-internal validation (consistent dimensions, finite
 	// coordinates) needs no tenant state and runs BEFORE resolution, so a
 	// garbage batch under a fresh tenant name is a plain 400 — it must not
 	// lazily create a tenant and permanently consume a MaxTenants slot.
 	if !validatePoints(w, batch, 0) {
-		putPointsBuf(batch)
+		putBatch(batch)
 		return
 	}
 	tr.Mark(obs.StageDecode)
-	name, ok := mergeTenantName(w, r, req.Tenant)
+	name, ok := mergeTenantName(w, r, batch.tenant)
 	if !ok {
-		putPointsBuf(batch)
+		putBatch(batch)
 		return
 	}
 	t := s.resolveIngest(w, r, name)
 	if t == nil {
-		putPointsBuf(batch)
+		putBatch(batch)
 		return
 	}
 	trMetrics, trTenant = t.metrics, t.name
@@ -604,22 +574,22 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// keeps answering queries from its last good snapshot but accepts no new
 	// data — queued batches would be silently discarded, so refuse up front.
 	if err := t.checkDegraded(); err != nil {
-		putPointsBuf(batch)
+		putBatch(batch)
 		writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+err.Error())
 		return
 	}
 	// Pin the tenant dimension on first contact; a concurrent first batch
 	// of a different dimension loses the CAS and is re-validated against
-	// the winner. (The batch is internally consistent, so comparing its
-	// first row against the pinned dimension covers every row.)
-	d := int64(len(batch[0]))
+	// the winner. (The batch is one slab, so its dimension is every
+	// row's.)
+	d := int64(batch.ds.Dim)
 	if !t.dim.CompareAndSwap(0, d) && t.dim.Load() != d {
-		putPointsBuf(batch)
+		putBatch(batch)
 		writeError(w, http.StatusBadRequest,
 			"batch dimension "+strconv.Itoa(int(d))+", want "+strconv.Itoa(t.dimInt()))
 		return
 	}
-	n := len(batch)
+	n := batch.ds.N
 	// The tenant-resolution span between decode and enqueue is nobody's
 	// latency stage; drop it so queue_wait measures only the enqueue.
 	tr.Skip()
@@ -628,7 +598,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	err := t.enqueue(r.Context(), batch)
 	tr.Mark(obs.StageQueueWait) // ~0 with queue space, up to ShedAfter shed
 	if err != nil {
-		putPointsBuf(batch)
+		putBatch(batch)
 		if errors.Is(err, errOverCapacity) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 			writeError(w, http.StatusTooManyRequests, err.Error())
@@ -639,11 +609,14 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	t.acceptedPoints.Add(int64(n))
 	t.acceptedBatches.Add(1)
-	writeJSON(w, http.StatusAccepted, ingestResponse{
+	rs := getReply(0)
+	rs.buf = appendIngestAck(rs.buf[:0], ingestResponse{
 		Accepted:       n,
 		PendingBatches: t.pendingBatches.Load(),
 		IngestedTotal:  t.ingestedPoints.Load(),
 	})
+	writeBody(w, http.StatusAccepted, rs.buf)
+	putReply(rs)
 	tr.Mark(obs.StageEncode)
 }
 
@@ -666,14 +639,13 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 	var trMetrics *obs.TenantMetrics
 	var trTenant string
 	defer func() { tr.Finish(trMetrics, trTenant, s.cfg.SlowRequest) }()
-	req := s.decodePoints(w, r)
-	if req == nil {
+	batch := s.decodePoints(w, r)
+	if batch == nil {
 		return
 	}
-	batch := req.Points
-	defer putPointsBuf(batch) // assign only reads the batch; recycle on every path
+	defer putBatch(batch) // assign only reads the batch; recycle on every path
 	tr.Mark(obs.StageDecode)
-	name, ok := mergeTenantName(w, r, req.Tenant)
+	name, ok := mergeTenantName(w, r, batch.tenant)
 	if !ok {
 		return
 	}
@@ -704,31 +676,31 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.Mark(obs.StageSnapshot)
-	assignments, evals := assignPoints(qs, batch)
-	resp := assignResponse{
-		Snapshot:    meta(qs),
-		Assignments: assignments,
-	}
+	n := batch.ds.N
+	rs := getReply(n)
+	defer putReply(rs)
+	evals := assign.NearestBatch(qs.res.Centers, qs.pruned, &batch.ds, rs.centers, rs.sqDists)
 	tr.Mark(obs.StageKernel)
 	t.assignRequests.Add(1)
-	t.assignPoints.Add(int64(len(batch)))
+	t.assignPoints.Add(int64(n))
 	t.distEvals.Add(evals)
-	writeJSON(w, http.StatusOK, resp)
+	writeAssign(w, rs, meta(qs))
 	tr.Mark(obs.StageEncode)
 }
 
-// assignPoints answers one assign batch against qs: the nearest center and
-// its distance for every point, in order, plus the distance evaluations the
-// pruned kernel performed.
-func assignPoints(qs *querySnapshot, pts [][]float64) ([]assignment, int64) {
-	out := make([]assignment, len(pts))
-	var evals int64
-	for i, p := range pts {
-		c, sq, e := qs.nearest(p)
-		evals += e
-		out[i] = assignment{Center: c, Distance: math.Sqrt(sq)}
+// writeAssign writes the 200 assign reply for the kernel outputs in rs.
+func writeAssign(w http.ResponseWriter, rs *replyScratch, m snapshotMeta) {
+	var ok bool
+	if rs.buf, ok = appendAssignReply(rs.buf[:0], m, rs.centers, rs.sqDists); ok {
+		writeBody(w, http.StatusOK, rs.buf)
+		return
 	}
-	return out, evals
+	// A non-finite distance or bound: encoding/json decides the reply.
+	resp := assignResponse{Snapshot: m, Assignments: make([]assignment, len(rs.centers))}
+	for i, c := range rs.centers {
+		resp.Assignments[i] = assignment{Center: c, Distance: math.Sqrt(rs.sqDists[i])}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleCenters(w http.ResponseWriter, r *http.Request) {

@@ -10,7 +10,9 @@
 // The paper makes k-center fast enough to serve at scale; this package is
 // where that capacity meets traffic. Eight endpoints:
 //
-//	POST /v1/ingest   batched point ingestion. Batches are validated, then
+//	POST /v1/ingest   batched point ingestion. Bodies are decoded by the
+//	                  points codec (codec.go) straight into one slab per
+//	                  batch. Batches are validated, then
 //	                  enqueued on the tenant's bounded queue consumed by
 //	                  its ingest worker; a full queue is that tenant's
 //	                  overload watermark — the handler waits up to
@@ -23,10 +25,10 @@
 //	                  headers or the configured defaults.
 //	POST /v1/assign   batch nearest-center assignment. All points of one
 //	                  request are assigned against a single cached snapshot
-//	                  of the tenant's clustering (snapshot isolation),
-//	                  through the same adaptive kernels as batch
-//	                  evaluation: metric.Pruned above the pruning
-//	                  crossover, metric.NearestInRange below it.
+//	                  of the tenant's clustering (snapshot isolation), in
+//	                  one assign.NearestBatch pass over the decoded query
+//	                  slab: metric.Pruned above the pruning crossover,
+//	                  metric.NearestInRange below it.
 //	GET  /v1/centers  the tenant's current ≤ k center coordinates and
 //	                  certified coverage bounds.
 //	POST /v1/replicate one peer node's checksummed exported clustering
@@ -606,17 +608,4 @@ type querySnapshot struct {
 	version uint64
 	res     *stream.Result
 	pruned  *metric.Pruned // nil below the pruning crossover
-}
-
-// nearest returns the position of the center nearest to p, its squared
-// distance and the number of distance evaluations spent — through the
-// pruned scan above the crossover, the plain one-to-many kernel below it.
-// Results are bit-identical either way.
-func (q *querySnapshot) nearest(p []float64) (int, float64, int64) {
-	if q.pruned != nil {
-		return q.pruned.Nearest(p)
-	}
-	c := q.res.Centers
-	i, sq := metric.NearestInRange(c, 0, c.N, p)
-	return i, sq, int64(c.N)
 }

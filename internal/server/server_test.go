@@ -67,7 +67,9 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Resp
 }
 
 // ingestAll pushes points in batches and waits until the service reports
-// them all ingested (ingestion is asynchronous behind the queue).
+// them all ingested and the shards have absorbed every one (ingestion is
+// asynchronous behind the queue and again behind the shard channels, so
+// only then is the center set idle).
 func ingestAll(t *testing.T, ts *httptest.Server, s *Service, pts [][]float64, batch int) {
 	t.Helper()
 	for lo := 0; lo < len(pts); lo += batch {
@@ -81,12 +83,23 @@ func ingestAll(t *testing.T, ts *httptest.Server, s *Service, pts [][]float64, b
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.ingestedPoints.Load() < int64(len(pts)) {
+	for s.ingestedPoints.Load() < int64(len(pts)) || shardAbsorbed(s) < s.ingestedPoints.Load() {
 		if time.Now().After(deadline) {
-			t.Fatalf("ingested %d of %d points before timeout", s.ingestedPoints.Load(), len(pts))
+			t.Fatalf("ingested %d of %d points (%d absorbed by shards) before timeout",
+				s.ingestedPoints.Load(), len(pts), shardAbsorbed(s))
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// shardAbsorbed is the number of points the default tenant's shard
+// summaries have processed.
+func shardAbsorbed(s *Service) int64 {
+	var n int64
+	for _, sh := range s.sh.PerShardStats() {
+		n += sh.Ingested
+	}
+	return n
 }
 
 func genPoints(n int, seed uint64) [][]float64 {
@@ -361,7 +374,7 @@ func TestCloseDrainsAndFlushes(t *testing.T) {
 	}
 
 	// Closed service rejects further batches and a second Close.
-	if err := s.enqueue(context.Background(), [][]float64{{1, 2}}); err == nil {
+	if err := s.enqueue(context.Background(), slabBatch([][]float64{{1, 2}})); err == nil {
 		t.Fatal("enqueue after Close should fail")
 	}
 	if _, err := s.Close(context.Background()); err == nil {
@@ -376,10 +389,11 @@ func TestIngestBackpressure(t *testing.T) {
 	s := newTestService(t, Config{K: 2, QueueDepth: 1, Buffer: 1})
 	// Fill: the worker may be mid-batch, so push until a cancelled-context
 	// enqueue reports the queue full.
-	batch := make([][]float64, 64)
-	for i := range batch {
-		batch[i] = []float64{float64(i % 7), float64(i % 11)}
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = []float64{float64(i % 7), float64(i % 11)}
 	}
+	batch := slabBatch(rows)
 	// One batch under a live context first, so the stream is non-empty no
 	// matter how quickly the backpressure path fires below.
 	if err := s.enqueue(context.Background(), batch); err != nil {

@@ -79,8 +79,12 @@ type tenant struct {
 	// respect to Close closing the channel (same pattern as
 	// stream.Sharded.Push); the service-wide done channel wakes handlers
 	// blocked on a full queue so Close never waits on them.
-	queue chan [][]float64
+	queue chan *pointBatch
 	qmu   sync.RWMutex
+	// pushRows holds the row views over the current batch's slab that the
+	// ingest worker hands to PushBatch (which copies them out); only the
+	// worker touches it.
+	pushRows [][]float64
 
 	dim atomic.Int64 // first-seen point dimensionality; 0 = none yet
 
@@ -226,7 +230,7 @@ func (s *Service) newTenant(name string, k, shards int) (*tenant, error) {
 		svc:     s,
 		sh:      sh,
 		metrics: metrics,
-		queue:   make(chan [][]float64, s.cfg.QueueDepth),
+		queue:   make(chan *pointBatch, s.cfg.QueueDepth),
 		created: time.Now(),
 	}
 	if s.cfg.CheckpointPath != "" {
@@ -612,19 +616,19 @@ func (t *tenant) ingestLoop() {
 // tenant — the batch is counted dropped, the tenant degrades, and the
 // worker survives to drain (and discard) the rest of its queue so
 // producers and Close never block on a dead consumer.
-func (t *tenant) ingestOne(batch [][]float64) {
+func (t *tenant) ingestOne(batch *pointBatch) {
 	defer t.pendingBatches.Add(-1)
 	defer func() {
 		if v := recover(); v != nil {
-			t.droppedPoints.Add(int64(len(batch)))
+			t.droppedPoints.Add(int64(batch.ds.N))
 			t.degrade(fmt.Errorf("ingest worker panicked: %v", v))
 		}
 	}()
 	if t.checkDegraded() != nil {
 		// Quarantined: queued work is discarded (and counted) rather than
 		// pushed into a suspect clustering.
-		t.droppedPoints.Add(int64(len(batch)))
-		putPointsBuf(batch)
+		t.droppedPoints.Add(int64(batch.ds.N))
+		putBatch(batch)
 		return
 	}
 	// Injection point for chaos testing: error and panic rules panic here
@@ -646,15 +650,22 @@ func (t *tenant) ingestOne(batch [][]float64) {
 	if t.metrics != nil {
 		pushStart = time.Now()
 	}
-	if err := t.sh.PushBatch(batch); err == nil {
+	t.pushRows = t.pushRows[:0]
+	for i := 0; i < batch.ds.N; i++ {
+		t.pushRows = append(t.pushRows, batch.ds.At(i))
+	}
+	if err := t.sh.PushBatch(t.pushRows); err == nil {
 		if t.metrics != nil {
 			t.metrics.StageHist(obs.RouteIngest, obs.StagePush).ObserveSince(pushStart)
 		}
-		t.ingestedPoints.Add(int64(len(batch)))
+		t.ingestedPoints.Add(int64(batch.ds.N))
 	} else {
-		t.droppedPoints.Add(int64(len(batch)))
+		t.droppedPoints.Add(int64(batch.ds.N))
 	}
-	putPointsBuf(batch) // PushBatch copied into shard slabs; recycle
+	putBatch(batch) // PushBatch copied into shard slabs; recycle
+	if cap(t.pushRows) > maxPooledRows {
+		t.pushRows = nil // an outlier batch must not pin its views
+	}
 	// Promote a shard failure this batch may have tripped, so the very next
 	// request observes the quarantine instead of racing the next tick.
 	t.checkDegraded()
@@ -669,7 +680,7 @@ func (t *tenant) ingestOne(batch [][]float64) {
 // saturating its queue sheds its own producers while every other tenant's
 // ingest path stays clear. It also fails when the service is shutting down
 // or when ctx is done first (client timeout or cancellation).
-func (t *tenant) enqueue(ctx context.Context, batch [][]float64) error {
+func (t *tenant) enqueue(ctx context.Context, batch *pointBatch) error {
 	t.qmu.RLock()
 	defer t.qmu.RUnlock()
 	if t.svc.closed.Load() {
@@ -712,7 +723,7 @@ func (t *tenant) enqueue(ctx context.Context, batch [][]float64) error {
 	case <-shed.C:
 		t.pendingBatches.Add(-1)
 		t.shedBatches.Add(1)
-		t.shedPoints.Add(int64(len(batch)))
+		t.shedPoints.Add(int64(batch.ds.N))
 		return errOverCapacity
 	}
 }

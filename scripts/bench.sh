@@ -1,7 +1,8 @@
 #!/bin/sh
 # Benchmark-trajectory gate: runs the kernel, assignment, Gonzalez,
-# streaming and serving benchmarks and emits BENCH_kernels.json with ns/op
-# per benchmark, so every PR leaves a comparable perf record.
+# streaming, serving and request-codec benchmarks and emits
+# BENCH_kernels.json with ns/op per benchmark, so every PR leaves a
+# comparable perf record.
 #
 # The parallel benchmarks (pooled Gonzalez traversal, sharded ingestion)
 # are additionally swept with -cpu 1,4 so the baseline records how each
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_kernels.json}"
 # Serial suite: everything except the two parallel sweeps below.
-PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkStreamPush|BenchmarkServe|BenchmarkReplicateMerge$)'
+PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$)'
 # Parallel suite, run under -cpu 1,4: the 1 row is the single-core
 # baseline, the 4 row is what the worker pool / shard fan-out buys (or
 # costs) at 4-way GOMAXPROCS on this host.
