@@ -26,15 +26,21 @@ test:
 # switchboard isolation test TestServiceSwitchboardIsolation), the
 # fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
 # Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
-# TestLoggerConcurrentLinesDoNotInterleave) and the harness loopback fixture
+# TestLoggerConcurrentLinesDoNotInterleave), the harness loopback fixture
 # that the serving experiments share (their TestRun* tests, the chaos nudge
 # tally TestRunChaosCountsNudges and the replicate shutdown test
-# TestRunServeReplicateErrorStopsGoroutines); -short keeps it under a few
-# seconds. scripts/check.sh runs the same package list and harness tests.
+# TestRunServeReplicateErrorStopsGoroutines), the simulated MapReduce engine
+# and MRG, whose reducers run concurrently over shared slices, and EIM's
+# reducers, which all read the carried-distance slice (TestRunMatchesFullRescan
+# and TestRoundOpsChargeOnlyNewSample at small n; the whole EIM package takes
+# ~20 s under -race); -short keeps it under a few seconds. scripts/check.sh runs
+# the same package list, harness tests and EIM tests.
 RACE_HARNESS = TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines
+RACE_EIM = TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/...
+	$(GO) test -race -short ./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/...
 	$(GO) test -race -short -run '$(RACE_HARNESS)' ./internal/harness
+	$(GO) test -race -short -run '$(RACE_EIM)' ./internal/eim
 
 # Isolation flake gate: the experiment smoke test (every experiment in
 # parallel, chaos's armed fault storm among them) and the two-Service

@@ -2,19 +2,32 @@
 // iterative-sampling MapReduce algorithm for k-center (KDD 2011), called EIM
 // in the paper (Algorithms 2 and 3).
 //
-// Each iteration of the main loop is three MapReduce rounds:
+// Each record of R is ⟨x, d(x,S)⟩: a point index and its distance to the
+// sample S so far (+Inf while S is empty). Each iteration of the main loop is
+// three MapReduce rounds:
 //
 //  1. Sampling: the mappers partition R; each reducer independently adds
 //     each of its points to S with probability 9k·n^ε·log n/|R| and to the
-//     pivot-candidate set H with probability 4·n^ε·log n/|R|.
-//  2. Pivot selection: H and S (with their cross distances) go to one
-//     machine, which runs Select(H, S): order H by distance to S, farthest
-//     first, and pick the ⌈φ·log n⌉-th point as the pivot v. The original
-//     Ene et al. scheme fixes φ = 8; the paper's new parameter φ trades
-//     approximation confidence for speed (φ > 5.15 preserves the
+//     pivot-candidate set H with probability 4·n^ε·log n/|R|. The points
+//     added this iteration form ΔS.
+//  2. Pivot selection: H (with its records' carried distances) and ΔS go to
+//     one machine, which runs Select(H, S): order H by distance to S,
+//     farthest first, and pick the ⌈φ·log n⌉-th point as the pivot v. The
+//     original Ene et al. scheme fixes φ = 8; the paper's new parameter φ
+//     trades approximation confidence for speed (φ > 5.15 preserves the
 //     10-approximation w.s.p., §6).
-//  3. Removal: the mappers partition R; each reducer removes the points
-//     that are at least as well represented by S as the pivot is.
+//  3. Removal: ΔS is broadcast and the mappers partition R; each reducer
+//     updates its records' distances and removes the points that are at
+//     least as well represented by S as the pivot is. Survivors keep their
+//     updated distance for the next iteration.
+//
+// Rounds 2 and 3 compute d(x,S) = min(d(x, S before ΔS), d(x,ΔS)), so each
+// charges |H|·|ΔS| and |R|·|ΔS| distance evaluations instead of rescanning
+// all of S. The result is bit-identical to a full rescan: every squared
+// distance is computed the same way, min is exact, and sqrt is correctly
+// rounded and monotone, so min(√a, √b) = √min(a, b). Every removal decision,
+// pivot distance and therefore the centers are the same; the sampling draws
+// do not depend on the distances at all.
 //
 // The loop runs while |R| > (4/ε)·k·n^ε·log n; afterwards C := S ∪ R is the
 // sample and a final MapReduce round runs GON on C to produce the k centers
@@ -166,10 +179,14 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 	r := rng.New(cfg.Seed)
 	res := &Result{Stats: engine.Stats()}
 
-	// R starts as the whole vertex set, S empty (Algorithm 2, line 1).
+	// R starts as the whole vertex set, S empty (Algorithm 2, line 1). Each
+	// record of R is ⟨x, d(x,S)⟩: dR[pos] carries R[pos]'s distance to the
+	// sample so far, +Inf while S is empty.
 	R := make([]int, n)
+	dR := make([]float64, n)
 	for i := range R {
 		R[i] = i
+		dR[i] = math.Inf(1)
 	}
 	var S []int
 
@@ -194,12 +211,11 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 			tasks[i] = func(ops *mapreduce.OpCounter) error {
 				var si, hi []int
 				for _, pos := range part {
-					x := R[pos]
 					if reducerRng.Bernoulli(pS) {
-						si = append(si, x)
+						si = append(si, R[pos])
 					}
 					if reducerRng.Bernoulli(pH) {
-						hi = append(hi, x)
+						hi = append(hi, pos)
 					}
 				}
 				ops.Add(int64(len(part)))
@@ -211,33 +227,38 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		if _, err := engine.Run(fmt.Sprintf("eim-%d-sample", iter+1), tasks); err != nil {
 			return nil, err
 		}
-		var H []int
-		sampled := 0
+		// ΔS holds the points sampled this iteration; H holds positions into
+		// R, so a candidate's carried distance comes with it.
+		var deltaS, H []int
 		for i := range parts {
-			S = append(S, newS[i]...)
-			sampled += len(newS[i])
+			deltaS = append(deltaS, newS[i]...)
 			H = append(H, newH[i]...)
 		}
-		it.Sampled = sampled
+		S = append(S, deltaS...)
+		it.Sampled = len(deltaS)
 		it.HSize = len(H)
 
-		// Gather S once per iteration: rounds 2 and 3 both scan every point
-		// against S, and a contiguous copy turns those scans into flat
-		// one-to-many kernel calls instead of per-index slice chasing. The
-		// gathered coordinates are bit-equal, so distances are unchanged.
-		var sGathered *metric.Dataset
-		if len(S) > 0 {
-			sGathered = ds.Subset(S)
+		// Only ΔS is gathered: rounds 2 and 3 lower each record's carried
+		// distance by its distance to the new points (see the package doc
+		// for why this equals a rescan of all of S bit for bit).
+		var delta *metric.Dataset
+		if len(deltaS) > 0 {
+			delta = ds.Subset(deltaS)
+		}
+		distToS := func(pos int) float64 {
+			if delta == nil {
+				return dR[pos]
+			}
+			return math.Min(dR[pos], distToGathered(delta, ds.At(R[pos])))
 		}
 
 		// ---- Round 2: pivot selection on one machine (lines 5–6). ----
-		// H, S and their cross distances fit one machine; enforce the
-		// configured capacity if any.
+		// Capacity is checked against the paper's H ∪ S footprint, so a
+		// capacity error is the same as under a full rescan.
 		if err := engine.CheckCapacity(len(H) + len(S)); err != nil {
 			return nil, fmt.Errorf("eim: select round: %w", err)
 		}
 		var pivotDist float64
-		hasPivot := false
 		selectTask := func(ops *mapreduce.OpCounter) error {
 			if len(H) == 0 || len(S) == 0 {
 				// Degenerate iteration: no candidates or empty sample. The
@@ -246,16 +267,15 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 				return nil
 			}
 			dH := make([]float64, len(H))
-			for i, h := range H {
-				dH[i] = distToGathered(sGathered, ds.At(h))
+			for i, pos := range H {
+				dH[i] = distToS(pos)
 			}
-			ops.Add(int64(len(H)) * int64(len(S)))
+			ops.Add(int64(len(H)) * int64(len(deltaS)))
 			// Order farthest-to-nearest and take the ⌈φ·log n⌉-th (line 3 of
 			// Select / Algorithm 3).
 			sort.Float64s(dH)
 			pos := SelectPosition(n, len(dH), cfg.Phi)
 			pivotDist = dH[len(dH)-pos]
-			hasPivot = true
 			return nil
 		}
 		if _, err := engine.Run(fmt.Sprintf("eim-%d-select", iter+1), []mapreduce.Task{selectTask}); err != nil {
@@ -264,34 +284,26 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		it.PivotDist = pivotDist
 
 		// ---- Round 3: removal (lines 7–9) with the §4.1 fixes. ----
+		// d(x,S) <= d(v,S) removes x; with no pivot (pivotDist 0) only the
+		// points at distance zero from S, the freshly sampled ones among
+		// them, are removed. Survivors keep their updated distance.
 		kept := make([][]int, len(parts))
+		keptD := make([][]float64, len(parts))
 		removalTasks := make([]mapreduce.Task, len(parts))
 		for i, part := range parts {
 			i, part := i, part
 			removalTasks[i] = func(ops *mapreduce.OpCounter) error {
 				var keep []int
-				if len(S) == 0 {
-					for _, pos := range part {
-						keep = append(keep, R[pos])
-					}
-					kept[i] = keep
-					return nil
-				}
+				var keepD []float64
 				for _, pos := range part {
-					x := R[pos]
-					d := distToGathered(sGathered, ds.At(x))
-					// d(x,S) <= d(v,S) removes x; with no pivot only the
-					// freshly sampled points (distance zero) are removed.
-					limit := 0.0
-					if hasPivot {
-						limit = pivotDist
-					}
-					if d > limit {
-						keep = append(keep, x)
+					if d := distToS(pos); d > pivotDist {
+						keep = append(keep, R[pos])
+						keepD = append(keepD, d)
 					}
 				}
-				ops.Add(int64(len(part)) * int64(len(S)))
+				ops.Add(int64(len(part)) * int64(len(deltaS)))
 				kept[i] = keep
+				keptD[i] = keepD
 				return nil
 			}
 		}
@@ -299,23 +311,22 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		var nextR []int
-		for _, kp := range kept {
-			nextR = append(nextR, kp...)
+		var nextD []float64
+		for i := range kept {
+			nextR = append(nextR, kept[i]...)
+			nextD = append(nextD, keptD[i]...)
 		}
-		if len(nextR) >= len(R) {
-			// With the §4.1 fixes this requires an iteration that sampled
-			// nothing and found no pivot — astronomically unlikely above the
-			// threshold, but guard anyway: stop sampling and emit C = S ∪ R.
-			res.Iterations++
-			it.RAfter = len(nextR)
-			res.PerIteration = append(res.PerIteration, it)
-			R = nextR
-			break
-		}
-		R = nextR
+		stalled := len(nextR) >= len(R)
+		R, dR = nextR, nextD
 		it.RAfter = len(R)
 		res.PerIteration = append(res.PerIteration, it)
 		res.Iterations++
+		if stalled {
+			// With the §4.1 fixes this requires an iteration that sampled
+			// nothing and found no pivot — astronomically unlikely above the
+			// threshold, but guard anyway: stop sampling and emit C = S ∪ R.
+			break
+		}
 	}
 
 	// Output C := S ∪ R (line 10). S and R are disjoint after the fixes, but

@@ -182,8 +182,9 @@ func TestPhiAffectsSampleSize(t *testing.T) {
 	if lo.FellBack || hi.FellBack {
 		t.Fatal("unexpected fallback")
 	}
-	// Simulated work with φ=1 should be at most that of φ=8 (it can tie when
-	// both finish in one iteration).
+	// Simulated work with φ=1 should not exceed that of φ=8 by much: it is
+	// usually smaller, can tie when both finish in one iteration, and the
+	// bound leaves 1.5× of slack for sampling noise.
 	if lo.Stats.SimulatedOps() > hi.Stats.SimulatedOps()*3/2 {
 		t.Fatalf("phi=1 ops %d not smaller than phi=8 ops %d",
 			lo.Stats.SimulatedOps(), hi.Stats.SimulatedOps())
@@ -273,10 +274,20 @@ func TestPerIterationStatsPopulated(t *testing.T) {
 // scheme) equal-distance points would stay in R forever. With the fixes the
 // run must terminate.
 func TestEIMTerminationAdversarial(t *testing.T) {
-	n := 20000
+	res, err := Run(duplicatedLocations(20000, 20), Config{K: 10, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Radius != 0 {
+		t.Fatalf("10 duplicated locations, k=10: radius %v, want 0", res.Radius)
+	}
+}
+
+// duplicatedLocations returns n 2-D points drawn from 10 distinct random
+// locations, so most points are exact duplicates of one another.
+func duplicatedLocations(n int, seed uint64) *metric.Dataset {
 	ds := metric.NewDataset(n, 2)
-	r := rng.New(20)
-	// 10 distinct locations, heavily duplicated.
+	r := rng.New(seed)
 	locs := make([][2]float64, 10)
 	for i := range locs {
 		locs[i] = [2]float64{r.Float64() * 100, r.Float64() * 100}
@@ -285,13 +296,7 @@ func TestEIMTerminationAdversarial(t *testing.T) {
 		l := locs[r.Intn(10)]
 		ds.At(i)[0], ds.At(i)[1] = l[0], l[1]
 	}
-	res, err := Run(ds, Config{K: 10, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Radius != 0 {
-		t.Fatalf("10 duplicated locations, k=10: radius %v, want 0", res.Radius)
-	}
+	return ds
 }
 
 // TestTenApproxEmpirical: on instances with a computable optimum, EIM's

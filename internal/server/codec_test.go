@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
@@ -163,8 +164,9 @@ func TestParseNumberMatchesParseFloat(t *testing.T) {
 
 // TestReplyEncodersMatchEncodingJSON: the append encoders write exactly
 // what json.NewEncoder(w).Encode writes — headers, status and body — over
-// random replies, including floats in encoding/json's 'e' range, zero,
-// large counters, and non-finite values (where encoding/json decides).
+// random replies, including floats in encoding/json's 'e' range, zero and
+// large counters. A reply with a non-finite value, which has no JSON form,
+// is the 400 error reply instead.
 func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 	r := rng.New(23)
 	special := []float64{0, 1e-7, 3e21, 1e-6, 1e21, 9.999999999999999e-7, 123.456, 5e-324,
@@ -196,11 +198,17 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 		got := httptest.NewRecorder()
 		writeAssign(got, rs, m)
 		resp := assignResponse{Snapshot: m}
+		finite := isFinite(m.Radius) && isFinite(m.LowerBound)
 		for i, c := range rs.centers {
 			resp.Assignments = append(resp.Assignments, assignment{Center: c, Distance: math.Sqrt(rs.sqDists[i])})
+			finite = finite && isFinite(rs.sqDists[i])
 		}
 		want := httptest.NewRecorder()
-		writeJSON(want, 200, resp)
+		if finite {
+			writeJSON(want, 200, resp)
+		} else {
+			writeError(want, http.StatusBadRequest, msgNotFinite)
+		}
 		sameResponse(t, "assign", got, want)
 		putReply(rs)
 
@@ -215,6 +223,8 @@ func TestReplyEncodersMatchEncodingJSON(t *testing.T) {
 		sameResponse(t, "ingest ack", got, want)
 	}
 }
+
+func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 func sameResponse(t *testing.T, what string, got, want *httptest.ResponseRecorder) {
 	t.Helper()

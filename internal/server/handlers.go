@@ -688,19 +688,21 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 	tr.Mark(obs.StageEncode)
 }
 
-// writeAssign writes the 200 assign reply for the kernel outputs in rs.
+// msgNotFinite is the 400 reply text of an assign whose reply would carry a
+// value that is not finite.
+const msgNotFinite = "a distance or bound is not finite: coordinates too large to assign"
+
+// writeAssign writes the 200 assign reply for the kernel outputs in rs. A
+// distance or bound that is not finite, such as a squared distance that
+// overflows float64 for coordinates near 1e200, has no JSON form, so that
+// request is answered 400 instead.
 func writeAssign(w http.ResponseWriter, rs *replyScratch, m snapshotMeta) {
 	var ok bool
-	if rs.buf, ok = appendAssignReply(rs.buf[:0], m, rs.centers, rs.sqDists); ok {
-		writeBody(w, http.StatusOK, rs.buf)
+	if rs.buf, ok = appendAssignReply(rs.buf[:0], m, rs.centers, rs.sqDists); !ok {
+		writeError(w, http.StatusBadRequest, msgNotFinite)
 		return
 	}
-	// A non-finite distance or bound: encoding/json decides the reply.
-	resp := assignResponse{Snapshot: m, Assignments: make([]assignment, len(rs.centers))}
-	for i, c := range rs.centers {
-		resp.Assignments[i] = assignment{Center: c, Distance: math.Sqrt(rs.sqDists[i])}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, rs.buf)
 }
 
 func (s *Service) handleCenters(w http.ResponseWriter, r *http.Request) {

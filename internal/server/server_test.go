@@ -393,17 +393,19 @@ func TestIngestBackpressure(t *testing.T) {
 	for i := range rows {
 		rows[i] = []float64{float64(i % 7), float64(i % 11)}
 	}
-	batch := slabBatch(rows)
 	// One batch under a live context first, so the stream is non-empty no
-	// matter how quickly the backpressure path fires below.
-	if err := s.enqueue(context.Background(), batch); err != nil {
+	// matter how quickly the backpressure path fires below. Every enqueue
+	// gets its own batch: a queued batch belongs to the worker, which
+	// recycles it into the process-wide pool, so re-sending one would pool
+	// it twice and hand it to two later requests at once.
+	if err := s.enqueue(context.Background(), slabBatch(rows)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := s.enqueue(ctx, batch); err != nil {
+		if err := s.enqueue(ctx, slabBatch(rows)); err != nil {
 			if s.closed.Load() {
 				t.Fatal("service closed unexpectedly")
 			}

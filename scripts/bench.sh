@@ -1,5 +1,5 @@
 #!/bin/sh
-# Benchmark-trajectory gate: runs the kernel, assignment, Gonzalez,
+# Benchmark-trajectory gate: runs the kernel, assignment, Gonzalez, EIM,
 # streaming, serving and request-codec benchmarks and emits
 # BENCH_kernels.json with ns/op per benchmark, so every PR leaves a
 # comparable perf record.
@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_kernels.json}"
 # Serial suite: everything except the two parallel sweeps below.
-PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$)'
+PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$|BenchmarkEIM$)'
 # Parallel suite, run under -cpu 1,4: the 1 row is the single-core
 # baseline, the 4 row is what the worker pool / shard fan-out buys (or
 # costs) at 4-way GOMAXPROCS on this host.
@@ -38,7 +38,7 @@ trap 'rm -f "$tmp"' EXIT
 # No pipe here: POSIX sh has no pipefail, and piping through tee would let
 # a failing `go test` (bench panic, broken TestMain) slip past set -e.
 go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 \
-	./internal/metric/ ./internal/assign/ ./internal/core/ ./internal/server/ . > "$tmp"
+	./internal/metric/ ./internal/assign/ ./internal/core/ ./internal/server/ ./internal/eim/ . > "$tmp"
 go test -run '^$' -bench "$PAR_PATTERN" -benchtime "$BENCHTIME" -count 1 \
 	-cpu 1,4 ./internal/core/ . >> "$tmp"
 cat "$tmp"

@@ -26,17 +26,24 @@ go test ./...
 # switchboard isolation test TestServiceSwitchboardIsolation), the
 # fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
 # Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
-# TestLoggerConcurrentLinesDoNotInterleave) and the harness loopback fixture
+# TestLoggerConcurrentLinesDoNotInterleave), the harness loopback fixture
 # that the serving experiments share (their TestRun* tests, the chaos nudge
 # tally TestRunChaosCountsNudges and the replicate shutdown test
-# TestRunServeReplicateErrorStopsGoroutines); -short keeps it under a few
-# seconds. `make race` runs the same package list and harness tests.
-RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/..."
+# TestRunServeReplicateErrorStopsGoroutines), the simulated MapReduce engine
+# and MRG, whose reducers run concurrently over shared slices, and EIM's
+# reducers, which all read the carried-distance slice (TestRunMatchesFullRescan
+# and TestRoundOpsChargeOnlyNewSample at small n; the whole EIM package takes
+# ~20 s under -race); -short keeps it under a few seconds. `make race` runs
+# the same package list, harness tests and EIM tests.
+RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/..."
 echo "== go test -race -short $RACE_PKGS"
 go test -race -short $RACE_PKGS
 RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
 echo "== go test -race -short -run '$RACE_HARNESS' ./internal/harness"
 go test -race -short -run "$RACE_HARNESS" ./internal/harness
+RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
+echo "== go test -race -short -run '$RACE_EIM' ./internal/eim"
+go test -race -short -run "$RACE_EIM" ./internal/eim
 
 # Isolation flake gate (`make isolation`): the experiment smoke test, with
 # chaos's armed fault storm running beside every other experiment, and the
