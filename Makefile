@@ -83,7 +83,7 @@ bench-smoke:
 	OUT=$${TMPDIR:-/tmp}/BENCH_kernels.smoke.json sh scripts/bench.sh
 
 # Regenerate the committed BENCH_kernels.json baseline with stable timings.
-# The parallel benchmarks are swept at -cpu 1,4 (see scripts/bench.sh), so
+# The parallel benchmarks are swept at -cpu 1,2 (see scripts/bench.sh), so
 # the baseline records scaling, not just single-core cost.
 bench:
 	BENCHTIME=$${BENCHTIME:-2s} sh scripts/bench.sh

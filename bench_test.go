@@ -375,7 +375,7 @@ func BenchmarkStreamPush(b *testing.B) {
 // (Push fan-out, shard summaries, final merge) from a single producer,
 // reporting points/second and the realized-vs-batch quality ratio. The
 // shard counts are fixed (not GOMAXPROCS-derived) so rows are comparable
-// across hosts and across the -cpu 1,4 sweep scripts/bench.sh runs.
+// across hosts and across the -cpu 1,2 sweep scripts/bench.sh runs.
 func BenchmarkShardedThroughput(b *testing.B) {
 	l := dataset.Unif(dataset.UnifConfig{N: 100000, Seed: 20})
 	gon := core.Gonzalez(l.Points, 25, core.Options{First: 0})

@@ -1,6 +1,8 @@
 package kcenter
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -79,5 +81,21 @@ func TestStreamCentersMidStream(t *testing.T) {
 	}
 	if realized > res.Radius+1e-9 {
 		t.Fatalf("realized %g escapes certified bound %g", realized, res.Radius)
+	}
+}
+
+// TestNonFiniteCoordinatesRejected is the regression test for NewDataset
+// and ReadCSV accepting NaN and ±Inf coordinates: Gonzalez then reported
+// Radius +Inf and put every point in cluster 0.
+func TestNonFiniteCoordinatesRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDataset([][]float64{{0, 0}, {1, 1}, {v, 2}, {5, 5}}); err == nil {
+			t.Fatalf("NewDataset accepted coordinate %v", v)
+		}
+	}
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		if _, err := ReadCSV(strings.NewReader("0,0\n1,1\n" + v + ",2\n5,5\n")); err == nil {
+			t.Fatalf("ReadCSV accepted %q", v)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -321,9 +322,9 @@ type LoadCSVOptions struct {
 	Columns []int
 	// MaxRows limits how many rows are read; 0 means unlimited.
 	MaxRows int
-	// IgnoreParseErrors replaces unparseable fields with 0 instead of
-	// failing; non-numeric symbolic columns (e.g. KDD's protocol field) are
-	// typically excluded via Columns instead.
+	// IgnoreParseErrors replaces unparseable and non-finite fields with 0
+	// instead of failing; non-numeric symbolic columns (e.g. KDD's protocol
+	// field) are typically excluded via Columns instead.
 	IgnoreParseErrors bool
 }
 
@@ -332,7 +333,9 @@ type LoadCSVOptions struct {
 // primitive behind both LoadCSV and the CLI's incremental streaming
 // ingestion. The slice passed to fn is reused between calls; fn must copy
 // what it keeps. Returns the number of rows delivered. A non-nil error from
-// fn stops the scan and is returned verbatim.
+// fn stops the scan and is returned verbatim. A value that parses but is not
+// finite ("NaN", "Inf") is a parse error: it names its line and column, or
+// reads as 0 under IgnoreParseErrors.
 func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) error) (int64, error) {
 	if opts.Comma == 0 {
 		opts.Comma = ','
@@ -374,6 +377,9 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 				return rows, fmt.Errorf("dataset: line %d has %d fields, need column %d", lineNum, len(fields), c)
 			}
 			v, err := strconv.ParseFloat(strings.TrimSpace(fields[c]), 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("non-finite value %v", v)
+			}
 			if err != nil {
 				if !opts.IgnoreParseErrors {
 					return rows, fmt.Errorf("dataset: line %d column %d: %v", lineNum, c, err)

@@ -235,6 +235,35 @@ func TestLoadCSVIgnoreParseErrors(t *testing.T) {
 	}
 }
 
+// TestLoadCSVRejectsNonFinite: "NaN" and "Inf" parse as floats but are not
+// coordinates; they fail like any unparseable field, naming the line and
+// column, and read as 0 under IgnoreParseErrors.
+func TestLoadCSVRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e999"} {
+		in := "1,2\n3,4\n5," + v + "\n"
+		_, err := LoadCSV(strings.NewReader(in), LoadCSVOptions{})
+		if err == nil {
+			t.Fatalf("%q accepted", v)
+		}
+		if !strings.Contains(err.Error(), "line 3 column 1") {
+			t.Fatalf("%q: error %q does not name line 3 column 1", v, err)
+		}
+		ds, err := LoadCSV(strings.NewReader(in), LoadCSVOptions{IgnoreParseErrors: true})
+		if err != nil {
+			t.Fatalf("%q under IgnoreParseErrors: %v", v, err)
+		}
+		if ds.N != 3 || ds.At(2)[1] != 0 {
+			t.Fatalf("%q under IgnoreParseErrors: %d rows, last %v, want it read as 0", v, ds.N, ds.At(2))
+		}
+	}
+	// A non-finite value in the first data row still counts as numeric for
+	// autodetection, so it fails loudly instead of dropping its column.
+	if _, err := LoadCSV(strings.NewReader("1,NaN\n3,4\n"), LoadCSVOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "line 1 column 1") {
+		t.Fatalf("NaN in the first row: error %v, want one naming line 1 column 1", err)
+	}
+}
+
 func TestLoadCSVMaxRows(t *testing.T) {
 	in := "1\n2\n3\n4\n"
 	ds, err := LoadCSV(strings.NewReader(in), LoadCSVOptions{MaxRows: 2})

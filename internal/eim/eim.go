@@ -23,11 +23,30 @@
 //
 // Rounds 2 and 3 compute d(x,S) = min(d(x, S before ΔS), d(x,ΔS)), so each
 // charges |H|·|ΔS| and |R|·|ΔS| distance evaluations instead of rescanning
-// all of S. The result is bit-identical to a full rescan: every squared
-// distance is computed the same way, min is exact, and sqrt is correctly
-// rounded and monotone, so min(√a, √b) = √min(a, b). Every removal decision,
-// pivot distance and therefore the centers are the same; the sampling draws
-// do not depend on the distances at all.
+// all of S. Records carry the squared distance; the rounds take its square
+// root only to compare with and select the pivot.
+//
+// A reducer does not evaluate all of those distances. ΔS is gathered once
+// per iteration with its rows sorted by the coordinate of largest range,
+// and each query runs the projection search of Friedman, Baskett & Shustek
+// ("An Algorithm for Finding Nearest Neighbors", IEEE Trans. Computers,
+// 1975): binary-search the query's coordinate, walk outwards both ways, and
+// stop in each direction once the squared gap in that coordinate alone
+// reaches the best squared distance so far. The search starts from the
+// record's carried value, so in later iterations most records stop at
+// once. The charge stays the paper's brute-force |H|·|ΔS| and |R|·|ΔS|:
+// like the goroutine pool, the pruning is an execution detail of the
+// reducer, and it moves wall time only.
+//
+// The result is bit-identical to a full rescan of Algorithm 2. Every
+// squared distance the search evaluates is computed by metric.SqDist, in
+// the distance kernels' floating-point order; the squared gap never
+// exceeds the full squared distance (a sum of non-negative terms under
+// monotone rounding), so no pruned row could have lowered the minimum; min
+// is exact; and sqrt is correctly rounded and monotone, so
+// min(√a, √b) = √min(a, b). Every removal decision, pivot distance and
+// therefore the centers are the same; the sampling draws do not depend on
+// the distances at all.
 //
 // The loop runs while |R| > (4/ε)·k·n^ε·log n; afterwards C := S ∪ R is the
 // sample and a final MapReduce round runs GON on C to produce the k centers
@@ -47,8 +66,10 @@
 package eim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"kcenter/internal/assign"
@@ -180,8 +201,8 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 	res := &Result{Stats: engine.Stats()}
 
 	// R starts as the whole vertex set, S empty (Algorithm 2, line 1). Each
-	// record of R is ⟨x, d(x,S)⟩: dR[pos] carries R[pos]'s distance to the
-	// sample so far, +Inf while S is empty.
+	// record of R is ⟨x, d(x,S)⟩: dR[pos] carries R[pos]'s squared distance
+	// to the sample so far, +Inf while S is empty.
 	R := make([]int, n)
 	dR := make([]float64, n)
 	for i := range R {
@@ -239,17 +260,11 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		it.HSize = len(H)
 
 		// Only ΔS is gathered: rounds 2 and 3 lower each record's carried
-		// distance by its distance to the new points (see the package doc
-		// for why this equals a rescan of all of S bit for bit).
-		var delta *metric.Dataset
-		if len(deltaS) > 0 {
-			delta = ds.Subset(deltaS)
-		}
-		distToS := func(pos int) float64 {
-			if delta == nil {
-				return dR[pos]
-			}
-			return math.Min(dR[pos], distToGathered(delta, ds.At(R[pos])))
+		// squared distance by its distance to the new points (see the
+		// package doc for why this equals a rescan of all of S bit for bit).
+		delta := newSweep(ds, deltaS)
+		sqToS := func(pos int) float64 {
+			return delta.lower(ds.At(R[pos]), dR[pos])
 		}
 
 		// ---- Round 2: pivot selection on one machine (lines 5–6). ----
@@ -268,7 +283,7 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 			}
 			dH := make([]float64, len(H))
 			for i, pos := range H {
-				dH[i] = distToS(pos)
+				dH[i] = math.Sqrt(sqToS(pos))
 			}
 			ops.Add(int64(len(H)) * int64(len(deltaS)))
 			// Order farthest-to-nearest and take the ⌈φ·log n⌉-th (line 3 of
@@ -296,9 +311,9 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 				var keep []int
 				var keepD []float64
 				for _, pos := range part {
-					if d := distToS(pos); d > pivotDist {
+					if sq := sqToS(pos); math.Sqrt(sq) > pivotDist {
 						keep = append(keep, R[pos])
-						keepD = append(keepD, d)
+						keepD = append(keepD, sq)
 					}
 				}
 				ops.Add(int64(len(part)) * int64(len(deltaS)))
@@ -357,11 +372,66 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// distToGathered returns the Euclidean distance from q to the nearest row
-// of the gathered set (the one-to-many kernel over a contiguous copy of S).
-func distToGathered(set *metric.Dataset, q []float64) float64 {
-	_, best := metric.NearestInRange(set, 0, set.N, q)
-	return math.Sqrt(best)
+// sweep is a gathered point set whose rows are sorted by one coordinate,
+// for the projection search of Friedman, Baskett & Shustek.
+type sweep struct {
+	set  *metric.Dataset
+	axis int
+	keys []float64 // keys[i] = set.At(i)[axis], ascending
+}
+
+// newSweep gathers the points idx of ds sorted by the coordinate with the
+// largest range among them.
+func newSweep(ds *metric.Dataset, idx []int) *sweep {
+	lo, hi := ds.Subset(idx).Bounds()
+	axis := 0
+	for c := range lo {
+		if hi[c]-lo[c] > hi[axis]-lo[axis] {
+			axis = c
+		}
+	}
+	return sweepOn(ds, idx, axis)
+}
+
+// sweepOn gathers the points idx of ds sorted by coordinate axis.
+// Coordinates are finite (metric.FromPoints and the CSV reader reject the
+// rest), so the keys are totally ordered and the gap to a query grows
+// monotonically outwards from it.
+func sweepOn(ds *metric.Dataset, idx []int, axis int) *sweep {
+	sorted := slices.Clone(idx)
+	slices.SortFunc(sorted, func(a, b int) int { return cmp.Compare(ds.At(a)[axis], ds.At(b)[axis]) })
+	s := &sweep{set: ds.Subset(sorted), axis: axis, keys: make([]float64, len(sorted))}
+	for i := range s.keys {
+		s.keys[i] = s.set.At(i)[axis]
+	}
+	return s
+}
+
+// lower returns min(seed, the squared distance from q to its nearest row),
+// bit for bit what a brute-force scan of the set would give. Rows are
+// visited outwards from q's coordinate; a direction stops once the squared
+// gap in the sort coordinate alone reaches the best squared distance so far.
+func (s *sweep) lower(q []float64, seed float64) float64 {
+	best := seed
+	x := q[s.axis]
+	mid := sort.SearchFloat64s(s.keys, x)
+	for i := mid; i < len(s.keys); i++ {
+		if g := s.keys[i] - x; g*g >= best {
+			break
+		}
+		if sq := metric.SqDist(s.set.At(i), q); sq < best {
+			best = sq
+		}
+	}
+	for i := mid - 1; i >= 0; i-- {
+		if g := x - s.keys[i]; g*g >= best {
+			break
+		}
+		if sq := metric.SqDist(s.set.At(i), q); sq < best {
+			best = sq
+		}
+	}
+	return best
 }
 
 // dedupe removes duplicate indices preserving first-seen order.

@@ -226,17 +226,6 @@ func TestCapacityEnforced(t *testing.T) {
 	}
 }
 
-func TestDistToGathered(t *testing.T) {
-	ds, _ := metric.FromPoints([][]float64{{0}, {10}, {3}})
-	set := ds.Subset([]int{0, 1})
-	if d := distToGathered(set, ds.At(2)); d != 3 {
-		t.Fatalf("distToGathered = %v, want 3", d)
-	}
-	if d := distToGathered(ds.Subset([]int{0}), ds.At(0)); d != 0 {
-		t.Fatalf("distToGathered to self = %v", d)
-	}
-}
-
 func TestDedupe(t *testing.T) {
 	got := dedupe([]int{3, 1, 3, 2, 1, 4})
 	want := []int{3, 1, 2, 4}
@@ -323,12 +312,27 @@ func TestTenApproxEmpirical(t *testing.T) {
 	}
 }
 
+// BenchmarkEIM runs EIM with a fixed sampling seed, so every iteration
+// does the same work. The gau case is the perfbench batch workload's EIM
+// instance: 100,000 2-D GAU points (k′ = 25), k = 10, φ = 8, ε = 0.1 and
+// 50 machines.
 func BenchmarkEIM(b *testing.B) {
-	l := dataset.Unif(dataset.UnifConfig{N: 50000, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(l.Points, Config{K: 10, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		ds   *metric.Dataset
+		cfg  Config
+	}{
+		{"unif-50k", dataset.Unif(dataset.UnifConfig{N: 50000, Seed: 1}).Points, Config{K: 10, Seed: 1}},
+		{"gau-100k", dataset.Gau(dataset.GauConfig{N: 100000, KPrime: 25, Seed: 1}).Points,
+			Config{K: 10, Phi: 8, Epsilon: 0.1, Cluster: mapreduce.Config{Machines: 50}, Seed: 1}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tc.ds, tc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

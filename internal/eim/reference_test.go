@@ -85,6 +85,25 @@ func fullRescan(ds *metric.Dataset, cfg Config) *Result {
 	return res
 }
 
+// distToGathered returns the Euclidean distance from q to the nearest row
+// of the gathered set by a brute-force scan (the one-to-many kernel over a
+// contiguous copy of S). It shares no search code with Run.
+func distToGathered(set *metric.Dataset, q []float64) float64 {
+	_, best := metric.NearestInRange(set, 0, set.N, q)
+	return math.Sqrt(best)
+}
+
+func TestDistToGathered(t *testing.T) {
+	ds, _ := metric.FromPoints([][]float64{{0}, {10}, {3}})
+	set := ds.Subset([]int{0, 1})
+	if d := distToGathered(set, ds.At(2)); d != 3 {
+		t.Fatalf("distToGathered = %v, want 3", d)
+	}
+	if d := distToGathered(ds.Subset([]int{0}), ds.At(0)); d != 0 {
+		t.Fatalf("distToGathered to self = %v", d)
+	}
+}
+
 // randomDataset returns n UNIF points of dimension dim. With grid set,
 // coordinates are small integers instead, so many pairs tie in distance and
 // the ≤ pivot rule is exercised at equality.

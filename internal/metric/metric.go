@@ -173,6 +173,8 @@ func NewDataset(n, dim int) *Dataset {
 }
 
 // FromPoints builds a Dataset by copying a slice of equal-length points.
+// Every coordinate must be finite: a NaN or ±Inf would make every distance
+// to its point meaningless and leave coordinates without a total order.
 func FromPoints(points [][]float64) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("metric: FromPoints requires at least one point")
@@ -185,6 +187,11 @@ func FromPoints(points [][]float64) (*Dataset, error) {
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("metric: point %d has dimension %d, want %d", i, len(p), dim)
+		}
+		for j, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("metric: point %d coordinate %d is %v, want a finite value", i, j, v)
+			}
 		}
 		copy(ds.Data[i*dim:(i+1)*dim], p)
 	}

@@ -2,6 +2,7 @@ package metric
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,20 @@ func TestFromPoints(t *testing.T) {
 	}
 	if _, err := FromPoints([][]float64{{}}); err == nil {
 		t.Fatal("expected error for zero-dim input")
+	}
+}
+
+// TestFromPointsRejectsNonFinite: a NaN or ±Inf coordinate is an error that
+// names its point and coordinate, not a dataset whose distances are NaN.
+func TestFromPointsRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := FromPoints([][]float64{{0, 0}, {1, 1}, {v, 2}, {5, 5}})
+		if err == nil {
+			t.Fatalf("coordinate %v accepted", v)
+		}
+		if !strings.Contains(err.Error(), "point 2 coordinate 0") {
+			t.Fatalf("coordinate %v: error %q does not name point 2 coordinate 0", v, err)
+		}
 	}
 }
 
