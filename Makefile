@@ -17,30 +17,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector gate over the worker pool behind the parallel Gonzalez
-# traversal (TestPoolConcurrentTraversals), the concurrent streaming
-# ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
-# the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
-# create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle and
-# the assign linearizability test TestAssignLinearizable, and the per-Service
-# switchboard isolation test TestServiceSwitchboardIsolation), the
-# fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
-# Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
-# TestLoggerConcurrentLinesDoNotInterleave), the harness loopback fixture
-# that the serving experiments share (their TestRun* tests, the chaos nudge
-# tally TestRunChaosCountsNudges and the replicate shutdown test
-# TestRunServeReplicateErrorStopsGoroutines), the simulated MapReduce engine
-# and MRG, whose reducers run concurrently over shared slices, and EIM's
-# reducers, which all read the carried-distance slice (TestRunMatchesFullRescan
-# and TestRoundOpsChargeOnlyNewSample at small n; the whole EIM package takes
-# ~20 s under -race); -short keeps it under a few seconds. scripts/check.sh runs
-# the same package list, harness tests and EIM tests.
-RACE_HARNESS = TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines
-RACE_EIM = TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample
+# Race-detector gate: the package list and the harness and EIM test
+# regexes live in scripts/race.sh, which scripts/check.sh runs too.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/...
-	$(GO) test -race -short -run '$(RACE_HARNESS)' ./internal/harness
-	$(GO) test -race -short -run '$(RACE_EIM)' ./internal/eim
+	GO=$(GO) sh scripts/race.sh
 
 # Isolation flake gate: the experiment smoke test (every experiment in
 # parallel, chaos's armed fault storm among them) and the two-Service
@@ -60,21 +40,13 @@ isolation:
 chaos:
 	$(GO) run ./cmd/experiments -exp chaos -scale 10
 
-# Fuzz gate: a short budget per native fuzz target — the HTTP decoders
-# (pooled buffers must never alias into a response, and the points codec
-# must accept, reject and parse exactly as encoding/json does), the replication
-# receiver (arbitrary bytes must answer a documented 4xx and never
-# half-merge), the checkpoint reader (arbitrary bytes must fail typed,
-# never panic) and the fault-spec grammar. The committed seed corpora
-# under */testdata/fuzz always run; FUZZTIME adds random exploration on
-# top (raise it to hunt, e.g. `make fuzz FUZZTIME=5m`).
+# Fuzz gate: a short budget per native fuzz target on top of the committed
+# seed corpora; the target list lives in scripts/fuzz.sh, which
+# scripts/check.sh runs too. FUZZTIME adds random exploration (raise it to
+# hunt, e.g. `make fuzz FUZZTIME=5m`).
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIngest$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAssign$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReplicate$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/fault
+	GO=$(GO) FUZZTIME=$(FUZZTIME) sh scripts/fuzz.sh
 
 # Tier-1 bench smoke: one iteration of the kernel/assign/Gonzalez/stream
 # benchmarks, JSON written to a scratch path so the committed baseline is

@@ -133,7 +133,7 @@ func BenchmarkFig4aScaleN_k10(b *testing.B) {
 		l := dataset.Unif(dataset.UnifConfig{N: n, Seed: 6})
 		b.Run("n="+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mrg.Run(l.Points, mrg.Config{K: 10, Seed: uint64(i)}); err != nil {
+				if _, err := mrg.Run(l.Points, mrg.Config{K: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +146,7 @@ func BenchmarkFig4bScaleN_k100(b *testing.B) {
 		l := dataset.Unif(dataset.UnifConfig{N: n, Seed: 7})
 		b.Run("n="+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mrg.Run(l.Points, mrg.Config{K: 100, Seed: uint64(i)}); err != nil {
+				if _, err := mrg.Run(l.Points, mrg.Config{K: 100}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -306,7 +306,6 @@ func BenchmarkAblationWorkers(b *testing.B) {
 				_, err := mrg.Run(l.Points, mrg.Config{
 					K:       25,
 					Cluster: mapreduce.Config{Machines: 50, Workers: workers},
-					Seed:    uint64(i),
 				})
 				if err != nil {
 					b.Fatal(err)

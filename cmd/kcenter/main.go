@@ -136,7 +136,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 		res, err := mrg.Run(ds, mrg.Config{
 			K:       *k,
 			Cluster: mapreduce.Config{Machines: *machines},
-			Seed:    *seed,
 		})
 		if err != nil {
 			return err

@@ -27,7 +27,7 @@ func main() {
 
 	// MapReduce Gonzalez (MRG): two rounds on 50 simulated machines,
 	// 4-approximation — the paper's headline algorithm.
-	mrg, err := kcenter.MRG(ds, k, kcenter.MRGOptions{Seed: 1})
+	mrg, err := kcenter.MRG(ds, k, kcenter.MRGOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 		}
 		gonWall := time.Since(start)
 
-		mrg, err := kcenter.MRG(ds, k, kcenter.MRGOptions{Seed: 3})
+		mrg, err := kcenter.MRG(ds, k, kcenter.MRGOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

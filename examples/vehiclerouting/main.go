@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("metro area: %d delivery addresses\n\n", ds.Len())
 
 	for _, k := range []int{3, 6, 12} {
-		res, err := kcenter.MRG(ds, k, kcenter.MRGOptions{Seed: 11})
+		res, err := kcenter.MRG(ds, k, kcenter.MRGOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"kcenter/internal/mrg"
 	"kcenter/internal/outliers"
 	"kcenter/internal/quality"
+	"kcenter/internal/rng"
 	"kcenter/internal/stream"
 )
 
@@ -37,7 +38,7 @@ func TestAllAlgorithmsOnAllGenerators(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			gon := core.Gonzalez(ds, k, core.Options{First: 0})
-			m, err := mrg.Run(ds, mrg.Config{K: k, Seed: 5})
+			m, err := mrg.Run(ds, mrg.Config{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,11 +215,13 @@ func TestCSVRoundTripThroughFacade(t *testing.T) {
 }
 
 // TestDeterministicEndToEnd locks the full deterministic pipeline: same
-// seeds, same centers, across every randomized component at once.
+// seeds, same centers, across every randomized component at once. MRG runs
+// on a row-permuted copy, so its partition is a shuffled one.
 func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() (float64, float64) {
 		l := dataset.Gau(dataset.GauConfig{N: 10000, KPrime: 10, Seed: 15})
-		m, err := mrg.Run(l.Points, mrg.Config{K: 10, Seed: 16, ShufflePartition: true, RandomFirstCenter: true})
+		shuffled := l.Points.Subset(rng.New(16).Perm(l.Points.N))
+		m, err := mrg.Run(shuffled, mrg.Config{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

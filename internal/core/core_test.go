@@ -328,38 +328,6 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
-func TestLowerBoundBracketsOptimum(t *testing.T) {
-	r := rng.New(11)
-	for trial := 0; trial < 30; trial++ {
-		n := 8 + r.Intn(6)
-		k := 1 + r.Intn(3)
-		ds := randomDataset(t, r, n, 2)
-		opt := ExactSmall(ds, k)
-		lb := LowerBound(ds, k, Options{})
-		if lb > opt.Radius+1e-9 {
-			t.Fatalf("lower bound %v exceeds OPT %v", lb, opt.Radius)
-		}
-	}
-}
-
-func TestFarthestFirstDistancesNonIncreasing(t *testing.T) {
-	r := rng.New(12)
-	ds := randomDataset(t, r, 300, 2)
-	dists := FarthestFirstDistances(ds, 20, Options{})
-	for i := 1; i < len(dists); i++ {
-		if dists[i] > dists[i-1]+1e-9 {
-			t.Fatalf("selection distances increased at %d: %v > %v", i, dists[i], dists[i-1])
-		}
-	}
-}
-
-func TestLowerBoundDegenerateSmallDataset(t *testing.T) {
-	ds, _ := metric.FromPoints([][]float64{{0}, {1}})
-	if lb := LowerBound(ds, 5, Options{}); lb != 0 {
-		t.Fatalf("lower bound %v on dataset smaller than k, want 0", lb)
-	}
-}
-
 func BenchmarkGonzalez(b *testing.B) {
 	for _, size := range []struct{ n, k int }{{10000, 10}, {10000, 100}, {100000, 10}} {
 		b.Run(benchName(size.n, size.k), func(b *testing.B) {

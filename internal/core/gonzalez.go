@@ -1,8 +1,7 @@
 // Package core implements the sequential k-center primitives at the heart of
 // the reproduction: Gonzalez's greedy farthest-first 2-approximation (GON in
 // the paper), covering-radius evaluation, an exact solver for tiny instances
-// (the test oracle behind every approximation-ratio property test), and the
-// farthest-first lower bound.
+// (the test oracle behind every approximation-ratio property test).
 //
 // GON (Gonzalez 1985) picks an arbitrary first center, then repeatedly marks
 // the point farthest from the chosen centers as the next center, k times.
@@ -57,7 +56,7 @@ type Options struct {
 // the radius is zero). It panics on k <= 0 or an empty dataset, which are
 // programming errors in this repository's callers.
 func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, k, opt, true, false)
+	return gonzalez(ds, k, opt, nil, true, false)
 }
 
 // GonzalezAssign is Gonzalez with assignment carry: Result.Assignment maps
@@ -69,14 +68,16 @@ func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
 // relaxation keeps the earliest center on ties, matching Evaluate's
 // lowest-position tie-break; pinned by TestGonzalezAssignMatchesEvaluate).
 func GonzalezAssign(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, k, opt, true, true)
+	return gonzalez(ds, k, opt, nil, true, true)
 }
 
-// gonzalez is the traversal behind Gonzalez, GonzalezAssign and
-// GonzalezSubset; wantMinDist gates the O(n) per-point distance
+// gonzalez is the one farthest-first traversal behind every exported
+// variant. A nil pool runs each relaxation pass as a single kernel call; a
+// non-nil pool splits it across the pool's workers (see pooledRelax), with
+// bit-identical results. wantMinDist gates the O(n) per-point distance
 // materialization, which reducer-side callers never consume, and wantAssign
-// the assignment carry.
-func gonzalez(ds *metric.Dataset, k int, opt Options, wantMinDist, wantAssign bool) *Result {
+// the assignment carry, which always runs sequentially.
+func gonzalez(ds *metric.Dataset, k int, opt Options, pool *Pool, wantMinDist, wantAssign bool) *Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: Gonzalez requires k >= 1, got %d", k))
 	}
@@ -119,15 +120,22 @@ func gonzalez(ds *metric.Dataset, k int, opt Options, wantMinDist, wantAssign bo
 		assigned = make([]int, n)
 		scratch = make([]float64, n)
 	}
+	var par *pooledRelax
+	if pool != nil && !wantAssign {
+		par = newPooledRelax(pool, ds, minSq)
+	}
 	center := first
 	for len(res.Centers) < k {
 		res.Centers = append(res.Centers, center)
 		var next int
 		var far float64
-		if wantAssign {
+		switch {
+		case wantAssign:
 			next, far = metric.RelaxFarthestAssign(ds, 0, n, ds.At(center),
 				len(res.Centers)-1, minSq, assigned, scratch)
-		} else {
+		case par != nil:
+			next, far = par.relax(ds.At(center))
+		default:
 			next, far = metric.RelaxFarthest(ds, 0, n, ds.At(center), minSq)
 		}
 		res.DistEvals += int64(n)
@@ -163,19 +171,13 @@ func gonzalez(ds *metric.Dataset, k int, opt Options, wantMinDist, wantAssign bo
 // kernels instead of chasing idx indirections point by point. The gathered
 // coordinates are bit-equal copies scanned in idx order, so the selected
 // centers, radius and evaluation count are identical to the direct
-// formulation.
+// formulation. Like Gonzalez, it panics on k <= 0 or an empty subset.
 func GonzalezSubset(ds *metric.Dataset, idx []int, k int, opt Options) *Result {
-	if k <= 0 {
-		panic(fmt.Sprintf("core: GonzalezSubset requires k >= 1, got %d", k))
-	}
-	if len(idx) == 0 {
-		panic("core: GonzalezSubset on empty subset")
-	}
 	sub := ds.Subset(idx)
 	// Subset results never materialize per-point distances (they would be
 	// indexed by position, not dataset index, and no reducer-side caller
 	// wants them), so the traversal skips that O(n) pass entirely.
-	res := gonzalez(sub, k, opt, false, false)
+	res := gonzalez(sub, k, opt, nil, false, false)
 	for i, pos := range res.Centers {
 		res.Centers[i] = idx[pos]
 	}
@@ -199,43 +201,4 @@ func CoveringRadius(ds *metric.Dataset, centers []int) (float64, int64) {
 		}
 	}
 	return math.Sqrt(worst), int64(ds.N) * int64(len(centers))
-}
-
-// FarthestFirstDistances runs the traversal k+1 steps and returns the
-// sequence d_1 >= d_2 >= ... where d_i is the distance of the i-th selected
-// center from the previously selected ones. The classic lower bound
-// OPT >= d_{k+1}/2 follows from the pigeonhole principle: k+2 points that
-// pairwise differ by at least d_{k+1} cannot all be covered by k balls of
-// radius < d_{k+1}/2.
-func FarthestFirstDistances(ds *metric.Dataset, steps int, opt Options) []float64 {
-	if steps > ds.N {
-		steps = ds.N
-	}
-	res := Gonzalez(ds, steps, opt)
-	// Re-derive the selection distances: replay is cheaper than storing in
-	// Gonzalez for every caller, but for clarity we simply recompute the
-	// traversal here (the function is diagnostic, not hot).
-	dists := make([]float64, 0, steps)
-	minSq := make([]float64, ds.N)
-	for i := range minSq {
-		minSq[i] = math.Inf(1)
-	}
-	for step, c := range res.Centers {
-		if step > 0 {
-			dists = append(dists, math.Sqrt(minSq[c]))
-		}
-		metric.RelaxFarthest(ds, 0, ds.N, ds.At(c), minSq)
-	}
-	return dists
-}
-
-// LowerBound returns a certified lower bound on the optimal k-center radius:
-// d_{k+1}/2 from the farthest-first traversal. Returns 0 when the dataset
-// has at most k distinct points.
-func LowerBound(ds *metric.Dataset, k int, opt Options) float64 {
-	dists := FarthestFirstDistances(ds, k+1, opt)
-	if len(dists) < k {
-		return 0
-	}
-	return dists[k-1] / 2
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 
 	"kcenter/internal/metric"
@@ -55,158 +54,86 @@ func parallelWorkers(workers, n, dim int) int {
 //
 // The worker count is adaptive: requests beyond GOMAXPROCS or beyond what
 // the per-round work can amortize (see minParallelWork) are trimmed, and a
-// trimmed count of ≤ 1 falls back to the sequential traversal outright —
-// asking for more workers never makes the call slower than Gonzalez by more
-// than the pool's round-signaling cost. Callers running many traversals
-// amortize pool construction with GonzalezPooled; the ablation benchmark
+// trimmed count of ≤ 1 runs the sequential traversal outright — asking for
+// more workers never makes the call slower than Gonzalez by more than the
+// pool's round-signaling cost. Callers running many traversals amortize
+// pool construction with GonzalezPooled; the ablation benchmark
 // BenchmarkAblationParallelGonzalez quantifies the speedup.
 func GonzalezParallel(ds *metric.Dataset, k int, opt Options, workers int) *Result {
-	if k <= 0 {
-		panic("core: GonzalezParallel requires k >= 1")
+	var pool *Pool
+	if w := parallelWorkers(workers, ds.N, ds.Dim); w > 1 {
+		pool = NewPool(w)
+		defer pool.Close()
 	}
-	if ds.N == 0 {
-		panic("core: GonzalezParallel on empty dataset")
-	}
-	workers = parallelWorkers(workers, ds.N, ds.Dim)
-	if workers <= 1 {
-		return Gonzalez(ds, k, opt)
-	}
-	pool := NewPool(workers)
-	defer pool.Close()
-	return GonzalezPooled(ds, k, opt, pool)
+	return gonzalez(ds, k, opt, pool, true, false)
 }
 
-// GonzalezPooled runs the parallel farthest-first traversal on an existing
-// Pool, using exactly pool.Workers() workers with no adaptive trimming —
+// GonzalezPooled runs the farthest-first traversal on an existing Pool,
+// using exactly min(pool.Workers(), n) workers with no adaptive trimming —
 // the caller has already sized the pool (and amortizes its construction
-// across calls). Results are bit-identical to Gonzalez for every pool
-// size. It panics on k <= 0 or an empty dataset, like Gonzalez.
+// across calls). A nil pool runs the sequential traversal. Results are
+// bit-identical to Gonzalez for every pool size. It panics on k <= 0 or an
+// empty dataset, like Gonzalez.
 func GonzalezPooled(ds *metric.Dataset, k int, opt Options, pool *Pool) *Result {
-	if k <= 0 {
-		panic("core: GonzalezPooled requires k >= 1")
-	}
-	n := ds.N
-	if n == 0 {
-		panic("core: GonzalezPooled on empty dataset")
-	}
-	if k > n {
-		k = n
-	}
-	workers := pool.Workers()
-	if workers > n {
-		workers = n
-	}
-	first := opt.First
-	if first < 0 {
-		if opt.Rand != nil {
-			first = opt.Rand.Intn(n)
-		} else {
-			first = 0
-		}
-	}
-	if first >= n {
-		panic("core: first center out of range")
-	}
-
-	res := &Result{Centers: make([]int, 0, k)}
-	minSq := make([]float64, n)
-	for i := range minSq {
-		minSq[i] = math.Inf(1)
-	}
-
-	type partial struct {
-		far  float64
-		next int
-		_pad [6]int64 // avoid false sharing between workers' slots
-	}
-	partials := make([]partial, workers)
-	chunk := (n + workers - 1) / workers
-
-	// One closure shared by every round: the coordinator updates cp between
-	// rounds, and the pool's channel send/receive pair orders that write
-	// against the workers' reads.
-	var cp []float64
-	relax := func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			partials[w] = partial{far: -1, next: -1}
-			return
-		}
-		next, far := metric.RelaxFarthest(ds, lo, hi, cp, minSq)
-		partials[w] = partial{far: far, next: next}
-	}
-
-	center := first
-	for len(res.Centers) < k {
-		res.Centers = append(res.Centers, center)
-		cp = ds.At(center)
-		pool.RunN(workers, relax)
-		res.DistEvals += int64(n)
-
-		// Deterministic max-reduction: strictly-greater comparison over
-		// workers in index order reproduces the sequential argmax (lowest
-		// index among ties).
-		far, next := -1.0, center
-		for w := 0; w < workers; w++ {
-			if partials[w].next >= 0 && partials[w].far > far {
-				far = partials[w].far
-				next = partials[w].next
-			}
-		}
-		if len(res.Centers) == k {
-			res.Radius = math.Sqrt(far)
-			break
-		}
-		if far == 0 {
-			res.Radius = 0
-			break
-		}
-		center = next
-	}
-	res.MinDist = make([]float64, n)
-	for i, sq := range minSq {
-		res.MinDist[i] = math.Sqrt(sq)
-	}
-	return res
+	return gonzalez(ds, k, opt, pool, true, false)
 }
 
-// GonzalezSubsetParallel is the adaptive front door for subset traversals:
-// GonzalezSubset semantics (centers as ds indices, no MinDist), with the
-// k relaxation rounds split across a transient worker pool when the subset
-// is large enough to amortize it (see parallelWorkers). Bit-identical to
-// GonzalezSubset for every worker count.
-func GonzalezSubsetParallel(ds *metric.Dataset, idx []int, k int, opt Options, workers int) *Result {
-	workers = parallelWorkers(workers, len(idx), ds.Dim)
-	if workers <= 1 {
-		return GonzalezSubset(ds, idx, k, opt)
-	}
-	pool := NewPool(workers)
-	defer pool.Close()
-	return GonzalezSubsetPooled(ds, idx, k, opt, pool)
+// pooledRelax is one relaxation pass split across a pool: worker w relaxes
+// the contiguous chunk [w·chunk, (w+1)·chunk) of a shared minSq and records
+// its chunk's farthest point in its own padded slot.
+type pooledRelax struct {
+	pool     *Pool
+	ds       *metric.Dataset
+	minSq    []float64
+	chunk    int
+	cp       []float64 // the newest center, set by the coordinator each round
+	partials []partial
+	round    func(w int)
 }
 
-// GonzalezSubsetPooled is GonzalezSubset on an existing Pool: the subset is
-// gathered into a contiguous scratch dataset and traversed by the pooled
-// parallel relaxation, returning centers as indices into ds. Bit-identical
-// to GonzalezSubset (and hence to the direct per-index formulation) for
-// every pool size; MinDist is not materialized, matching GonzalezSubset.
-func GonzalezSubsetPooled(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool) *Result {
-	if k <= 0 {
-		panic("core: GonzalezSubsetPooled requires k >= 1")
+type partial struct {
+	next int
+	far  float64
+	_pad [6]int64 // avoid false sharing between workers' slots
+}
+
+func newPooledRelax(pool *Pool, ds *metric.Dataset, minSq []float64) *pooledRelax {
+	workers := min(pool.Workers(), ds.N)
+	p := &pooledRelax{
+		pool:     pool,
+		ds:       ds,
+		minSq:    minSq,
+		chunk:    (ds.N + workers - 1) / workers,
+		partials: make([]partial, workers),
 	}
-	if len(idx) == 0 {
-		panic("core: GonzalezSubsetPooled on empty subset")
+	// One round function shared by every round: the pool's channel
+	// send/receive pair orders the coordinator's write of cp against the
+	// workers' reads.
+	p.round = p.relaxChunk
+	return p
+}
+
+func (p *pooledRelax) relaxChunk(w int) {
+	lo, hi := w*p.chunk, min((w+1)*p.chunk, p.ds.N)
+	// An empty trailing chunk (lo >= hi) reports far = -1 and never wins
+	// the reduction below.
+	p.partials[w].next, p.partials[w].far = metric.RelaxFarthest(p.ds, lo, hi, p.cp, p.minSq)
+}
+
+// relax runs one pass against center point cp and returns the farthest
+// point and its squared distance, exactly as one metric.RelaxFarthest call
+// over [0, n) would.
+func (p *pooledRelax) relax(cp []float64) (int, float64) {
+	p.cp = cp
+	p.pool.RunN(len(p.partials), p.round)
+	// Deterministic max-reduction: strictly-greater comparison over
+	// workers in index order reproduces the sequential argmax (lowest
+	// index among ties).
+	next, far := 0, -1.0
+	for _, pt := range p.partials {
+		if pt.far > far {
+			next, far = pt.next, pt.far
+		}
 	}
-	sub := ds.Subset(idx)
-	res := GonzalezPooled(sub, k, opt, pool)
-	// GonzalezSubset never materializes per-point distances (positions, not
-	// dataset indices, and no reducer-side caller wants them).
-	res.MinDist = nil
-	for i, pos := range res.Centers {
-		res.Centers[i] = idx[pos]
-	}
-	return res
+	return next, far
 }

@@ -22,7 +22,7 @@ import "sync"
 // relaxation, one round per center) pays channel-signal cost rather than
 // goroutine-spawn cost.
 //
-// A Pool is safe for concurrent use — each Run round is dispatched
+// A Pool is safe for concurrent use — each RunN round is dispatched
 // atomically under an internal mutex — but rounds from concurrent callers
 // serialize, so the intended pattern is one traversal at a time per Pool
 // (reuse across sequential calls, e.g. a server's snapshot merges). Close
@@ -59,15 +59,10 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return len(p.rounds) }
 
-// Run executes fn(w) on every worker w in [0, workers) and returns when
-// all have finished — one round with a full barrier. fn must not call Run
-// on the same Pool (it would deadlock behind the round mutex).
-func (p *Pool) Run(fn func(w int)) {
-	p.RunN(len(p.rounds), fn)
-}
-
-// RunN executes fn(w) on workers 0..n-1 only, for rounds whose work does
-// not fill the whole pool; n is clamped to the pool size.
+// RunN executes fn(w) on workers 0..n-1 and returns when all have
+// finished — one round with a full barrier; n is clamped to the pool
+// size. fn must not call RunN on the same Pool (it would deadlock behind
+// the round mutex).
 func (p *Pool) RunN(n int, fn func(w int)) {
 	if n > len(p.rounds) {
 		n = len(p.rounds)
@@ -86,7 +81,7 @@ func (p *Pool) RunN(n int, fn func(w int)) {
 }
 
 // Close releases the worker goroutines. It must be called exactly once,
-// after all Run calls have returned.
+// after all RunN calls have returned.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

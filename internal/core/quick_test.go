@@ -97,25 +97,6 @@ func TestQuickGonzalezRadiusTight(t *testing.T) {
 	}
 }
 
-// Property: the farthest-first lower bound never exceeds the GON radius and
-// GON never beats twice the lower bound's implied optimum — i.e.
-// LB <= OPT <= GON <= 2·OPT, so GON/LB <= 4 always... in fact GON <= 2·OPT
-// and OPT <= GON give LB <= GON; additionally GON <= 2·OPT <= 2·GON is
-// trivial, while GON <= 4·LB would be false in general; we assert only the
-// certified direction LB <= GON.
-func TestQuickLowerBoundBelowGonzalez(t *testing.T) {
-	f := func(seed uint64, nRaw, kRaw uint8) bool {
-		ds := quickInstance(seed, nRaw, 2)
-		k := int(kRaw%4) + 1
-		lb := LowerBound(ds, k, Options{First: 0})
-		g := Gonzalez(ds, k, Options{First: 0})
-		return lb <= g.Radius+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: GonzalezParallel is extensionally equal to Gonzalez for every
 // worker count.
 func TestQuickParallelEquivalence(t *testing.T) {

@@ -76,39 +76,6 @@ func TestGonzalezPooledTieBreaking(t *testing.T) {
 	}
 }
 
-// TestGonzalezSubsetPooledMatches pins the pooled subset traversal against
-// GonzalezSubset: same centers (as dataset indices), same radius, same
-// evaluation count, and no materialized MinDist.
-func TestGonzalezSubsetPooledMatches(t *testing.T) {
-	r := rng.New(12)
-	ds := randomDataset(t, r, 2000, 3)
-	idx := make([]int, 0, 700)
-	for i := 0; i < ds.N; i += 3 {
-		idx = append(idx, i)
-	}
-	seq := GonzalezSubset(ds, idx, 12, Options{})
-	pool := NewPool(4)
-	defer pool.Close()
-	par := GonzalezSubsetPooled(ds, idx, 12, Options{}, pool)
-	if len(par.Centers) != len(seq.Centers) {
-		t.Fatalf("%d centers vs %d", len(par.Centers), len(seq.Centers))
-	}
-	for i := range seq.Centers {
-		if par.Centers[i] != seq.Centers[i] {
-			t.Fatalf("center %d differs: %d vs %d", i, par.Centers[i], seq.Centers[i])
-		}
-	}
-	if par.Radius != seq.Radius {
-		t.Fatalf("radius %v vs %v", par.Radius, seq.Radius)
-	}
-	if par.DistEvals != seq.DistEvals {
-		t.Fatalf("DistEvals %d vs %d", par.DistEvals, seq.DistEvals)
-	}
-	if par.MinDist != nil {
-		t.Fatal("subset traversal materialized MinDist")
-	}
-}
-
 // TestPoolConcurrentTraversals runs several traversals against one shared
 // Pool from concurrent goroutines (the server snapshot-merge pattern);
 // rounds serialize inside the pool and every caller must still get the

@@ -100,8 +100,6 @@ type Config struct {
 	// MaxIterations caps the main loop as a safety net; the loop is
 	// O(1/ε) w.h.p. Zero means ⌈20/ε⌉.
 	MaxIterations int
-	// EvalWorkers bounds the final covering-radius evaluation pool.
-	EvalWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -367,7 +365,7 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 
 	res.Centers = centers
 	res.MapReduceRounds = 3*res.Iterations + 1
-	res.Evaluation = assign.Evaluate(ds, centers, cfg.EvalWorkers)
+	res.Evaluation = assign.Evaluate(ds, centers, 0)
 	res.Radius = res.Evaluation.Radius
 	return res, nil
 }

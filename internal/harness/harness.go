@@ -83,7 +83,6 @@ func RunOne(ds *metric.Dataset, spec RunSpec) (Measurement, error) {
 		res, err := mrg.Run(ds, mrg.Config{
 			K:       spec.K,
 			Cluster: mapreduce.Config{Machines: machines},
-			Seed:    spec.Seed,
 		})
 		if err != nil {
 			return Measurement{}, err

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"kcenter/internal/core"
-	"kcenter/internal/metric"
 )
 
 // ScalingMeasurement is one (workers, wall-time) cell of the sweep.
@@ -80,14 +79,12 @@ func scalingReport(cfg RunConfig, w io.Writer) error {
 	// parallelism cannot pay, turning every row into the serial baseline.
 	var gonRef *core.Result
 	gon := runScalingSweep(counts, cfg.Repeats, func(workers int) {
-		var res *core.Result
-		if workers <= 1 {
-			res = core.Gonzalez(ds, k, core.Options{First: 0})
-		} else {
-			pool := core.NewPool(workers)
-			res = core.GonzalezPooled(ds, k, core.Options{First: 0}, pool)
-			pool.Close()
+		var pool *core.Pool // nil: the 1-worker row is the sequential traversal
+		if workers > 1 {
+			pool = core.NewPool(workers)
+			defer pool.Close()
 		}
+		res := core.GonzalezPooled(ds, k, core.Options{First: 0}, pool)
 		if gonRef == nil {
 			gonRef = res
 		} else if res.Radius != gonRef.Radius {
@@ -107,32 +104,6 @@ func scalingReport(cfg RunConfig, w io.Writer) error {
 	if runtime.NumCPU() < counts[len(counts)-1] {
 		fmt.Fprintf(w, "note: host has %d CPU(s); parity (speedup ~1.0x) is the ceiling here\n",
 			runtime.NumCPU())
-	}
-	return nil
-}
-
-// verifyScalingIdentity is the experiment's correctness leg, independent of
-// timing: the pooled traversal must be bit-identical to sequential Gonzalez
-// at every swept worker count.
-func verifyScalingIdentity(ds *metric.Dataset, k int, counts []int) error {
-	ref := core.Gonzalez(ds, k, core.Options{First: 0})
-	for _, workers := range counts {
-		if workers <= 1 {
-			continue
-		}
-		pool := core.NewPool(workers)
-		res := core.GonzalezPooled(ds, k, core.Options{First: 0}, pool)
-		pool.Close()
-		if res.Radius != ref.Radius || len(res.Centers) != len(ref.Centers) {
-			return fmt.Errorf("workers=%d: radius %v centers %d, want %v / %d",
-				workers, res.Radius, len(res.Centers), ref.Radius, len(ref.Centers))
-		}
-		for i := range ref.Centers {
-			if res.Centers[i] != ref.Centers[i] {
-				return fmt.Errorf("workers=%d: center[%d] = %d, want %d",
-					workers, i, res.Centers[i], ref.Centers[i])
-			}
-		}
 	}
 	return nil
 }

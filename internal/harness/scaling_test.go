@@ -34,13 +34,3 @@ func TestScalingReportShape(t *testing.T) {
 		t.Fatalf("scaling output has %d baseline 1.00x rows, want >= 2:\n%s", got, out)
 	}
 }
-
-// TestScalingIdentity is the experiment's correctness leg run directly: the
-// pooled traversal must be bit-identical to sequential Gonzalez at every
-// worker count the sweep uses (and a few beyond it).
-func TestScalingIdentity(t *testing.T) {
-	ds := genUnif(5000, 11)
-	if err := verifyScalingIdentity(ds, 40, []int{1, 2, 3, 4, 8}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -7,6 +7,13 @@
 // loop repeats while S exceeds the capacity c of a single machine; a final
 // round runs GON on S on one machine.
 //
+// Algorithm 1 allows any partition and any first center. This package
+// makes one fixed choice: contiguous ranges of S in order, with each GON
+// starting from the first point of its input, so a run is a deterministic
+// function of the dataset and its row order. A caller wanting a different
+// partition permutes the rows (metric.Dataset.Subset with a permutation);
+// the guarantees below hold for every order.
+//
 // Guarantees (paper §3.2–3.3):
 //   - With n/m ≤ c and k·m ≤ c the loop runs once — two MapReduce rounds
 //     total — and the result is a 4-approximation (Lemma 2).
@@ -30,8 +37,12 @@ import (
 	"kcenter/internal/core"
 	"kcenter/internal/mapreduce"
 	"kcenter/internal/metric"
-	"kcenter/internal/rng"
 )
+
+// maxRounds caps the number of while-loop iterations as a safety net
+// against configurations where |S| cannot shrink below c (paper §3.3:
+// requires roughly 2k < c); such runs fail with a diagnostic instead.
+const maxRounds = 64
 
 // Config parameterizes a run of MRG.
 type Config struct {
@@ -42,34 +53,6 @@ type Config struct {
 	// max(⌈n/m⌉, k·m) — the minimum capacity for which Lemma 2's two-round
 	// case applies — so the default run is the paper's 2-round MRG.
 	Cluster mapreduce.Config
-	// Seed drives the arbitrary choices: partition shuffling (when
-	// ShufflePartition is set) and per-reducer first centers (when
-	// RandomFirstCenter is set).
-	Seed uint64
-	// ShufflePartition assigns points to machines via a random permutation
-	// instead of contiguous ranges. Both are valid "arbitrary" partitions
-	// under Algorithm 1.
-	ShufflePartition bool
-	// RandomFirstCenter randomizes GON's arbitrary first center on every
-	// machine. When false, each reducer starts from the first point of its
-	// partition, making runs fully deterministic.
-	RandomFirstCenter bool
-	// MaxRounds caps the number of while-loop iterations as a safety net
-	// against configurations where |S| cannot shrink below c (paper §3.3:
-	// requires roughly 2k < c). Zero means 64.
-	MaxRounds int
-	// EvalWorkers bounds the goroutine pool used for the final covering-
-	// radius evaluation (not charged to the algorithm's cost). 0 = GOMAXPROCS.
-	EvalWorkers int
-	// GonWorkers parallelizes the final single-machine GON round across
-	// host cores via core's persistent worker pool (bit-identical centers;
-	// see core.GonzalezSubsetParallel). The final round is the sequential
-	// bottleneck once reducer rounds run concurrently — O(k²·m) work on
-	// one simulated machine (§5.1). Operation counts, and hence the
-	// simulated cost model, are unchanged; only host wall clock improves.
-	// 0 or 1 means sequential, preserving wall-clock comparability with
-	// earlier measurements.
-	GonWorkers int
 }
 
 // Result is the outcome of an MRG run.
@@ -128,15 +111,10 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// Selecting k centers on one machine requires k <= c (paper §3.3).
 		return nil, fmt.Errorf("mrg: k = %d exceeds single-machine capacity c = %d", cfg.K, cluster.Capacity)
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 64
-	}
 	engine, err := mapreduce.NewEngine(cluster)
 	if err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed)
 
 	res := &Result{Stats: engine.Stats()}
 
@@ -163,31 +141,14 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 				mi = m
 			}
 		}
-		var parts [][]int
-		if cfg.ShufflePartition {
-			perm := r.Perm(len(s))
-			shuffled := make([]int, len(s))
-			for i, p := range perm {
-				shuffled[i] = s[p]
-			}
-			parts = mapreduce.Partition(len(shuffled), mi)
-			for _, part := range parts {
-				for j := range part {
-					part[j] = shuffled[part[j]]
-				}
-			}
-		} else {
-			parts = mapreduce.Partition(len(s), mi)
-			for _, part := range parts {
-				for j := range part {
-					part[j] = s[part[j]]
-				}
-			}
-		}
-		// Every partition must fit on its reducer.
+		parts := mapreduce.Partition(len(s), mi)
 		for _, part := range parts {
+			// Every partition must fit on its reducer.
 			if err := engine.CheckCapacity(len(part)); err != nil {
 				return nil, fmt.Errorf("mrg: partition of %d points: %w", len(part), err)
+			}
+			for j := range part {
+				part[j] = s[part[j]]
 			}
 		}
 
@@ -198,12 +159,8 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		for i, part := range parts {
 			part := part
 			i := i
-			opt := core.Options{First: 0}
-			if cfg.RandomFirstCenter {
-				opt = core.Options{First: -1, Rand: r.Split(uint64(res.Iterations)<<32 | uint64(i))}
-			}
 			tasks[i] = func(ops *mapreduce.OpCounter) error {
-				g := core.GonzalezSubset(ds, part, cfg.K, opt)
+				g := core.GonzalezSubset(ds, part, cfg.K, core.Options{First: 0})
 				ops.Add(g.DistEvals)
 				centerSets[i] = g.Centers
 				return nil
@@ -231,17 +188,8 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var final []int
-	finalOpt := core.Options{First: 0}
-	if cfg.RandomFirstCenter {
-		finalOpt = core.Options{First: -1, Rand: r.Split(^uint64(0))}
-	}
 	task := func(ops *mapreduce.OpCounter) error {
-		var g *core.Result
-		if cfg.GonWorkers > 1 {
-			g = core.GonzalezSubsetParallel(ds, s, cfg.K, finalOpt, cfg.GonWorkers)
-		} else {
-			g = core.GonzalezSubset(ds, s, cfg.K, finalOpt)
-		}
+		g := core.GonzalezSubset(ds, s, cfg.K, core.Options{First: 0})
 		ops.Add(g.DistEvals)
 		final = g.Centers
 		return nil
@@ -253,7 +201,7 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 	res.Centers = final
 	res.MapReduceRounds = res.Iterations + 1
 	res.ApproxFactor = 2 * float64(res.Iterations+1)
-	res.Evaluation = assign.Evaluate(ds, final, cfg.EvalWorkers)
+	res.Evaluation = assign.Evaluate(ds, final, 0)
 	res.Radius = res.Evaluation.Radius
 	return res, nil
 }

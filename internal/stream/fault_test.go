@@ -28,8 +28,11 @@ func TestShardPanicContained(t *testing.T) {
 	if err := sh.PushBatch(batch); err != nil {
 		t.Fatal(err)
 	}
+	// Wait for every shard to consume its stripe of the healthy batch: a
+	// stripe still queued when the panic is armed would be dropped on top
+	// of the points pushed after arming.
 	deadline := time.Now().Add(5 * time.Second)
-	for sh.CentersVersion() == 0 {
+	for consumed(sh) < int64(len(batch)) {
 		if time.Now().After(deadline) {
 			t.Fatal("shards never consumed the healthy batch")
 		}
@@ -78,6 +81,15 @@ func TestShardPanicContained(t *testing.T) {
 	if dropped != pushed {
 		t.Logf("dropped=%d pushed-after-arm=%d (some messages raced the arm)", dropped, pushed)
 	}
+}
+
+// consumed sums the points the shards have consumed so far.
+func consumed(sh *Sharded) int64 {
+	var n int64
+	for _, st := range sh.PerShardStats() {
+		n += st.Ingested
+	}
+	return n
 }
 
 // TestShardDelayWedgesWithoutFailure: a delay rule slows shards down but

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"kcenter/internal/dataset"
@@ -76,8 +78,9 @@ func TestPushBatchMatchesSequentialPush(t *testing.T) {
 	}
 }
 
-// TestPushBatchValidation: a bad batch is rejected whole, before any point
-// is routed, and batch dimension pinning matches Push's.
+// TestPushBatchValidation: a bad batch (empty, ragged or non-finite point)
+// is rejected whole, before any point is routed, and batch dimension
+// pinning matches Push's.
 func TestPushBatchValidation(t *testing.T) {
 	sh, err := NewSharded(ShardedConfig{K: 2, Shards: 2})
 	if err != nil {
@@ -91,6 +94,10 @@ func TestPushBatchValidation(t *testing.T) {
 	}
 	if err := sh.PushBatch([][]float64{{1, 2}, {1, 2, 3}}); err == nil {
 		t.Fatal("ragged batch should fail")
+	}
+	err = sh.PushBatch([][]float64{{1, 2}, {3, math.Inf(-1)}})
+	if err == nil || !strings.Contains(err.Error(), "point 1 ") || !strings.Contains(err.Error(), "coordinate 1") {
+		t.Fatalf("batch with -Inf: got %v, want an error naming point 1, coordinate 1", err)
 	}
 	if err := sh.PushBatch([][]float64{{1, 2}, {3, 4}, {5, 6}}); err != nil {
 		t.Fatal(err)

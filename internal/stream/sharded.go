@@ -7,6 +7,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -525,11 +526,15 @@ func (s *Sharded) mergeShards(locked bool, op string) (*Result, error) {
 }
 
 // Push routes one point to a shard round-robin. The coordinates are copied,
-// so the caller may reuse p. With a single producer the routing — and hence
+// so the caller may reuse p. A point with a NaN or ±Inf coordinate is
+// rejected before it can pin the stream's dimension. With a single producer the routing — and hence
 // the final result — is deterministic for a fixed shard count.
 func (s *Sharded) Push(p []float64) error {
 	if len(p) == 0 {
 		return fmt.Errorf("stream: empty point")
+	}
+	if c := nonFinite(p); c >= 0 {
+		return fmt.Errorf("stream: point %v has non-finite coordinate %d", p, c)
 	}
 	d := int64(len(p))
 	if !s.dim.CompareAndSwap(0, d) {
@@ -548,6 +553,17 @@ func (s *Sharded) Push(p []float64) error {
 	i := s.next.Add(1) - 1
 	s.chans[i%uint64(len(s.chans))] <- shardMsg{slab: slab, dim: len(p), sent: s.sendStamp()}
 	return nil
+}
+
+// nonFinite returns the index of p's first NaN or ±Inf coordinate, or -1.
+// Such a point has no distance to anything, so ingestion rejects it.
+func nonFinite(p []float64) int {
+	for i, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // PushBatch routes a batch of points exactly as len(points) sequential
@@ -570,9 +586,12 @@ func (s *Sharded) PushBatch(points [][]float64) error {
 	if d == 0 {
 		return fmt.Errorf("stream: empty point")
 	}
-	for _, p := range points {
+	for j, p := range points {
 		if int64(len(p)) != d {
 			return fmt.Errorf("stream: point dimension %d, want %d in one batch", len(p), d)
+		}
+		if c := nonFinite(p); c >= 0 {
+			return fmt.Errorf("stream: point %d %v has non-finite coordinate %d", j, p, c)
 		}
 	}
 	if !s.dim.CompareAndSwap(0, d) {

@@ -159,15 +159,17 @@ func Gonzalez(d *Dataset, k int) (*Result, error) {
 	}, nil
 }
 
-// MRGOptions configures the parallel MRG run.
+// MRGOptions configures the parallel MRG run. It has no seed: MRG splits
+// the points into contiguous ranges in row order and starts each GON at
+// its range's first point, so a run is a deterministic function of the
+// dataset. The 4-approximation holds for every partition; to try another
+// one, build the Dataset from the points in a different order.
 type MRGOptions struct {
 	// Machines is the simulated cluster size (default 50, as in the paper).
 	Machines int
 	// Capacity is the per-machine capacity in points; 0 picks the smallest
 	// capacity that permits the 2-round, 4-approximation case.
 	Capacity int
-	// Seed drives the arbitrary partition and seeding choices.
-	Seed uint64
 }
 
 // MRG runs the paper's multi-round parallel Gonzalez (Algorithm 1).
@@ -178,7 +180,6 @@ func MRG(d *Dataset, k int, opt MRGOptions) (*Result, error) {
 	res, err := mrg.Run(d.m, mrg.Config{
 		K:       k,
 		Cluster: mapreduce.Config{Machines: opt.Machines, Capacity: opt.Capacity},
-		Seed:    opt.Seed,
 	})
 	if err != nil {
 		return nil, err

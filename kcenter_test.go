@@ -63,7 +63,7 @@ func TestGonzalezFacade(t *testing.T) {
 
 func TestMRGFacade(t *testing.T) {
 	d := Uniform(5000, 1)
-	res, err := MRG(d, 10, MRGOptions{Seed: 2})
+	res, err := MRG(d, 10, MRGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAlgorithmsAgreeOnClusteredData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := MRG(d, 10, MRGOptions{Seed: 6})
+	m, err := MRG(d, 10, MRGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +282,49 @@ func TestStreamFacadeValidation(t *testing.T) {
 	}
 	if _, err := st.Finish(); err == nil {
 		t.Fatal("double Finish should fail")
+	}
+}
+
+// TestStreamRejectsNonFinite: a NaN or ±Inf coordinate has no distance to
+// anything, so Push rejects the point with an error naming it and the
+// coordinate, before the point can pin the stream's dimension, and the
+// clustering is built from the finite points alone.
+func TestStreamRejectsNonFinite(t *testing.T) {
+	st, err := NewStream(2, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Push([]float64{math.Inf(1)}); err == nil {
+		t.Fatal("Push of +Inf should fail")
+	}
+	for _, p := range [][]float64{{0, 0}, {1, 1}, {math.NaN(), 2}, {5, 5}} {
+		err := st.Push(p)
+		if !math.IsNaN(p[0]) {
+			if err != nil {
+				t.Fatalf("Push(%v): %v", p, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "[NaN 2]") || !strings.Contains(err.Error(), "coordinate 0") {
+			t.Fatalf("Push(%v): got %v, want an error naming the point and coordinate 0", p, err)
+		}
+	}
+	res, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ingested != 3 {
+		t.Fatalf("ingested %d points, want the 3 finite ones", res.Ingested)
+	}
+	for _, c := range res.Centers {
+		for _, v := range c {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("non-finite center %v in %v", c, res.Centers)
+			}
+		}
+	}
+	if math.IsNaN(res.Radius) || res.Radius > 8*math.Sqrt2 {
+		t.Fatalf("radius %v, want within 8x of the optimum %v", res.Radius, math.Sqrt2)
 	}
 }
 

@@ -17,33 +17,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-# Race-detector gate over the worker pool behind the parallel Gonzalez
-# traversal (TestPoolConcurrentTraversals), the concurrent streaming
-# ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
-# the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
-# create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle and
-# the assign linearizability test TestAssignLinearizable, and the per-Service
-# switchboard isolation test TestServiceSwitchboardIsolation), the
-# fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
-# Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
-# TestLoggerConcurrentLinesDoNotInterleave), the harness loopback fixture
-# that the serving experiments share (their TestRun* tests, the chaos nudge
-# tally TestRunChaosCountsNudges and the replicate shutdown test
-# TestRunServeReplicateErrorStopsGoroutines), the simulated MapReduce engine
-# and MRG, whose reducers run concurrently over shared slices, and EIM's
-# reducers, which all read the carried-distance slice (TestRunMatchesFullRescan
-# and TestRoundOpsChargeOnlyNewSample at small n; the whole EIM package takes
-# ~20 s under -race); -short keeps it under a few seconds. `make race` runs
-# the same package list, harness tests and EIM tests.
-RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/..."
-echo "== go test -race -short $RACE_PKGS"
-go test -race -short $RACE_PKGS
-RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
-echo "== go test -race -short -run '$RACE_HARNESS' ./internal/harness"
-go test -race -short -run "$RACE_HARNESS" ./internal/harness
-RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
-echo "== go test -race -short -run '$RACE_EIM' ./internal/eim"
-go test -race -short -run "$RACE_EIM" ./internal/eim
+# Race-detector gate (`make race`): packages and test regexes are listed
+# once, in scripts/race.sh.
+sh scripts/race.sh
 
 # Isolation flake gate (`make isolation`): the experiment smoke test, with
 # chaos's armed fault storm running beside every other experiment, and the
@@ -51,15 +27,9 @@ go test -race -short -run "$RACE_EIM" ./internal/eim
 echo "== isolation gate (TestExperimentsSmoke, TestServiceSwitchboardIsolation; -count=3 -cpu 1,2)"
 go test -count=3 -cpu 1,2 -run 'TestExperimentsSmoke|TestServiceSwitchboardIsolation' ./internal/harness ./internal/server
 
-# Fuzz gate: a short random-exploration budget per native fuzz target on
-# top of the committed seed corpora; any crasher fails the gate.
-FUZZTIME="${FUZZTIME:-10s}"
-echo "== fuzz gate (5 targets, $FUZZTIME each)"
-go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "$FUZZTIME" ./internal/server
-go test -run '^$' -fuzz '^FuzzDecodeAssign$' -fuzztime "$FUZZTIME" ./internal/server
-go test -run '^$' -fuzz '^FuzzDecodeReplicate$' -fuzztime "$FUZZTIME" ./internal/server
-go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime "$FUZZTIME" ./internal/checkpoint
-go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime "$FUZZTIME" ./internal/fault
+# Fuzz gate (`make fuzz`): the target list is in scripts/fuzz.sh; any
+# crasher fails the gate. FUZZTIME (default 10s) is passed through.
+sh scripts/fuzz.sh
 
 # Chaos smoke: shard panics, ingest delays and checkpoint fsync failures
 # fire under mixed traffic; the experiment enforces its four robustness

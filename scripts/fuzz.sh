@@ -1,0 +1,28 @@
+#!/bin/sh
+# Fuzz gate, run by `make fuzz` and scripts/check.sh; this file is the one
+# list of fuzz targets. Each native target gets a short budget: the HTTP
+# decoders (pooled buffers must never alias into a response, and the points
+# codec must accept, reject and parse exactly as encoding/json does), the
+# replication receiver (arbitrary bytes must answer a documented 4xx and
+# never half-merge), the checkpoint reader (arbitrary bytes must fail typed,
+# never panic) and the fault-spec grammar. The committed seed corpora under
+# */testdata/fuzz always run; FUZZTIME (default 10s) adds random exploration
+# on top (raise it to hunt, e.g. `FUZZTIME=5m sh scripts/fuzz.sh`). Any
+# crasher fails the gate.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+GO="${GO:-go}"
+FUZZTIME="${FUZZTIME:-10s}"
+
+echo "== fuzz gate (5 targets, $FUZZTIME each)"
+for target in \
+	'FuzzDecodeIngest ./internal/server' \
+	'FuzzDecodeAssign ./internal/server' \
+	'FuzzDecodeReplicate ./internal/server' \
+	'FuzzCheckpointDecode ./internal/checkpoint' \
+	'FuzzParseSpec ./internal/fault'; do
+	set -- $target
+	$GO test -run '^$' -fuzz "^$1\$" -fuzztime "$FUZZTIME" "$2"
+done
