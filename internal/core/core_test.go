@@ -150,16 +150,20 @@ func TestGonzalezFirstCenterOptions(t *testing.T) {
 	if a.Centers[0] != 17 {
 		t.Fatalf("first center %d, want 17", a.Centers[0])
 	}
-	b := Gonzalez(ds, 4, Options{First: -1, Rand: rng.New(9)})
-	c := Gonzalez(ds, 4, Options{First: -1, Rand: rng.New(9)})
+	first := rng.New(9).Intn(ds.N)
+	b := Gonzalez(ds, 4, Options{First: first})
+	c := Gonzalez(ds, 4, Options{First: first})
+	if b.Centers[0] != first {
+		t.Fatalf("first center %d, want %d", b.Centers[0], first)
+	}
 	for i := range b.Centers {
 		if b.Centers[i] != c.Centers[i] {
-			t.Fatal("same RNG seed must give same traversal")
+			t.Fatal("same first center must give same traversal")
 		}
 	}
-	d := Gonzalez(ds, 4, Options{First: -1})
+	d := Gonzalez(ds, 4, Options{})
 	if d.Centers[0] != 0 {
-		t.Fatalf("nil Rand with First<0 should default to 0, got %d", d.Centers[0])
+		t.Fatalf("zero Options should start at point 0, got %d", d.Centers[0])
 	}
 }
 
@@ -169,6 +173,7 @@ func TestGonzalezPanics(t *testing.T) {
 		"k=0":          func() { Gonzalez(ds, 0, Options{}) },
 		"empty":        func() { Gonzalez(metric.NewDataset(0, 1), 1, Options{}) },
 		"out-of-range": func() { Gonzalez(ds, 1, Options{First: 5}) },
+		"negative":     func() { Gonzalez(ds, 1, Options{First: -1}) },
 	} {
 		func() {
 			defer func() {

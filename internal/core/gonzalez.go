@@ -9,6 +9,13 @@
 // time is O(k·n) distance evaluations with a very small constant (§5.1),
 // which is why it is both the paper's sequential baseline and the reducer
 // sub-procedure inside both parallel algorithms.
+//
+// The traversal charges those k·n evaluations (Result.DistEvals) whatever
+// it computes. At large k on low-dimensional input it computes far fewer:
+// the blocked layout (blocks.go) sorts the points once into spatially
+// compact blocks with bounding boxes and skips every block a new center
+// provably cannot improve. The skip is exact, so the centers, radius,
+// MinDist and Assignment are bit-identical to a plain scan.
 package core
 
 import (
@@ -16,7 +23,6 @@ import (
 	"math"
 
 	"kcenter/internal/metric"
-	"kcenter/internal/rng"
 )
 
 // Result describes a k-center solution over a dataset.
@@ -42,21 +48,18 @@ type Result struct {
 
 // Options configures Gonzalez.
 type Options struct {
-	// First is the index of the first (arbitrary) center. When negative, the
-	// first center is drawn uniformly with Rand (or index 0 when Rand is
-	// nil). The paper notes the approximation guarantee is independent of
-	// this choice, but the realized solution is not — experiments seed it.
+	// First is the index of the first (arbitrary) center; it must lie in
+	// [0, n). The paper notes the approximation guarantee is independent
+	// of this choice, but the realized solution is not.
 	First int
-	// Rand supplies randomness for First < 0.
-	Rand *rng.Source
 }
 
 // Gonzalez runs the farthest-first traversal and returns k centers (fewer
 // when the dataset has fewer than k points; every point becomes a center and
-// the radius is zero). It panics on k <= 0 or an empty dataset, which are
-// programming errors in this repository's callers.
+// the radius is zero). It panics on k <= 0, an empty dataset or a First
+// outside [0, n), which are programming errors in this repository's callers.
 func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, k, opt, nil, true, false)
+	return gonzalez(ds, nil, k, opt, nil, true, false)
 }
 
 // GonzalezAssign is Gonzalez with assignment carry: Result.Assignment maps
@@ -68,20 +71,31 @@ func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
 // relaxation keeps the earliest center on ties, matching Evaluate's
 // lowest-position tie-break; pinned by TestGonzalezAssignMatchesEvaluate).
 func GonzalezAssign(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, k, opt, nil, true, true)
+	return gonzalez(ds, nil, k, opt, nil, true, true)
 }
 
 // gonzalez is the one farthest-first traversal behind every exported
-// variant. A nil pool runs each relaxation pass as a single kernel call; a
-// non-nil pool splits it across the pool's workers (see pooledRelax), with
-// bit-identical results. wantMinDist gates the O(n) per-point distance
-// materialization, which reducer-side callers never consume, and wantAssign
-// the assignment carry, which always runs sequentially.
-func gonzalez(ds *metric.Dataset, k int, opt Options, pool *Pool, wantMinDist, wantAssign bool) *Result {
+// variant, over the points of ds named by idx (all of ds when idx is nil);
+// centers are returned as positions in idx. Each round relaxes the input
+// against the newest center in one of three ways, with bit-identical
+// results:
+//
+//   - blocked (blocks.go), when preferBlocks says the layout pays: only
+//     the blocks the new center can improve are relaxed;
+//   - split across a non-nil pool's workers (see pooledRelax);
+//   - otherwise one kernel call over the whole input.
+//
+// wantMinDist gates the per-point distances, which reducer-side callers
+// never consume, and wantAssign the assignment carry, which never runs on
+// the pool.
+func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool, wantMinDist, wantAssign bool) *Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: Gonzalez requires k >= 1, got %d", k))
 	}
 	n := ds.N
+	if idx != nil {
+		n = len(idx)
+	}
 	if n == 0 {
 		panic("core: Gonzalez on empty dataset")
 	}
@@ -89,15 +103,18 @@ func gonzalez(ds *metric.Dataset, k int, opt Options, pool *Pool, wantMinDist, w
 		k = n
 	}
 	first := opt.First
-	if first < 0 {
-		if opt.Rand != nil {
-			first = opt.Rand.Intn(n)
-		} else {
-			first = 0
-		}
-	}
-	if first >= n {
+	if first < 0 || first >= n {
 		panic(fmt.Sprintf("core: first center %d out of range [0,%d)", first, n))
+	}
+
+	var blk *blocks
+	if pool == nil && preferBlocks(n, k, ds.Dim) {
+		blk = newBlocks(ds, idx, wantAssign)
+	}
+	if blk == nil && idx != nil {
+		// The plain passes run on a contiguous gathered copy, so the
+		// kernels scan flat memory instead of chasing idx.
+		ds, idx = ds.Subset(idx), nil
 	}
 
 	res := &Result{Centers: make([]int, 0, k)}
@@ -107,36 +124,45 @@ func gonzalez(ds *metric.Dataset, k int, opt Options, pool *Pool, wantMinDist, w
 	// exact. The relaxation itself is the fused one-to-many kernel
 	// metric.RelaxFarthest, which scans the flat backing array with a
 	// dimension-specialized body and bit-identical tie-breaking.
-	minSq := make([]float64, n)
-	for i := range minSq {
-		minSq[i] = math.Inf(1)
-	}
+	var minSq []float64
 	// The assignment carry threads per-point nearest-center positions
 	// through the same relaxation passes: the first pass relaxes every
 	// point from +Inf, so every entry is written before it is ever read.
 	var assigned []int
 	var scratch []float64
-	if wantAssign {
-		assigned = make([]int, n)
-		scratch = make([]float64, n)
-	}
 	var par *pooledRelax
-	if pool != nil && !wantAssign {
-		par = newPooledRelax(pool, ds, minSq)
+	if blk == nil {
+		minSq = make([]float64, n)
+		for i := range minSq {
+			minSq[i] = math.Inf(1)
+		}
+		if wantAssign {
+			assigned = make([]int, n)
+			scratch = make([]float64, n)
+		}
+		if pool != nil && !wantAssign {
+			par = newPooledRelax(pool, ds, minSq)
+		}
 	}
 	center := first
 	for len(res.Centers) < k {
 		res.Centers = append(res.Centers, center)
+		q := ds.At(center)
+		if idx != nil {
+			q = ds.At(idx[center])
+		}
+		c := len(res.Centers) - 1
 		var next int
 		var far float64
 		switch {
+		case blk != nil:
+			next, far = blk.relax(q, c)
 		case wantAssign:
-			next, far = metric.RelaxFarthestAssign(ds, 0, n, ds.At(center),
-				len(res.Centers)-1, minSq, assigned, scratch)
+			next, far = metric.RelaxFarthestAssign(ds, 0, n, q, c, minSq, assigned, scratch)
 		case par != nil:
-			next, far = par.relax(ds.At(center))
+			next, far = par.relax(q)
 		default:
-			next, far = metric.RelaxFarthest(ds, 0, n, ds.At(center), minSq)
+			next, far = metric.RelaxFarthest(ds, 0, n, q, minSq)
 		}
 		res.DistEvals += int64(n)
 		if len(res.Centers) == k {
@@ -151,11 +177,15 @@ func gonzalez(ds *metric.Dataset, k int, opt Options, pool *Pool, wantMinDist, w
 		}
 		center = next
 	}
+	if blk != nil {
+		res.MinDist, res.Assignment = blk.rowOrder(wantMinDist)
+		return res
+	}
 	if wantMinDist {
-		res.MinDist = make([]float64, n)
 		for i, sq := range minSq {
-			res.MinDist[i] = math.Sqrt(sq)
+			minSq[i] = math.Sqrt(sq)
 		}
+		res.MinDist = minSq
 	}
 	res.Assignment = assigned
 	return res
@@ -166,18 +196,16 @@ func gonzalez(ds *metric.Dataset, k int, opt Options, pool *Pool, wantMinDist, w
 // It is the reducer-side primitive of MRG: a reducer receives a partition of
 // the point set and runs GON on just that partition.
 //
-// The partition is gathered into a contiguous scratch dataset first — one
-// O(n·dim) copy — so the k relaxation passes run on the flat one-to-many
-// kernels instead of chasing idx indirections point by point. The gathered
-// coordinates are bit-equal copies scanned in idx order, so the selected
-// centers, radius and evaluation count are identical to the direct
-// formulation. Like Gonzalez, it panics on k <= 0 or an empty subset.
+// The partition is gathered into a contiguous copy first — one O(n·dim)
+// copy, in blocked order when the blocked layout engages and in idx order
+// otherwise — so the relaxation passes run on the flat one-to-many kernels
+// instead of chasing idx indirections point by point. Options.First is a
+// position in idx. Like Gonzalez, it panics on k <= 0 or an empty subset.
 func GonzalezSubset(ds *metric.Dataset, idx []int, k int, opt Options) *Result {
-	sub := ds.Subset(idx)
 	// Subset results never materialize per-point distances (they would be
 	// indexed by position, not dataset index, and no reducer-side caller
 	// wants them), so the traversal skips that O(n) pass entirely.
-	res := gonzalez(sub, k, opt, nil, false, false)
+	res := gonzalez(ds, idx, k, opt, nil, false, false)
 	for i, pos := range res.Centers {
 		res.Centers[i] = idx[pos]
 	}

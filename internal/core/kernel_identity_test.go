@@ -10,15 +10,16 @@ import (
 )
 
 // gonzalezReference is the pre-kernel formulation of the traversal — the
-// per-point SqDist loop the fused RelaxFarthest kernel replaced. The
-// kernel-backed Gonzalez must reproduce it bit for bit: same centers,
-// same radius, same MinDist.
+// per-point SqDist loop the fused RelaxFarthest kernel replaced, with the
+// assignment carried by the same strict-< update. The kernel-backed and
+// blocked traversals must reproduce it bit for bit: same centers, same
+// radius, same MinDist, same Assignment.
 func gonzalezReference(ds *metric.Dataset, k, first int) *Result {
 	n := ds.N
 	if k > n {
 		k = n
 	}
-	res := &Result{Centers: make([]int, 0, k)}
+	res := &Result{Centers: make([]int, 0, k), Assignment: make([]int, n)}
 	minSq := make([]float64, n)
 	for i := range minSq {
 		minSq[i] = math.Inf(1)
@@ -31,6 +32,7 @@ func gonzalezReference(ds *metric.Dataset, k, first int) *Result {
 		for i := 0; i < n; i++ {
 			if sq := metric.SqDist(ds.At(i), cp); sq < minSq[i] {
 				minSq[i] = sq
+				res.Assignment[i] = len(res.Centers) - 1
 			}
 			if minSq[i] > far {
 				far = minSq[i]
@@ -75,7 +77,8 @@ func referenceWorkloads() []referenceWorkload {
 }
 
 // requireSameAsReference fails unless got matches the reference loop's
-// centers, radius, evaluation count and MinDist bit for bit.
+// centers, radius, evaluation count and MinDist bit for bit, and its
+// Assignment too when got carries one.
 func requireSameAsReference(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Centers) != len(want.Centers) {
@@ -95,6 +98,11 @@ func requireSameAsReference(t *testing.T, label string, got, want *Result) {
 	for i := range want.MinDist {
 		if got.MinDist[i] != want.MinDist[i] {
 			t.Fatalf("%s: MinDist[%d] %v != %v", label, i, got.MinDist[i], want.MinDist[i])
+		}
+	}
+	for i := range got.Assignment {
+		if got.Assignment[i] != want.Assignment[i] {
+			t.Fatalf("%s: Assignment[%d] %d != %d", label, i, got.Assignment[i], want.Assignment[i])
 		}
 	}
 }

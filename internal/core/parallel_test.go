@@ -80,8 +80,12 @@ func TestGonzalezParallelDegenerate(t *testing.T) {
 func TestGonzalezParallelRandomFirst(t *testing.T) {
 	r := rng.New(2)
 	ds := randomDataset(t, r, 500, 2)
-	a := GonzalezParallel(ds, 5, Options{First: -1, Rand: rng.New(7)}, 4)
-	b := Gonzalez(ds, 5, Options{First: -1, Rand: rng.New(7)})
+	first := rng.New(7).Intn(ds.N)
+	a := GonzalezParallel(ds, 5, Options{First: first}, 4)
+	b := Gonzalez(ds, 5, Options{First: first})
+	if a.Centers[0] != first || b.Centers[0] != first {
+		t.Fatalf("first centers %d and %d, want %d", a.Centers[0], b.Centers[0], first)
+	}
 	for i := range a.Centers {
 		if a.Centers[i] != b.Centers[i] {
 			t.Fatal("random-first traversals diverged")

@@ -141,7 +141,14 @@ func algoComparison(cfg RunConfig, w io.Writer, g gen, baseN int, ks []int, quan
 	n := cfg.scaled(baseN)
 	fmt.Fprintf(w, "# n = %d (paper: %d), m = %d, repeats = %d, reporting %s\n",
 		n, baseN, cfg.Machines, cfg.Repeats, quantity)
-	fmt.Fprintf(w, "%6s %14s %14s %14s\n", "k", "MRG", "EIM", "GON")
+	switch quantity {
+	case "value":
+		fmt.Fprintf(w, "%6s %14s %14s %14s\n", "k", "MRG", "EIM", "GON")
+	case "runtime":
+		runtimeHeader(w, "k")
+	default:
+		return fmt.Errorf("harness: unknown quantity %q", quantity)
+	}
 	series := newSeriesSet()
 	for _, k := range ks {
 		row := make(map[Algorithm]Measurement, 3)
@@ -152,27 +159,50 @@ func algoComparison(cfg RunConfig, w io.Writer, g gen, baseN int, ks []int, quan
 			}
 			row[algo] = m
 		}
-		switch quantity {
-		case "value":
+		if quantity == "value" {
 			fmt.Fprintf(w, "%6d %14.4g %14.4g %14.4g\n",
 				k, row[MRG].Value, row[EIM].Value, row[GON].Value)
 			series.add(float64(k), row, func(m Measurement) float64 { return m.Value })
-		case "runtime":
-			note := ""
-			if row[EIM].FellBack {
-				note = "  (EIM fell back to GON)"
-			}
-			fmt.Fprintf(w, "%6d %14.6f %14.6f %14.6f%s\n",
-				k, row[MRG].Seconds, row[EIM].Seconds, row[GON].Seconds, note)
+		} else {
+			runtimeRow(w, k, row)
 			series.add(float64(k), row, func(m Measurement) float64 { return m.Seconds })
-		default:
-			return fmt.Errorf("harness: unknown quantity %q", quantity)
 		}
 	}
 	if cfg.Plot {
 		return series.render(w, quantity+" over k", "k", quantity)
 	}
 	return nil
+}
+
+// runtimeAlgos is the column order of the runtime tables.
+var runtimeAlgos = []Algorithm{MRG, EIM, GON}
+
+// runtimeHeader writes the runtime tables' legend and column header: per
+// algorithm the seconds charged to it and SimOps, the paper's
+// distance-evaluation charge. Host-side pruning (GON's blocked traversal,
+// EIM's sorted sweep) moves the seconds and never the ops, so the ops
+// columns carry the paper's comparison.
+func runtimeHeader(w io.Writer, x string) {
+	fmt.Fprintln(w, "# s: seconds charged (GON: host wall time; MRG, EIM: simulated makespan of host wall times)")
+	fmt.Fprintln(w, "# ops: SimOps, the paper's charge in distance evaluations on the simulated critical path (GON: k·n)")
+	fmt.Fprintf(w, "%10s", x)
+	for _, a := range runtimeAlgos {
+		fmt.Fprintf(w, " %12s %14s", a+" s", a+" ops")
+	}
+	fmt.Fprintln(w)
+}
+
+// runtimeRow writes one runtime-table row: x (k or n), then each
+// algorithm's seconds and SimOps.
+func runtimeRow(w io.Writer, x int, row map[Algorithm]Measurement) {
+	fmt.Fprintf(w, "%10d", x)
+	for _, a := range runtimeAlgos {
+		fmt.Fprintf(w, " %12.6f %14d", row[a].Seconds, row[a].SimOps)
+	}
+	if row[EIM].FellBack {
+		fmt.Fprint(w, "  (EIM fell back to GON)")
+	}
+	fmt.Fprintln(w)
 }
 
 // seriesSet accumulates the three algorithm curves for plotting.
@@ -204,9 +234,9 @@ func (s *seriesSet) render(w io.Writer, title, xLabel, yLabel string) error {
 // scaleSweep renders Figure 4: runtime over n at fixed k.
 func scaleSweep(cfg RunConfig, w io.Writer, g gen, baseNs []int, k int) error {
 	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "# k = %d, m = %d, repeats = %d, runtime seconds over n\n",
+	fmt.Fprintf(w, "# k = %d, m = %d, repeats = %d, runtime over n\n",
 		k, cfg.Machines, cfg.Repeats)
-	fmt.Fprintf(w, "%10s %14s %14s %14s\n", "n", "MRG", "EIM", "GON")
+	runtimeHeader(w, "n")
 	series := newSeriesSet()
 	for _, baseN := range baseNs {
 		n := cfg.scaled(baseN)
@@ -218,12 +248,7 @@ func scaleSweep(cfg RunConfig, w io.Writer, g gen, baseNs []int, k int) error {
 			}
 			row[algo] = m
 		}
-		note := ""
-		if row[EIM].FellBack {
-			note = "  (EIM fell back to GON)"
-		}
-		fmt.Fprintf(w, "%10d %14.6f %14.6f %14.6f%s\n",
-			n, row[MRG].Seconds, row[EIM].Seconds, row[GON].Seconds, note)
+		runtimeRow(w, n, row)
 		series.add(float64(n), row, func(m Measurement) float64 { return m.Seconds })
 	}
 	if cfg.Plot {
@@ -239,7 +264,18 @@ func phiSweep(cfg RunConfig, w io.Writer, g gen, baseN int, quantity string) err
 	phis := []float64{1, 4, 6, 8}
 	fmt.Fprintf(w, "# EIM over phi, n = %d (paper: %d), m = %d, repeats = %d, reporting %s\n",
 		n, baseN, cfg.Machines, cfg.Repeats, quantity)
-	fmt.Fprintf(w, "%6s %12s %12s %12s %12s\n", "k", "phi=1", "phi=4", "phi=6", "phi=8")
+	if quantity == "runtime" {
+		fmt.Fprintln(w, "# s: EIM's simulated makespan of host wall times; ops: SimOps, the paper's charge in distance evaluations")
+	}
+	fmt.Fprintf(w, "%6s", "k")
+	for _, phi := range phis {
+		if quantity == "runtime" {
+			fmt.Fprintf(w, " %12s %14s", fmt.Sprintf("phi=%g s", phi), fmt.Sprintf("phi=%g ops", phi))
+		} else {
+			fmt.Fprintf(w, " %12s", fmt.Sprintf("phi=%g", phi))
+		}
+	}
+	fmt.Fprintln(w)
 	for _, k := range paperKs {
 		fmt.Fprintf(w, "%6d", k)
 		for _, phi := range phis {
@@ -251,7 +287,7 @@ func phiSweep(cfg RunConfig, w io.Writer, g gen, baseN int, quantity string) err
 			case "value":
 				fmt.Fprintf(w, " %12.4g", m.Value)
 			case "runtime":
-				fmt.Fprintf(w, " %12.6f", m.Seconds)
+				fmt.Fprintf(w, " %12.6f %14d", m.Seconds, m.SimOps)
 			}
 		}
 		fmt.Fprintln(w)

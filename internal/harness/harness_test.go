@@ -149,6 +149,37 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// TestRuntimeTablesPrintOps checks that a runtime table labels and prints
+// each algorithm's SimOps beside its seconds: GON's column is the paper's
+// k·n charge.
+func TestRuntimeTablesPrintOps(t *testing.T) {
+	e, _ := ByID("fig2b")
+	var buf bytes.Buffer
+	if err := e.Run(RunConfig{Scale: 200, Repeats: 1, Seed: 1}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var header []string
+	rows := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 0 && f[0] == "k":
+			header = f
+		case header != nil && len(f) >= 7:
+			if got := strings.Join(header, " "); got != "k MRG s MRG ops EIM s EIM ops GON s GON ops" {
+				t.Fatalf("header %q does not label each algorithm's seconds and ops", got)
+			}
+			if want := f[0] + "000"; f[6] != want { // n = 1,000
+				t.Fatalf("k=%s: GON ops %s, want k·n = %s:\n%s", f[0], f[6], want, buf.String())
+			}
+			rows++
+		}
+	}
+	if rows != len(paperKs) {
+		t.Fatalf("%d runtime rows, want %d:\n%s", rows, len(paperKs), buf.String())
+	}
+}
+
 func TestScaledClampsSmallN(t *testing.T) {
 	cfg := RunConfig{Scale: 1000000}.withDefaults()
 	if n := cfg.scaled(100000); n != 1000 {

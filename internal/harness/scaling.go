@@ -79,11 +79,10 @@ func scalingReport(cfg RunConfig, w io.Writer) error {
 	// parallelism cannot pay, turning every row into the serial baseline.
 	var gonRef *core.Result
 	gon := runScalingSweep(counts, cfg.Repeats, func(workers int) {
-		var pool *core.Pool // nil: the 1-worker row is the sequential traversal
-		if workers > 1 {
-			pool = core.NewPool(workers)
-			defer pool.Close()
-		}
+		// A 1-worker pool, not a nil one: with no pool the traversal may
+		// take the blocked layout, which is not what this sweep scales.
+		pool := core.NewPool(workers)
+		defer pool.Close()
 		res := core.GonzalezPooled(ds, k, core.Options{First: 0}, pool)
 		if gonRef == nil {
 			gonRef = res

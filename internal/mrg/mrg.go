@@ -23,11 +23,13 @@
 //
 // Runtime (paper §5.1): O(k·n/m) for the first round plus O(k²·m) for the
 // final round. Reducer-side GON runs through core.GonzalezSubset, which
-// gathers each partition into a contiguous block and executes the
-// dimension-specialized one-to-many kernels of internal/metric, so every
-// simulated machine's work benefits from the distance-kernel engine; the
-// final full-dataset evaluation goes through assign.Evaluate's
-// triangle-inequality-pruned assignment.
+// gathers each partition into one contiguous copy: in idx order for the
+// dimension-specialized kernels of internal/metric, or, at k ≥ 20 on large
+// low-dimensional partitions, in the blocked layout that skips the blocks
+// a new center cannot improve. Either way a reducer is charged its full
+// k·|Vi| evaluations and returns the same centers. The final full-dataset
+// evaluation goes through assign.Evaluate's triangle-inequality-pruned
+// assignment.
 package mrg
 
 import (
