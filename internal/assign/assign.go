@@ -5,16 +5,28 @@
 // because the paper reports solution values as a property of the output, not
 // as algorithm runtime.
 //
-// Nearest-center queries pick the faster of two bit-identical kernels per
-// call (metric.PreferPruned, crossover fitted from BENCH_kernels.json):
-// below the crossover a plain one-to-many scan (metric.NearestInRange over
-// the gathered centers) wins because at small k and low dim a distance
-// costs no more than the pruning check that would skip it; above it the
-// scan goes through metric.Pruned — a k×k center-center distance matrix,
-// computed once per evaluation, lets each point's scan skip any center c'
-// with d(c_best, c') >= 2·d(p, c_best) (triangle-inequality pruning),
-// making assignment sub-linear in k. Assignments, distances and radii are
-// identical either way; only DistEvals reflects which kernel ran.
+// Nearest-center queries run one of three bit-identical kernels per call:
+//
+//   - the grid filter (grid.go), where preferGrid holds: dim ≤ 2, k ≥ 16
+//     and n ≥ 4096. The points are bucketed into a metric.Grid of at most
+//     64 × 64 cells over two coordinates, each occupied cell keeps only the
+//     centers that may be nearest to some point of its exact bounding box,
+//     and each point is scanned against its cell's candidates alone — about
+//     one to four per point on the paper's GAU inputs at k ≤ 100. Input
+//     with a NaN or ±Inf coordinate takes the plain scan;
+//   - otherwise, where metric.PreferPruned holds (dim ≥ 3 and k above a
+//     crossover fitted from BENCH_kernels.json), metric.Pruned: a k×k
+//     center-center distance matrix, computed once per evaluation, lets
+//     each point's scan skip any center c' with d(c_best, c') >=
+//     2·d(p, c_best) (triangle-inequality pruning);
+//   - otherwise the plain one-to-many scan (metric.NearestInRange over the
+//     gathered centers), which wins at small k and low dim, where a
+//     distance costs no more than the check that would skip it.
+//
+// Assignments, distances, radii, the farthest point and the cluster sizes
+// are identical whichever kernel runs; only DistEvals reflects which one
+// did. Every kernel writes its outputs in row order, over the same
+// contiguous row-order chunk per worker.
 package assign
 
 import (
@@ -44,7 +56,9 @@ type Evaluation struct {
 	// pruned path it is k² for the center-center matrix plus the per-point
 	// evaluations the triangle-inequality pruning could not skip (at most
 	// k² + n·|centers|, typically far below the unpruned n·|centers|); on
-	// the plain-scan path it is exactly n·|centers|.
+	// the grid path it is two box bounds per center per occupied cell plus
+	// each point's candidate count; on the plain-scan path it is exactly
+	// n·|centers|.
 	DistEvals int64
 }
 
@@ -52,9 +66,10 @@ type Evaluation struct {
 type evalMode int
 
 const (
-	modeAdaptive evalMode = iota // metric.PreferPruned decides
+	modeAdaptive evalMode = iota // preferGrid, then metric.PreferPruned, decides
 	modePlain                    // force the plain one-to-many scan
 	modePruned                   // force the triangle-inequality-pruned scan
+	modeGrid                     // force the grid filter (plain on non-finite input)
 )
 
 // Evaluate assigns every point of ds to its nearest center. centers holds
@@ -71,6 +86,7 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := ds.N
+	workers = max(min(workers, n), 1)
 	ev := &Evaluation{
 		Assignment:   make([]int, n),
 		Dist:         make([]float64, n),
@@ -78,68 +94,47 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 		Farthest:     -1,
 	}
 	// Copy center coordinates once so the inner loop reads a compact block.
-	// Above the crossover, additionally precompute the center-center matrix
-	// that lets each point's scan skip centers the triangle inequality rules
-	// out. Pruned is immutable, so all workers share it; nearest is the
-	// per-point kernel either way, with identical index/distance results.
+	// The grid filter and the center-center matrix of the pruned scan are
+	// immutable once built, so all workers share them. scan is the
+	// per-chunk kernel, with identical index/distance results either way.
 	cpts := ds.Subset(centers)
-	var nearest func(q []float64) (int, float64, int64)
-	usePruned := mode == modePruned || (mode == modeAdaptive && metric.PreferPruned(len(centers), ds.Dim))
-	if usePruned {
+	k := cpts.N
+	var gf *gridFilter
+	if mode == modeGrid || (mode == modeAdaptive && preferGrid(n, k, ds.Dim)) {
+		gf = newGridFilter(ds, cpts, workers, ev.Assignment)
+	}
+	var scan func(lo, hi int, p *partial)
+	switch {
+	case gf != nil:
+		ev.DistEvals = gf.evals
+		scan = func(lo, hi int, p *partial) { gf.scan(ev, lo, hi, p) }
+	case mode == modePruned || (mode == modeAdaptive && metric.PreferPruned(k, ds.Dim)):
 		pr := metric.NewPruned(cpts)
 		ev.DistEvals = pr.MatrixEvals()
-		nearest = pr.Nearest
-	} else {
-		k := cpts.N
-		nearest = func(q []float64) (int, float64, int64) {
-			c, sq := metric.NearestInRange(cpts, 0, k, q)
-			return c, sq, int64(k)
+		scan = func(lo, hi int, p *partial) {
+			for i := lo; i < hi; i++ {
+				c, sq, evals := pr.Nearest(ds.At(i))
+				p.evals += evals
+				p.add(ev, i, c, sq)
+			}
 		}
-	}
-
-	type partial struct {
-		radiusSq float64
-		farthest int
-		evals    int64
-		sizes    []int
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 0 {
-		workers = 1
+	default:
+		scan = func(lo, hi int, p *partial) {
+			for i := lo; i < hi; i++ {
+				c, sq := metric.NearestInRange(cpts, 0, k, ds.At(i))
+				p.add(ev, i, c, sq)
+			}
+			p.evals += int64(hi-lo) * int64(k)
+		}
 	}
 	partials := make([]partial, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			partials[w] = partial{farthest: -1, sizes: make([]int, len(centers))}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p := partial{farthest: -1, sizes: make([]int, len(centers))}
-			for i := lo; i < hi; i++ {
-				bestC, bestSq, evals := nearest(ds.At(i))
-				p.evals += evals
-				ev.Assignment[i] = bestC
-				ev.Dist[i] = math.Sqrt(bestSq)
-				p.sizes[bestC]++
-				if bestSq > p.radiusSq {
-					p.radiusSq = bestSq
-					p.farthest = i
-				}
-			}
-			partials[w] = p
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	forChunks(workers, n, func(w, lo, hi int) {
+		// Each worker fills its own partial, away from its neighbours'
+		// cache lines, and stores it once.
+		p := partial{farthest: -1, sizes: make([]int, k)}
+		scan(lo, hi, &p)
+		partials[w] = p
+	})
 
 	var radiusSq float64
 	for _, p := range partials {
@@ -157,6 +152,48 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 	}
 	ev.Radius = math.Sqrt(radiusSq)
 	return ev
+}
+
+// partial is one worker's share of an Evaluation: its chunk's radius,
+// farthest point (the lowest row among ties), evaluation count and
+// cluster sizes.
+type partial struct {
+	radiusSq float64
+	farthest int
+	evals    int64
+	sizes    []int
+}
+
+// add records point i's nearest center c at squared distance sq.
+func (p *partial) add(ev *Evaluation, i, c int, sq float64) {
+	ev.Assignment[i] = c
+	ev.Dist[i] = math.Sqrt(sq)
+	p.sizes[c]++
+	if sq > p.radiusSq {
+		p.radiusSq, p.farthest = sq, i
+	}
+}
+
+// forChunks cuts [0, n) into workers contiguous chunks in row order, runs
+// fn on every non-empty one in its own goroutine, waits for all and
+// returns how many ran: chunks 0 up to that count.
+func forChunks(workers, n int, fn func(w, lo, hi int)) int {
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		if lo >= hi {
+			wg.Wait()
+			return w
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	return workers
 }
 
 // Radius is a convenience wrapper returning just the covering radius.

@@ -48,7 +48,7 @@ func evaluateUnpruned(ds *metric.Dataset, centers []int) *Evaluation {
 
 func assertIdentical(t *testing.T, name string, got, want *Evaluation) {
 	t.Helper()
-	if got.Radius != want.Radius {
+	if math.Float64bits(got.Radius) != math.Float64bits(want.Radius) {
 		t.Fatalf("%s: radius %v != %v", name, got.Radius, want.Radius)
 	}
 	if got.Farthest != want.Farthest {
@@ -58,7 +58,7 @@ func assertIdentical(t *testing.T, name string, got, want *Evaluation) {
 		if got.Assignment[i] != want.Assignment[i] {
 			t.Fatalf("%s: assignment[%d] = %d != %d", name, i, got.Assignment[i], want.Assignment[i])
 		}
-		if got.Dist[i] != want.Dist[i] {
+		if math.Float64bits(got.Dist[i]) != math.Float64bits(want.Dist[i]) {
 			t.Fatalf("%s: dist[%d] = %v != %v", name, i, got.Dist[i], want.Dist[i])
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // of those relaxations change nothing: once a point has a center nearby, a
 // new center far away cannot come closer. The blocked layout finds such
 // points a block at a time. It sorts the input once, with a stable counting
-// sort, into the cells of a Morton-ordered grid, so that runs of consecutive
-// points are spatially compact, copies the coordinates into that order and
-// cuts the copy into blocks of blockSize points. Each block keeps its
+// sort, into the cells of a Morton-ordered metric.Grid, so that runs of
+// consecutive points are spatially compact, copies the coordinates into that
+// order and cuts the copy into blocks of blockSize points. Each block keeps its
 // bounding box and the largest squared distance of its points to their
 // nearest center so far. A new center q skips every block whose box is no
 // closer to q than that largest distance.
@@ -41,7 +41,7 @@ const (
 	// per cell on average, up to b = maxGridBits, so its count array holds
 	// at most n/4 entries.
 	pointsPerCell = 16
-	maxGridBits   = 8
+	maxGridBits   = metric.MaxGridBits
 )
 
 // preferBlocks reports whether the blocked traversal is expected to beat
@@ -136,10 +136,7 @@ func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool) *blocks {
 	for bits < maxGridBits && n > pointsPerCell<<(2*bits) {
 		bits++
 	}
-	// At dim 1 both grid axes are the one coordinate.
-	x, y := 0, dim-1
-	g := grid{side: 1 << bits, x: x, y: y, x0: lo[x], y0: lo[y],
-		sx: gridScale(bits, hi[x]-lo[x]), sy: gridScale(bits, hi[y]-lo[y])}
+	g := metric.NewGrid(bits, lo, hi)
 
 	b := &blocks{
 		dim:   dim,
@@ -155,9 +152,9 @@ func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool) *blocks {
 
 	// The stable counting sort. minSq holds each row's cell until the
 	// placing pass has read it.
-	start := make([]int32, g.side*g.side+1)
+	start := make([]int32, g.Side*g.Side+1)
 	for i := 0; i < n; i++ {
-		c := g.cell(ds.Data[offset(i):])
+		c := g.Cell(ds.Data[offset(i):])
 		b.minSq[i] = float64(c)
 		start[c+1]++
 	}
@@ -208,44 +205,6 @@ func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool) *blocks {
 		b.max[k], b.arg[k] = math.Inf(1), arg
 	}
 	return b
-}
-
-// grid maps a point to its cell of a side × side Morton-ordered grid over
-// coordinates x and y, whose lowest values are x0 and y0.
-type grid struct {
-	side, x, y     int
-	x0, y0, sx, sy float64
-}
-
-// gridScale returns the factor that maps a coordinate span onto 2^bits
-// columns, or 0, which puts every point in column 0, when the span is 0 or
-// too narrow to scale.
-func gridScale(bits int, span float64) float64 {
-	if s := float64(int(1)<<bits) / span; s <= math.MaxFloat64 {
-		return s
-	}
-	return 0
-}
-
-// cell returns the Morton index of p's cell. Any cell is correct, since the
-// grid only decides which points share a block; a NaN from a difference
-// that overflows lands in the last column.
-func (g *grid) cell(p []float64) int {
-	return spread(g.column(p[g.x]-g.x0, g.sx)) | spread(g.column(p[g.y]-g.y0, g.sy))<<1
-}
-
-func (g *grid) column(offset, scale float64) int {
-	if t := offset * scale; t < float64(g.side) {
-		return int(t)
-	}
-	return g.side - 1
-}
-
-// spread interleaves the low 8 bits of v with zeros: bit i moves to bit 2i.
-func spread(v int) int {
-	v = (v | v<<4) & 0x0f0f
-	v = (v | v<<2) & 0x3333
-	return (v | v<<1) & 0x5555
 }
 
 // relax is one round of the traversal against center q, the c-th center:

@@ -54,16 +54,16 @@ func parallelWorkers(workers, n, dim int) int {
 //
 // The worker count is adaptive: requests beyond GOMAXPROCS or beyond what
 // the per-round work can amortize (see minParallelWork) are trimmed, and a
-// trimmed count of ≤ 1 runs the sequential traversal outright — asking for
-// more workers never makes the call slower than the plain sequential
-// traversal by more than the pool's round-signaling cost. A pool always
-// runs plain passes, so where Gonzalez takes the blocked layout
-// (preferBlocks) it can beat a small pool. Callers running many
-// traversals amortize pool construction with GonzalezPooled; the ablation
-// benchmark BenchmarkAblationParallelGonzalez quantifies the speedup.
+// trimmed count of ≤ 1 runs the sequential traversal outright. A pool
+// always runs plain passes, which where preferBlocks holds are slower than
+// the sequential blocked traversal (BenchmarkGonzalezParallel on a 2-vCPU
+// host), so there the call drops the pool as well and runs Gonzalez.
+// Callers running many traversals amortize pool construction with
+// GonzalezPooled; the ablation benchmark BenchmarkAblationParallelGonzalez
+// quantifies the speedup.
 func GonzalezParallel(ds *metric.Dataset, k int, opt Options, workers int) *Result {
 	var pool *Pool
-	if w := parallelWorkers(workers, ds.N, ds.Dim); w > 1 {
+	if w := parallelWorkers(workers, ds.N, ds.Dim); w > 1 && !preferBlocks(ds.N, min(k, ds.N), ds.Dim) {
 		pool = NewPool(w)
 		defer pool.Close()
 	}
@@ -73,7 +73,9 @@ func GonzalezParallel(ds *metric.Dataset, k int, opt Options, workers int) *Resu
 // GonzalezPooled runs the farthest-first traversal on an existing Pool,
 // using exactly min(pool.Workers(), n) workers with no adaptive trimming —
 // the caller has already sized the pool (and amortizes its construction
-// across calls). A nil pool runs the sequential traversal, blocked where
+// across calls). A non-nil pool is used even where the sequential blocked
+// traversal would be faster, so the pooled-Gonzalez scaling sweep measures
+// the pool. A nil pool runs the sequential traversal, blocked where
 // preferBlocks says it pays. Results are
 // bit-identical to Gonzalez for every pool size. It panics on k <= 0 or an
 // empty dataset, like Gonzalez.

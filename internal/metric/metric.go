@@ -36,6 +36,12 @@
 //     (stream.Summary.Push, with the matrix maintained incrementally as
 //     centers change) and stream.Cover all query through it.
 //
+// Beside them, Grid (grid.go) is the spatial bucketing of two coordinates
+// that the blocked farthest-first traversal (internal/core) and the
+// grid-filtered assignment (internal/assign) share; both take each
+// bucket's exact bounding box from its points, so the grid only decides
+// how much they prune, never what they return.
+//
 // Both layers preserve results bit for bit: kernels accumulate in SqDist's
 // exact floating-point order and scan in ascending index order, and
 // pruning only ever skips candidates that provably cannot win under the

@@ -27,6 +27,8 @@
 
 package metric
 
+import "math"
+
 // Pruned is a center set prepared for triangle-inequality-pruned nearest-
 // center queries. It is immutable after construction and safe for
 // concurrent readers; Evaluate's worker pool shares one instance.
@@ -103,7 +105,7 @@ func (p *Pruned) Nearest(q []float64) (int, float64, int64) {
 		return best, bestSq, evals
 	}
 	row := p.cc[:k] // row of the current best center
-	lim := 4 * bestSq
+	lim := pruneLimit(bestSq)
 	for c := 1; c < k; c++ {
 		if row[c] >= lim {
 			continue
@@ -114,7 +116,7 @@ func (p *Pruned) Nearest(q []float64) (int, float64, int64) {
 			bestSq = sq
 			best = c
 			row = p.cc[c*k : (c+1)*k]
-			lim = 4 * bestSq
+			lim = pruneLimit(bestSq)
 		}
 	}
 	return best, bestSq, evals
@@ -135,7 +137,7 @@ func (p *Pruned) nearest2(q []float64) (int, float64, int64) {
 		return best, bestSq, evals
 	}
 	row := p.cc[:k]
-	lim := 4 * bestSq
+	lim := pruneLimit(bestSq)
 	for c := 1; c < k; c++ {
 		if row[c] >= lim {
 			continue
@@ -147,10 +149,20 @@ func (p *Pruned) nearest2(q []float64) (int, float64, int64) {
 			bestSq = sq
 			best = c
 			row = p.cc[c*k : (c+1)*k]
-			lim = 4 * bestSq
+			lim = pruneLimit(bestSq)
 		}
 	}
 	return best, bestSq, evals
+}
+
+// pruneLimit returns the skip threshold 4·bestSq, or NaN, which no matrix
+// entry reaches, when that product overflows: an entry of +Inf then no
+// longer certifies that a center is at least 2·d(p, c_b) from c_b.
+func pruneLimit(bestSq float64) float64 {
+	if lim := 4 * bestSq; lim <= math.MaxFloat64 {
+		return lim
+	}
+	return math.NaN()
 }
 
 // Threshold ("is any center within lim?") queries use the same matrix with

@@ -28,8 +28,9 @@
 // low-dimensional partitions, in the blocked layout that skips the blocks
 // a new center cannot improve. Either way a reducer is charged its full
 // k·|Vi| evaluations and returns the same centers. The final full-dataset
-// evaluation goes through assign.Evaluate's triangle-inequality-pruned
-// assignment.
+// evaluation is assign.Evaluate, uncharged like every solution evaluation;
+// at the paper's dim 2 and k ≥ 16 it runs the grid filter, which scans each
+// point against the few centers its grid cell's box may be nearest to.
 package mrg
 
 import (

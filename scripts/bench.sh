@@ -1,8 +1,8 @@
 #!/bin/sh
 # Benchmark-trajectory gate: runs the kernel, assignment, Gonzalez, EIM,
 # streaming, serving and request-codec benchmarks and emits
-# BENCH_kernels.json with ns/op per benchmark, so every PR leaves a
-# comparable perf record.
+# BENCH_kernels.json with ns/op, B/op and allocs/op per benchmark (all
+# runs use -benchmem), so every change leaves a comparable perf record.
 #
 # The parallel benchmarks (pooled Gonzalez traversal, sharded ingestion)
 # are additionally swept with -cpu 1,2 so the baseline records how each
@@ -39,9 +39,9 @@ trap 'rm -f "$tmp"' EXIT
 
 # No pipe here: POSIX sh has no pipefail, and piping through tee would let
 # a failing `go test` (bench panic, broken TestMain) slip past set -e.
-go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 \
+go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 -benchmem \
 	./internal/metric/ ./internal/assign/ ./internal/core/ ./internal/server/ ./internal/eim/ . > "$tmp"
-go test -run '^$' -bench "$PAR_PATTERN" -benchtime "$BENCHTIME" -count 1 \
+go test -run '^$' -bench "$PAR_PATTERN" -benchtime "$BENCHTIME" -count 1 -benchmem \
 	-cpu 1,2 ./internal/core/ . >> "$tmp"
 cat "$tmp"
 
@@ -58,7 +58,15 @@ BEGIN { n = 0 }
 		procs = substr(name, RSTART + 1) + 0
 		name = substr(name, 1, RSTART - 1)
 	}
-	names[n] = name; pkgs[n] = pkg; ns[n] = $3; procsOf[n] = procs; n++
+	# After the iteration count come (value, unit) pairs: ns/op, any
+	# b.ReportMetric values, then the B/op and allocs/op of -benchmem.
+	bytes = "null"; allocs = "null"
+	for (f = 3; f < NF; f += 2) {
+		if ($(f + 1) == "B/op") bytes = $f
+		if ($(f + 1) == "allocs/op") allocs = $f
+	}
+	names[n] = name; pkgs[n] = pkg; ns[n] = $3; procsOf[n] = procs
+	bytesOf[n] = bytes; allocsOf[n] = allocs; n++
 }
 END {
 	printf "{\n"
@@ -68,8 +76,8 @@ END {
 	printf "  \"num_cpu\": %d,\n", numcpu
 	printf "  \"benchmarks\": [\n"
 	for (i = 0; i < n; i++) {
-		printf "    {\"package\": \"%s\", \"name\": \"%s\", \"gomaxprocs\": %d, \"ns_per_op\": %s}%s\n", \
-			pkgs[i], names[i], procsOf[i], ns[i], (i < n-1 ? "," : "")
+		printf "    {\"package\": \"%s\", \"name\": \"%s\", \"gomaxprocs\": %d, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
+			pkgs[i], names[i], procsOf[i], ns[i], bytesOf[i], allocsOf[i], (i < n-1 ? "," : "")
 	}
 	printf "  ]\n}\n"
 }' "$tmp" > "$OUT"

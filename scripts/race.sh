@@ -19,6 +19,11 @@
 # TestRunChaosCountsNudges and the replicate shutdown test
 # TestRunServeReplicateErrorStopsGoroutines).
 #
+# RACE_ASSIGN: Evaluate's workers, which share the grid filter's candidate
+# lists and write disjoint chunks of one Evaluation
+# (TestGridFilterBitIdentical at one small shape,
+# TestEvaluateParallelDeterminism).
+#
 # RACE_EIM: EIM's reducers, which all read the carried-distance slice
 # (TestRunMatchesFullRescan and TestRoundOpsChargeOnlyNewSample at small n;
 # the whole EIM package takes ~20 s under -race).
@@ -29,11 +34,14 @@ cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/..."
 RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
+RACE_ASSIGN='TestGridFilterBitIdentical|TestEvaluateParallelDeterminism'
 RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
 
 echo "== go test -race -short $RACE_PKGS"
 $GO test -race -short $RACE_PKGS
 echo "== go test -race -short -run '$RACE_HARNESS' ./internal/harness"
 $GO test -race -short -run "$RACE_HARNESS" ./internal/harness
+echo "== go test -race -short -run '$RACE_ASSIGN' ./internal/assign"
+$GO test -race -short -run "$RACE_ASSIGN" ./internal/assign
 echo "== go test -race -short -run '$RACE_EIM' ./internal/eim"
 $GO test -race -short -run "$RACE_EIM" ./internal/eim
