@@ -315,21 +315,6 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelGonzalez compares the sequential farthest-first
-// traversal against its shared-memory parallelization (bit-identical
-// results; see core.GonzalezParallel).
-func BenchmarkAblationParallelGonzalez(b *testing.B) {
-	l := dataset.Unif(dataset.UnifConfig{N: 200000, Seed: 18})
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GonzalezParallel(l.Points, 50, core.Options{}, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGonzalezSeed measures the sensitivity of GON to its
 // arbitrary first center (paper §3.1 "chooses an arbitrary vertex").
 func BenchmarkAblationGonzalezSeed(b *testing.B) {

@@ -63,7 +63,11 @@ const (
 //   - dim 2, n ∈ {1000, 2000, 4000, 8000, 16000}, k ∈ {10 … 100}: from
 //     n = 4000 every k ≥ 16 wins (0.30–0.81); below, UNIF loses up to
 //     1.4× at k = 16 and the fixed cost of the passes shows.
-//   - dim 1: the grid wins at every measured shape (0.13–0.67).
+//   - dim 1: the grid won at every measured shape (0.13–0.67) when the
+//     plain scan called SqDist per center. Against the dim-1 kernel
+//     body, on GAU n ∈ {10⁵, 10⁶} at k ∈ {16, 50}, it takes 0.50–0.80
+//     (best of 3 means of 10 calls); at k = 5, 0.73 at n = 10⁵ and level
+//     at n = 10⁶.
 //   - dim 3: the grid buckets two coordinates, so a cell's box spans the
 //     whole range of the third. GAU still wins (0.34–0.59 from n = 10⁵),
 //     but UNIF is 1.7–2.5× slower at every measured shape, so dim ≥ 3

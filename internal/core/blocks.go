@@ -60,7 +60,9 @@ const (
 //     the batch shape, GAU n = 10⁶, k = 50), is mixed at k = 16
 //     (0.66–1.31) and mostly loses at k = 10 (up to 1.8×).
 //   - The traversal without the assignment carry, dim 1, n ∈ {10⁴ … 10⁶},
-//     k = 25: blocked takes 0.22–0.44.
+//     k = 25: blocked took 0.22–0.44 when the plain pass called SqDist
+//     per point. Against the dim-1 kernel body, on GAU n ∈ {10⁵, 10⁶},
+//     it takes 0.69–0.73 (best of 3 means of 10 runs).
 //   - The same at dim ≥ 3 (3, 4, 5, 8; n = 2·10⁵; k ∈ {16, 25, 50, 100}):
 //     the grid orders two coordinates, so a box spans the whole range of
 //     the others. On UNIF blocked was 1.13–2.16× slower in 15 of the 16

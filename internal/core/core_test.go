@@ -120,18 +120,26 @@ func TestGonzalezKGreaterThanN(t *testing.T) {
 
 func TestGonzalezDuplicatePoints(t *testing.T) {
 	// All points identical: one center suffices, radius 0, no duplicate
-	// centers returned even for k > 1.
-	pts := make([][]float64, 5)
-	for i := range pts {
-		pts[i] = []float64{3, 3}
-	}
-	ds, _ := metric.FromPoints(pts)
-	res := Gonzalez(ds, 3, Options{})
-	if res.Radius != 0 {
-		t.Fatalf("radius %v", res.Radius)
-	}
-	if len(res.Centers) == 0 || len(res.Centers) > 3 {
-		t.Fatalf("centers %v", res.Centers)
+	// centers returned even for k > 1, nor for k > n.
+	for _, c := range []struct {
+		n, k int
+		p    []float64
+	}{
+		{5, 3, []float64{3, 3}},
+		{3, 50, []float64{1}},
+	} {
+		pts := make([][]float64, c.n)
+		for i := range pts {
+			pts[i] = c.p
+		}
+		ds, _ := metric.FromPoints(pts)
+		res := Gonzalez(ds, c.k, Options{})
+		if res.Radius != 0 {
+			t.Fatalf("n=%d k=%d: radius %v", c.n, c.k, res.Radius)
+		}
+		if len(res.Centers) == 0 || len(res.Centers) > min(c.n, c.k) {
+			t.Fatalf("n=%d k=%d: centers %v", c.n, c.k, res.Centers)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ type Options struct {
 // the radius is zero). It panics on k <= 0, an empty dataset or a First
 // outside [0, n), which are programming errors in this repository's callers.
 func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, nil, k, opt, nil, true, false)
+	return gonzalez(ds, nil, k, opt, true, false)
 }
 
 // GonzalezAssign is Gonzalez with assignment carry: Result.Assignment maps
@@ -71,24 +71,22 @@ func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
 // relaxation keeps the earliest center on ties, matching Evaluate's
 // lowest-position tie-break; pinned by TestGonzalezAssignMatchesEvaluate).
 func GonzalezAssign(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, nil, k, opt, nil, true, true)
+	return gonzalez(ds, nil, k, opt, true, true)
 }
 
 // gonzalez is the one farthest-first traversal behind every exported
 // variant, over the points of ds named by idx (all of ds when idx is nil);
 // centers are returned as positions in idx. Each round relaxes the input
-// against the newest center in one of three ways, with bit-identical
+// against the newest center in one of two ways, with bit-identical
 // results:
 //
 //   - blocked (blocks.go), when preferBlocks says the layout pays: only
 //     the blocks the new center can improve are relaxed;
-//   - split across a non-nil pool's workers (see pooledRelax);
 //   - otherwise one kernel call over the whole input.
 //
 // wantMinDist gates the per-point distances, which reducer-side callers
-// never consume, and wantAssign the assignment carry, which never runs on
-// the pool.
-func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool, wantMinDist, wantAssign bool) *Result {
+// never consume, and wantAssign the assignment carry.
+func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wantAssign bool) *Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: Gonzalez requires k >= 1, got %d", k))
 	}
@@ -108,7 +106,7 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool, wan
 	}
 
 	var blk *blocks
-	if pool == nil && preferBlocks(n, k, ds.Dim) {
+	if preferBlocks(n, k, ds.Dim) {
 		blk = newBlocks(ds, idx, wantAssign)
 	}
 	if blk == nil && idx != nil {
@@ -130,7 +128,6 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool, wan
 	// point from +Inf, so every entry is written before it is ever read.
 	var assigned []int
 	var scratch []float64
-	var par *pooledRelax
 	if blk == nil {
 		minSq = make([]float64, n)
 		for i := range minSq {
@@ -139,9 +136,6 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool, wan
 		if wantAssign {
 			assigned = make([]int, n)
 			scratch = make([]float64, n)
-		}
-		if pool != nil && !wantAssign {
-			par = newPooledRelax(pool, ds, minSq)
 		}
 	}
 	center := first
@@ -159,8 +153,6 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, pool *Pool, wan
 			next, far = blk.relax(q, c)
 		case wantAssign:
 			next, far = metric.RelaxFarthestAssign(ds, 0, n, q, c, minSq, assigned, scratch)
-		case par != nil:
-			next, far = par.relax(q)
 		default:
 			next, far = metric.RelaxFarthest(ds, 0, n, q, minSq)
 		}
@@ -205,7 +197,7 @@ func GonzalezSubset(ds *metric.Dataset, idx []int, k int, opt Options) *Result {
 	// Subset results never materialize per-point distances (they would be
 	// indexed by position, not dataset index, and no reducer-side caller
 	// wants them), so the traversal skips that O(n) pass entirely.
-	res := gonzalez(ds, idx, k, opt, nil, false, false)
+	res := gonzalez(ds, idx, k, opt, false, false)
 	for i, pos := range res.Centers {
 		res.Centers[i] = idx[pos]
 	}

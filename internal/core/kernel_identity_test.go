@@ -64,8 +64,19 @@ type referenceWorkload struct {
 }
 
 // referenceWorkloads covers the paper's workload families and dimensions
-// hitting every specialized kernel plus the generic fallback.
+// hitting every specialized kernel plus the generic fallback, a tie-heavy
+// integer grid (many exactly equidistant points, so the argmax must keep
+// the lowest index) and a five-point input asked for more centers than
+// it has.
 func referenceWorkloads() []referenceWorkload {
+	grid := metric.NewDataset(16*16, 2)
+	for i := 0; i < grid.N; i++ {
+		grid.Data[2*i], grid.Data[2*i+1] = float64(i/16), float64(i%16)
+	}
+	tiny, err := metric.FromPoints([][]float64{{0, 0}, {3, 1}, {1, 4}, {-2, 2}, {5, 5}})
+	if err != nil {
+		panic(err)
+	}
 	return []referenceWorkload{
 		{"UNIF-2D", dataset.Unif(dataset.UnifConfig{N: 4000, Seed: 41}).Points, 25},
 		{"GAU-2D", dataset.Gau(dataset.GauConfig{N: 4000, KPrime: 25, Seed: 42}).Points, 25},
@@ -73,6 +84,8 @@ func referenceWorkloads() []referenceWorkload {
 		{"UNIF-4D", dataset.Unif(dataset.UnifConfig{N: 3000, Dim: 4, Seed: 44}).Points, 8},
 		{"UNIF-8D", dataset.Unif(dataset.UnifConfig{N: 2000, Dim: 8, Seed: 45}).Points, 8},
 		{"UNIF-5D", dataset.Unif(dataset.UnifConfig{N: 2000, Dim: 5, Seed: 46}).Points, 8},
+		{"GRID-16x16", grid, 9},
+		{"TINY-k>n", tiny, 6},
 	}
 }
 
@@ -116,34 +129,5 @@ func TestGonzalezBitIdenticalToReference(t *testing.T) {
 			got := Gonzalez(w.ds, w.k, Options{First: first})
 			requireSameAsReference(t, fmt.Sprintf("%s first=%d", w.name, first), got, want)
 		}
-	}
-}
-
-// TestGonzalezPooledBitIdenticalToReference pins the pooled split of the
-// relaxation pass against the reference loop rather than against
-// sequential Gonzalez, which shares the traversal with it: pool sizes 1, 2,
-// 3 and 8, plus a pool larger than the dataset, where the surplus workers
-// must not take part.
-func TestGonzalezPooledBitIdenticalToReference(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		pool := NewPool(workers)
-		for _, w := range referenceWorkloads() {
-			for _, first := range []int{0, w.ds.N - 1} {
-				want := gonzalezReference(w.ds, w.k, first)
-				got := GonzalezPooled(w.ds, w.k, Options{First: first}, pool)
-				requireSameAsReference(t, fmt.Sprintf("workers=%d %s first=%d", workers, w.name, first), got, want)
-			}
-		}
-		pool.Close()
-	}
-	small, err := metric.FromPoints([][]float64{{0, 0}, {3, 1}, {1, 4}, {-2, 2}, {5, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(8)
-	defer pool.Close()
-	for k := 1; k <= 6; k++ {
-		requireSameAsReference(t, fmt.Sprintf("n=5 workers=8 k=%d", k),
-			GonzalezPooled(small, k, Options{First: 2}, pool), gonzalezReference(small, k, 2))
 	}
 }

@@ -96,27 +96,3 @@ func TestQuickGonzalezRadiusTight(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: GonzalezParallel is extensionally equal to Gonzalez for every
-// worker count.
-func TestQuickParallelEquivalence(t *testing.T) {
-	f := func(seed uint64, nRaw, kRaw, workersRaw uint8) bool {
-		ds := quickInstance(seed, nRaw, 2)
-		k := int(kRaw%6) + 1
-		workers := int(workersRaw%15) + 2
-		seq := Gonzalez(ds, k, Options{First: 0})
-		par := GonzalezParallel(ds, k, Options{First: 0}, workers)
-		if len(seq.Centers) != len(par.Centers) {
-			return false
-		}
-		for i := range seq.Centers {
-			if seq.Centers[i] != par.Centers[i] {
-				return false
-			}
-		}
-		return seq.Radius == par.Radius
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -14,18 +14,19 @@
 // pays a slice-header construction, a non-inlined call and the generic
 // unrolled loop's setup for every single point. The kernels instead walk
 // Data directly with a dimension-specialized inner body for the common
-// dims 2, 3, 4 and 8 (the paper's UNIF/GAU families are 2-D) and a generic
-// 4-way-unrolled fallback for everything else.
+// dims 1, 2, 3, 4 and 8 (the paper's UNIF/GAU families are 2-D) and a
+// generic 4-way-unrolled fallback for everything else.
 //
 // Bit-identity contract: for every dimension, each kernel accumulates the
 // squared distance in exactly the same floating-point order as SqDist —
-// left-associated squares for dim < 8, SqDist's four-accumulator pattern
-// for the specialized dim 8 and the generic fallback — and scans points in
-// ascending index order with the same comparison senses as the loops they
-// replace (strict < for argmin, strict > for argmax). Callers therefore
-// get bit-identical centers, radii and assignments, just faster. The
-// kernels_test.go property tests pin this against SqDist/SqDistNaive for
-// dims 1–16.
+// left-associated squares for dim < 8 (at dim 1 the lone d·d, which has
+// the bits of SqDist's (((0 + d·d) + 0) + 0) + 0), SqDist's
+// four-accumulator pattern for the specialized dim 8 and the generic
+// fallback — and scans points in ascending index order with the same
+// comparison senses as the loops they replace (strict < for argmin,
+// strict > for argmax). Callers therefore get bit-identical centers, radii
+// and assignments, just faster. The kernels_test.go property tests pin
+// this against SqDist/SqDistNaive for dims 1–16.
 
 package metric
 
@@ -42,6 +43,12 @@ func SqDistsInto(dst []float64, ds *Dataset, lo, hi int, q []float64) {
 	data := ds.Data[lo*dim : hi*dim]
 	dst = dst[:hi-lo]
 	switch dim {
+	case 1:
+		q0 := q[0]
+		for i := range dst {
+			d0 := data[i] - q0
+			dst[i] = d0 * d0
+		}
 	case 2:
 		q0, q1 := q[0], q[1]
 		j := 0
@@ -99,6 +106,15 @@ func NearestInRange(ds *Dataset, lo, hi int, q []float64) (int, float64) {
 	dim := ds.Dim
 	data := ds.Data[lo*dim : hi*dim]
 	switch dim {
+	case 1:
+		q0 := q[0]
+		for i := lo; i < hi; i++ {
+			d0 := data[i-lo] - q0
+			if sq := d0 * d0; sq < bestSq {
+				bestSq = sq
+				best = i
+			}
+		}
 	case 2:
 		q0, q1 := q[0], q[1]
 		j := 0
@@ -175,6 +191,20 @@ func RelaxFarthest(ds *Dataset, lo, hi int, q []float64, minSq []float64) (int, 
 	dim := ds.Dim
 	data := ds.Data[lo*dim : hi*dim]
 	switch dim {
+	case 1:
+		q0 := q[0]
+		for i := lo; i < hi; i++ {
+			d0 := data[i-lo] - q0
+			m := minSq[i]
+			if sq := d0 * d0; sq < m {
+				m = sq
+				minSq[i] = sq
+			}
+			if m > far {
+				far = m
+				next = i
+			}
+		}
 	case 2:
 		q0, q1 := q[0], q[1]
 		j := 0

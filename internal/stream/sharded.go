@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -506,11 +505,10 @@ func (s *Sharded) mergeShards(locked bool, op string) (*Result, error) {
 		res.Bound = worstShardBound
 		return res, nil
 	}
-	// The recluster goes through the adaptive parallel front door: unions
-	// are usually tiny (≤ shards·k points) and run the sequential
-	// traversal, but a large shards·k merge on a multi-core host gets the
-	// worker pool. Either path is bit-identical to core.Gonzalez.
-	g := core.GonzalezParallel(union, s.cfg.K, core.Options{First: 0}, runtime.NumCPU())
+	// The union holds at most k centers per contributing shard, local or
+	// remote, so the recluster is one sequential traversal of a small
+	// input.
+	g := core.Gonzalez(union, s.cfg.K, core.Options{First: 0})
 	if s.cfg.Metric != nil {
 		// core.Gonzalez selects under Euclidean; re-evaluate the covering
 		// radius of its picks under the configured metric so Bound stays a

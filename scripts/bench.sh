@@ -4,14 +4,14 @@
 # BENCH_kernels.json with ns/op, B/op and allocs/op per benchmark (all
 # runs use -benchmem), so every change leaves a comparable perf record.
 #
-# The parallel benchmarks (pooled Gonzalez traversal, sharded ingestion)
-# are additionally swept with -cpu 1,2 so the baseline records how each
-# scales with GOMAXPROCS, not just its single-core cost (2 is the core
-# count of the 2-vCPU hosts this suite is run on; a GOMAXPROCS above the
-# host's cores measures oversubscription, not scaling); every JSON entry
-# carries the "gomaxprocs" it ran under (parsed from the -N name suffix Go
-# appends), and the file header records the host's CPU count, so a 1-vCPU
-# parity row is not misread as a scaling regression — see ARCHITECTURE.md,
+# The parallel benchmark (sharded ingestion) is additionally swept with
+# -cpu 1,2 so the baseline records how it scales with GOMAXPROCS, not just
+# its single-core cost (2 is the core count of the 2-vCPU hosts this suite
+# is run on; a GOMAXPROCS above the host's cores measures
+# oversubscription, not scaling); every JSON entry carries the
+# "gomaxprocs" it ran under (parsed from the -N name suffix Go appends),
+# and the file header records the host's CPU count, so a 1-vCPU parity
+# row is not misread as a scaling regression — see ARCHITECTURE.md,
 # "Parallel execution model".
 #
 #   BENCHTIME=1x  (default) one iteration per benchmark: a compile +
@@ -25,12 +25,12 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_kernels.json}"
-# Serial suite: everything except the two parallel sweeps below.
+# Serial suite: everything except the parallel sweep below.
 PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkGonzalezShapes$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$|BenchmarkEIM$)'
 # Parallel suite, run under -cpu 1,2: the 1 row is the single-core
-# baseline, the 2 row is what the worker pool / shard fan-out buys (or
-# costs) at 2-way GOMAXPROCS on this host.
-PAR_PATTERN='^(BenchmarkGonzalezParallel$|BenchmarkShardedThroughput$)'
+# baseline, the 2 row is what the shard fan-out buys (or costs) at 2-way
+# GOMAXPROCS on this host.
+PAR_PATTERN='^BenchmarkShardedThroughput$'
 
 NUM_CPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 
@@ -42,7 +42,7 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 -benchmem \
 	./internal/metric/ ./internal/assign/ ./internal/core/ ./internal/server/ ./internal/eim/ . > "$tmp"
 go test -run '^$' -bench "$PAR_PATTERN" -benchtime "$BENCHTIME" -count 1 -benchmem \
-	-cpu 1,2 ./internal/core/ . >> "$tmp"
+	-cpu 1,2 . >> "$tmp"
 cat "$tmp"
 
 awk -v benchtime="$BENCHTIME" -v goversion="$(go env GOVERSION)" -v numcpu="$NUM_CPU" '

@@ -2,10 +2,9 @@
 # Race-detector gate, run by `make race` and scripts/check.sh; this file is
 # the one list of what it covers. -short keeps it under a few seconds.
 #
-# Packages under -race: the worker pool behind the pooled Gonzalez
-# traversal (TestPoolConcurrentTraversals), the concurrent streaming
-# ingestion path (TestShardedConcurrentProducers, TestShardedSnapshotRace),
-# the serving layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
+# Packages under -race: the concurrent streaming ingestion path
+# (TestShardedConcurrentProducers, TestShardedSnapshotRace), the serving
+# layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
 # create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle, the
 # assign linearizability test TestAssignLinearizable and the per-Service
 # switchboard isolation test TestServiceSwitchboardIsolation), the
@@ -32,7 +31,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-RACE_PKGS="./internal/core/... ./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/..."
+RACE_PKGS="./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/..."
 RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
 RACE_ASSIGN='TestGridFilterBitIdentical|TestEvaluateParallelDeterminism'
 RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
