@@ -131,3 +131,97 @@ func TestGonzalezBitIdenticalToReference(t *testing.T) {
 		}
 	}
 }
+
+// tieGrid is the side×side integer grid in row-major order. Many of its
+// points lie exactly equidistant from the chosen centers, so every argmax
+// of the traversal must keep the lowest index.
+func tieGrid(side int) *metric.Dataset {
+	ds := metric.NewDataset(side*side, 2)
+	for i := 0; i < ds.N; i++ {
+		ds.Data[2*i], ds.Data[2*i+1] = float64(i/side), float64(i%side)
+	}
+	return ds
+}
+
+// TestGonzalezParallelTieBreaking pins the tie-breaks of Gonzalez and
+// GonzalezAssign against the reference loop on integer grids. The name dates
+// from the partitioned traversal, whose max-reduction the 16×16 grid first
+// checked. The 96×96 grid is large enough for the blocked layout, whose
+// per-block maxima must resolve ties the same way.
+func TestGonzalezParallelTieBreaking(t *testing.T) {
+	for _, c := range []struct{ side, k int }{{16, 9}, {96, 20}} {
+		ds := tieGrid(c.side)
+		if blocked := preferBlocks(ds.N, c.k, 2); blocked != (c.side == 96) {
+			t.Fatalf("side=%d k=%d: preferBlocks = %v", c.side, c.k, blocked)
+		}
+		for _, first := range []int{0, ds.N / 2, ds.N - 1} {
+			want := gonzalezReference(ds, c.k, first)
+			label := fmt.Sprintf("side=%d k=%d first=%d", c.side, c.k, first)
+			requireSameAsReference(t, label+" Gonzalez", Gonzalez(ds, c.k, Options{First: first}), want)
+			requireSameAsReference(t, label+" GonzalezAssign", GonzalezAssign(ds, c.k, Options{First: first}), want)
+		}
+	}
+}
+
+// TestGonzalezPooledTieBreaking runs the 16×16 tie grid from every first
+// center: each traversal must reproduce the reference loop's tie-breaks
+// (lowest index wins). The name dates from the worker-pool traversal, which
+// this grid checked at several pool sizes.
+func TestGonzalezPooledTieBreaking(t *testing.T) {
+	ds := tieGrid(16)
+	for first := 0; first < ds.N; first++ {
+		requireSameAsReference(t, fmt.Sprintf("first=%d", first),
+			Gonzalez(ds, 9, Options{First: first}), gonzalezReference(ds, 9, first))
+	}
+}
+
+// TestGonzalezParallelDegenerate runs the traversal on inputs whose points
+// are all equal, below and at the size where the blocked layout engages:
+// the radius is 0, one center is returned whatever k is, and the result
+// matches the reference loop. The name dates from the partitioned traversal,
+// which this case first checked.
+func TestGonzalezParallelDegenerate(t *testing.T) {
+	three, err := metric.FromPoints([][]float64{{1}, {1}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := metric.NewDataset(minBlockedN+808, 2)
+	for i := range same.Data {
+		same.Data[i] = 0.25
+	}
+	for _, c := range []struct {
+		ds *metric.Dataset
+		k  int
+	}{{three, 2}, {three, 3}, {three, 50}, {same, 20}, {same, same.N + 1}} {
+		label := fmt.Sprintf("n=%d k=%d", c.ds.N, c.k)
+		want := gonzalezReference(c.ds, c.k, 0)
+		for _, got := range []*Result{
+			Gonzalez(c.ds, c.k, Options{}),
+			GonzalezAssign(c.ds, c.k, Options{}),
+		} {
+			if got.Radius != 0 || len(got.Centers) != 1 {
+				t.Fatalf("%s: radius %v, centers %v", label, got.Radius, got.Centers)
+			}
+			requireSameAsReference(t, label, got, want)
+		}
+	}
+}
+
+// TestGonzalezPooledBitIdenticalToReference pins a five-point input against
+// the reference loop for every k from 1 to 6, one past n, and every first
+// center. The name dates from the worker-pool traversal, where this input
+// checked that a pool larger than the dataset left its surplus workers out.
+func TestGonzalezPooledBitIdenticalToReference(t *testing.T) {
+	small, err := metric.FromPoints([][]float64{{0, 0}, {3, 1}, {1, 4}, {-2, 2}, {5, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 6; k++ {
+		for first := 0; first < small.N; first++ {
+			want := gonzalezReference(small, k, first)
+			label := fmt.Sprintf("n=5 k=%d first=%d", k, first)
+			requireSameAsReference(t, label+" Gonzalez", Gonzalez(small, k, Options{First: first}), want)
+			requireSameAsReference(t, label+" GonzalezAssign", GonzalezAssign(small, k, Options{First: first}), want)
+		}
+	}
+}
