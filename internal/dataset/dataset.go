@@ -34,6 +34,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"kcenter/internal/metric"
 	"kcenter/internal/rng"
@@ -335,16 +336,28 @@ type LoadCSVOptions struct {
 // what it keeps. Returns the number of rows delivered. A non-nil error from
 // fn stops the scan and is returned verbatim. A value that parses but is not
 // finite ("NaN", "Inf") is a parse error: it names its line and column, or
-// reads as 0 under IgnoreParseErrors.
+// reads as 0 under IgnoreParseErrors. A negative entry in Columns is an
+// error naming it.
+//
+// Each line is trimmed and split as strings.TrimSpace and strings.Split
+// would, and each field parses as strconv.ParseFloat would, but an ASCII
+// line under a one-byte Comma costs no allocation (ARCHITECTURE.md,
+// "Loading").
 func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) error) (int64, error) {
 	if opts.Comma == 0 {
 		opts.Comma = ','
+	}
+	for _, c := range opts.Columns {
+		if c < 0 {
+			return 0, fmt.Errorf("dataset: column %d is negative", c)
+		}
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var (
 		cols    = opts.Columns
 		row     []float64
+		fields  [][]byte
 		lineNum int
 		rows    int64
 	)
@@ -353,15 +366,13 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 		if opts.SkipHeader && lineNum == 1 {
 			continue
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		if fields = splitLine(fields[:0], sc.Bytes(), opts.Comma); len(fields) == 0 {
 			continue
 		}
-		fields := strings.Split(line, string(opts.Comma))
 		if cols == nil {
 			// Autodetect numeric columns from the first data row.
 			for i, f := range fields {
-				if _, err := strconv.ParseFloat(strings.TrimSpace(f), 64); err == nil {
+				if _, err := parseField(f); err == nil {
 					cols = append(cols, i)
 				}
 			}
@@ -376,7 +387,7 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 			if c >= len(fields) {
 				return rows, fmt.Errorf("dataset: line %d has %d fields, need column %d", lineNum, len(fields), c)
 			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(fields[c]), 64)
+			v, err := parseField(fields[c])
 			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 				err = fmt.Errorf("non-finite value %v", v)
 			}
@@ -405,22 +416,84 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 	return rows, nil
 }
 
-// LoadCSV reads a numeric matrix from UCI-style comma-separated text. It is
-// how the real Poker Hand / KDD Cup files plug into the harness when the
-// user has them on disk.
-func LoadCSV(r io.Reader, opts LoadCSVOptions) (*metric.Dataset, error) {
-	var ds *metric.Dataset
-	_, err := ForEachCSVRow(r, opts, func(row []float64) error {
-		if ds == nil {
-			ds = metric.NewDataset(0, len(row))
+// splitLine appends to dst the fields of line split on comma, each one
+// trimmed, exactly as strings.Split(strings.TrimSpace(line), comma) with
+// strings.TrimSpace on every field would; a blank line yields none. An
+// all-ASCII line under a one-byte comma is split in place, trimming the six
+// ASCII bytes TrimSpace trims. Any other line takes the string functions
+// themselves, so Unicode spaces such as NBSP trim as before.
+func splitLine(dst [][]byte, line []byte, comma rune) [][]byte {
+	if fields, ok := splitASCII(dst, line, comma); ok {
+		return fields
+	}
+	s := strings.TrimSpace(string(line))
+	if s == "" {
+		return dst
+	}
+	for _, f := range strings.Split(s, string(comma)) {
+		dst = append(dst, []byte(strings.TrimSpace(f)))
+	}
+	return dst
+}
+
+// splitASCII is splitLine's in-place path. It reports false, appending
+// nothing, unless comma is one byte and line is all ASCII.
+func splitASCII(dst [][]byte, line []byte, comma rune) ([][]byte, bool) {
+	if uint32(comma) >= utf8.RuneSelf {
+		return dst, false
+	}
+	if line = trimSpace(line); len(line) == 0 {
+		return dst, true
+	}
+	n, start := len(dst), 0
+	for i, c := range line {
+		switch {
+		case c == byte(comma):
+			dst = append(dst, trimSpace(line[start:i]))
+			start = i + 1
+		case c >= utf8.RuneSelf:
+			return dst[:n], false
 		}
-		ds.Append(row)
+	}
+	return append(dst, trimSpace(line[start:])), true
+}
+
+// trimSpace trims the ASCII white space unicode.IsSpace reports.
+func trimSpace(b []byte) []byte {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r' // \t \n \v \f \r
+}
+
+// LoadCSV reads a numeric matrix from UCI-style comma-separated text with
+// ForEachCSVRow. It is how the real Poker Hand / KDD Cup files plug into the
+// harness when the user has them on disk. The matrix grows by doubling its
+// capacity, so growth copies fewer than two coordinates per coordinate
+// loaded and leaves at most half the capacity spare.
+func LoadCSV(r io.Reader, opts LoadCSVOptions) (*metric.Dataset, error) {
+	var data []float64
+	n, err := ForEachCSVRow(r, opts, func(row []float64) error {
+		if len(row) == 0 {
+			return fmt.Errorf("dataset: no columns selected")
+		}
+		if cap(data)-len(data) < len(row) {
+			data = append(make([]float64, 0, max(2*cap(data), 1<<12, len(row))), data...)
+		}
+		data = append(data, row...)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return &metric.Dataset{Data: data, N: int(n), Dim: len(data) / int(n)}, nil
 }
 
 // WriteCSV writes the dataset as comma-separated text, the inverse of

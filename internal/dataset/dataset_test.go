@@ -338,3 +338,44 @@ func TestForEachCSVRowStreaming(t *testing.T) {
 		t.Fatal("empty input should fail")
 	}
 }
+
+// TestLoadCSVRejectsBadColumns: a negative column is an error naming it,
+// not an index panic, and LoadCSV refuses an empty column selection, whose
+// rows would be points of no dimension.
+func TestLoadCSVRejectsBadColumns(t *testing.T) {
+	_, err := ForEachCSVRow(strings.NewReader("1,2\n3,4\n"), LoadCSVOptions{Columns: []int{-1}}, func([]float64) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "column -1") {
+		t.Fatalf("Columns [-1]: error %v, want one naming column -1", err)
+	}
+	if _, err := LoadCSV(strings.NewReader("1,2\n3,4\n"), LoadCSVOptions{Columns: []int{1, -2}}); err == nil ||
+		!strings.Contains(err.Error(), "column -2") {
+		t.Fatalf("Columns [1 -2]: error %v, want one naming column -2", err)
+	}
+	if _, err := LoadCSV(strings.NewReader("1,2\n3,4\n"), LoadCSVOptions{Columns: []int{}}); err == nil {
+		t.Fatal("an empty column selection loaded")
+	}
+}
+
+// TestLoadCSVGrowth: LoadCSV's own growth of the matrix keeps every row, in
+// order, at row counts on both sides of its first capacity doublings.
+func TestLoadCSVGrowth(t *testing.T) {
+	for _, c := range []struct{ n, dim int }{{1, 1}, {2048, 2}, {2049, 2}, {1366, 3}, {5000, 3}, {3, 5000}} {
+		want := Unif(UnifConfig{N: c.n, Dim: c.dim, Seed: uint64(c.n)}).Points
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCSV(&buf, LoadCSVOptions{})
+		if err != nil {
+			t.Fatalf("%d×%d: %v", c.n, c.dim, err)
+		}
+		if got.N != want.N || got.Dim != want.Dim || len(got.Data) != len(want.Data) {
+			t.Fatalf("%d×%d: loaded %d×%d (%d values)", c.n, c.dim, got.N, got.Dim, len(got.Data))
+		}
+		for i, v := range got.Data {
+			if v != want.Data[i] {
+				t.Fatalf("%d×%d: value %d = %v, want %v", c.n, c.dim, i, v, want.Data[i])
+			}
+		}
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"sync"
 
+	"kcenter/internal/dataset"
 	"kcenter/internal/metric"
 )
 
@@ -240,19 +241,11 @@ func (b *pointBatch) scanTenant(in []byte, i int) (int, bool) {
 	return i, false
 }
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
 // parseNumber parses the JSON number starting at in[i] and returns it with
 // the index just past it. It reports false when in[i:] does not start with
-// a number of the JSON grammar, or when strconv.ParseFloat rejects it.
-//
-// A number with no exponent whose digits form an integer m ≤ 2^53 with at
-// most 22 of them after the point is float64(m) / 10^frac: both operands
-// are exact, so the one correctly rounded division equals the correctly
-// rounded decimal ParseFloat returns (Clinger, "How to Read Floating Point
-// Numbers Accurately", PLDI 1990). Every other number goes to ParseFloat.
+// a number of the JSON grammar, or when strconv.ParseFloat rejects it. A
+// number with no exponent takes dataset.ExactDecimal's exact step when it
+// can; every other number goes to ParseFloat.
 func parseNumber(in []byte, i int) (float64, int, bool) {
 	start := i
 	neg := i < len(in) && in[i] == '-'
@@ -291,9 +284,8 @@ func parseNumber(in []byte, i int) (float64, int, bool) {
 			return 0, i, false
 		}
 	}
-	exact := digits <= 19 && m <= 1<<53 && frac < len(pow10)
-	if i < len(in) && (in[i] == 'e' || in[i] == 'E') {
-		exact = false
+	exp := i < len(in) && (in[i] == 'e' || in[i] == 'E')
+	if exp {
 		i++
 		if i < len(in) && (in[i] == '+' || in[i] == '-') {
 			i++
@@ -306,12 +298,10 @@ func parseNumber(in []byte, i int) (float64, int, bool) {
 			return 0, i, false
 		}
 	}
-	if exact {
-		f := float64(m) / pow10[frac]
-		if neg {
-			f = -f
+	if !exp {
+		if f, ok := dataset.ExactDecimal(neg, m, digits, frac); ok {
+			return f, i, true
 		}
-		return f, i, true
 	}
 	f, err := strconv.ParseFloat(string(in[start:i]), 64)
 	return f, i, err == nil

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Benchmark-trajectory gate: runs the kernel, assignment, Gonzalez, EIM,
-# streaming, serving and request-codec benchmarks and emits
+# streaming, serving, request-codec and CSV-loading benchmarks and emits
 # BENCH_kernels.json with ns/op, B/op and allocs/op per benchmark (all
 # runs use -benchmem), so every change leaves a comparable perf record.
 #
@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_kernels.json}"
 # Serial suite: everything except the parallel sweep below.
-PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkGonzalezShapes$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$|BenchmarkEIM$)'
+PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkGonzalezShapes$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$|BenchmarkEIM$|BenchmarkLoadCSV$)'
 # Parallel suite, run under -cpu 1,2: the 1 row is the single-core
 # baseline, the 2 row is what the shard fan-out buys (or costs) at 2-way
 # GOMAXPROCS on this host.
@@ -40,7 +40,7 @@ trap 'rm -f "$tmp"' EXIT
 # No pipe here: POSIX sh has no pipefail, and piping through tee would let
 # a failing `go test` (bench panic, broken TestMain) slip past set -e.
 go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 -benchmem \
-	./internal/metric/ ./internal/assign/ ./internal/core/ ./internal/server/ ./internal/eim/ . > "$tmp"
+	./internal/metric/ ./internal/assign/ ./internal/core/ ./internal/server/ ./internal/eim/ ./internal/dataset/ . > "$tmp"
 go test -run '^$' -bench "$PAR_PATTERN" -benchtime "$BENCHTIME" -count 1 -benchmem \
 	-cpu 1,2 . >> "$tmp"
 cat "$tmp"

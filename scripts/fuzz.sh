@@ -5,7 +5,9 @@
 # codec must accept, reject and parse exactly as encoding/json does), the
 # replication receiver (arbitrary bytes must answer a documented 4xx and
 # never half-merge), the checkpoint reader (arbitrary bytes must fail typed,
-# never panic) and the fault-spec grammar. The committed seed corpora under
+# never panic), the fault-spec grammar and the CSV row reader (the byte-level
+# scan must deliver the rows, count and error text of the string-based
+# reader it replaced). The committed seed corpora under
 # */testdata/fuzz always run; FUZZTIME (default 10s) adds random exploration
 # on top (raise it to hunt, e.g. `FUZZTIME=5m sh scripts/fuzz.sh`). Any
 # crasher fails the gate.
@@ -16,13 +18,14 @@ cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 FUZZTIME="${FUZZTIME:-10s}"
 
-echo "== fuzz gate (5 targets, $FUZZTIME each)"
+echo "== fuzz gate (6 targets, $FUZZTIME each)"
 for target in \
 	'FuzzDecodeIngest ./internal/server' \
 	'FuzzDecodeAssign ./internal/server' \
 	'FuzzDecodeReplicate ./internal/server' \
 	'FuzzCheckpointDecode ./internal/checkpoint' \
-	'FuzzParseSpec ./internal/fault'; do
+	'FuzzParseSpec ./internal/fault' \
+	'FuzzForEachCSVRow ./internal/dataset'; do
 	set -- $target
 	$GO test -run '^$' -fuzz "^$1\$" -fuzztime "$FUZZTIME" "$2"
 done
