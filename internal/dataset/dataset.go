@@ -29,12 +29,11 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
-	"unicode/utf8"
 
 	"kcenter/internal/metric"
 	"kcenter/internal/rng"
@@ -340,8 +339,8 @@ type LoadCSVOptions struct {
 // error naming it.
 //
 // Each line is trimmed and split as strings.TrimSpace and strings.Split
-// would, and each field parses as strconv.ParseFloat would, but an ASCII
-// line under a one-byte Comma costs no allocation (ARCHITECTURE.md,
+// would, and each field parses as strconv.ParseFloat would, but in place
+// on the scanner's bytes, so a row costs no allocation (ARCHITECTURE.md,
 // "Loading").
 func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) error) (int64, error) {
 	if opts.Comma == 0 {
@@ -355,6 +354,7 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var (
+		sep     = []byte(string(opts.Comma))
 		cols    = opts.Columns
 		row     []float64
 		fields  [][]byte
@@ -366,7 +366,7 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 		if opts.SkipHeader && lineNum == 1 {
 			continue
 		}
-		if fields = splitLine(fields[:0], sc.Bytes(), opts.Comma); len(fields) == 0 {
+		if fields = splitLine(fields[:0], sc.Bytes(), sep); len(fields) == 0 {
 			continue
 		}
 		if cols == nil {
@@ -416,61 +416,22 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 	return rows, nil
 }
 
-// splitLine appends to dst the fields of line split on comma, each one
-// trimmed, exactly as strings.Split(strings.TrimSpace(line), comma) with
-// strings.TrimSpace on every field would; a blank line yields none. An
-// all-ASCII line under a one-byte comma is split in place, trimming the six
-// ASCII bytes TrimSpace trims. Any other line takes the string functions
-// themselves, so Unicode spaces such as NBSP trim as before.
-func splitLine(dst [][]byte, line []byte, comma rune) [][]byte {
-	if fields, ok := splitASCII(dst, line, comma); ok {
-		return fields
-	}
-	s := strings.TrimSpace(string(line))
-	if s == "" {
+// splitLine appends to dst the fields of line split on sep, each one
+// trimmed, exactly as strings.Split(strings.TrimSpace(line), sep) with
+// strings.TrimSpace on every field would, without allocating; a blank line
+// yields none.
+func splitLine(dst [][]byte, line, sep []byte) [][]byte {
+	if line = bytes.TrimSpace(line); len(line) == 0 {
 		return dst
 	}
-	for _, f := range strings.Split(s, string(comma)) {
-		dst = append(dst, []byte(strings.TrimSpace(f)))
-	}
-	return dst
-}
-
-// splitASCII is splitLine's in-place path. It reports false, appending
-// nothing, unless comma is one byte and line is all ASCII.
-func splitASCII(dst [][]byte, line []byte, comma rune) ([][]byte, bool) {
-	if uint32(comma) >= utf8.RuneSelf {
-		return dst, false
-	}
-	if line = trimSpace(line); len(line) == 0 {
-		return dst, true
-	}
-	n, start := len(dst), 0
-	for i, c := range line {
-		switch {
-		case c == byte(comma):
-			dst = append(dst, trimSpace(line[start:i]))
-			start = i + 1
-		case c >= utf8.RuneSelf:
-			return dst[:n], false
+	for {
+		f, rest, ok := bytes.Cut(line, sep)
+		dst = append(dst, bytes.TrimSpace(f))
+		if !ok {
+			return dst
 		}
+		line = rest
 	}
-	return append(dst, trimSpace(line[start:])), true
-}
-
-// trimSpace trims the ASCII white space unicode.IsSpace reports.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-func isSpace(c byte) bool {
-	return c == ' ' || '\t' <= c && c <= '\r' // \t \n \v \f \r
 }
 
 // LoadCSV reads a numeric matrix from UCI-style comma-separated text with
