@@ -23,7 +23,6 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -193,30 +192,13 @@ type aggregateStats struct {
 // fields appear only in multi-tenant mode, so the single-tenant reply is
 // byte-identical to the pre-tenancy wire format.
 type statsResponse struct {
-	K               int     `json:"k"`
-	Shards          int     `json:"shards"`
-	Dim             int     `json:"dim"`
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	AcceptedPoints  int64   `json:"accepted_points"`
-	AcceptedBatches int64   `json:"accepted_batches"`
-	PendingBatches  int64   `json:"pending_batches"`
-	IngestedPoints  int64   `json:"ingested_points"`
-	AssignRequests  int64   `json:"assign_requests"`
-	AssignPoints    int64   `json:"assign_points"`
-	// DistEvals counts assignment distance evaluations actually performed
-	// (pruning makes this sub-linear in k per point above the crossover).
-	DistEvals      int64 `json:"dist_evals"`
-	SnapshotBuilds int64 `json:"snapshot_builds"`
-	// ShedBatches/ShedPoints count ingest batches (and the points in them)
-	// rejected with 429 because the queue stayed at its watermark past the
-	// shed patience.
-	ShedBatches int64 `json:"shed_batches"`
-	ShedPoints  int64 `json:"shed_points"`
-	// CheckpointWrites/CheckpointErrors count persistence activity (0 when
-	// checkpointing is not configured); LastCheckpointUnixNano is the
-	// capture time of the newest on-disk checkpoint, 0 if none.
-	CheckpointWrites       int64 `json:"checkpoint_writes"`
-	CheckpointErrors       int64 `json:"checkpoint_errors"`
+	K             int     `json:"k"`
+	Shards        int     `json:"shards"`
+	Dim           int     `json:"dim"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	tenantCounters
+	// LastCheckpointUnixNano is the capture time of the newest on-disk
+	// checkpoint, 0 if none.
 	LastCheckpointUnixNano int64 `json:"last_checkpoint_unix_nano"`
 	// LastCheckpointError is the message of the most recent checkpoint
 	// write failure, cleared by the next successful write; empty while
@@ -269,12 +251,12 @@ func (s *Service) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/assign", s.handleAssign)
-	s.mux.HandleFunc("/v1/centers", s.handleCenters)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/centers", getOnly(s.handleCenters))
+	s.mux.HandleFunc("/v1/stats", getOnly(s.handleStats))
 	s.mux.HandleFunc("/v1/replicate", s.handleReplicate)
-	s.mux.HandleFunc("/v1/tenants", s.handleTenants)
-	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/v1/tenants", getOnly(s.handleTenants))
+	s.mux.HandleFunc("/v1/healthz", getOnly(s.handleHealthz))
+	s.mux.HandleFunc("/metrics", getOnly(s.handleMetrics))
 	if s.cfg.Pprof {
 		registerPprof(s.mux)
 	}
@@ -283,6 +265,17 @@ func (s *Service) routes() {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown route "+r.URL.Path)
 	})
+}
+
+// getOnly guards a read-only handler: every method but GET gets 405.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		h(w, r)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -340,21 +333,51 @@ func mergeTenantName(w http.ResponseWriter, r *http.Request, bodyName string) (s
 	return name, true
 }
 
-// resolveQuery maps a tenant name to its live tenant for the query
-// endpoints (assign/centers/stats): 404 for a name that does not exist,
-// 409 for a quarantined one. It writes the error response itself and
-// returns nil on failure.
-func (s *Service) resolveQuery(w http.ResponseWriter, name string) *tenant {
+// resolve maps a tenant name to its tenant. It writes the error response
+// itself and returns nil on failure: 409 for a quarantined tenant, and 404
+// for an unknown name — unless create is set in multi-tenant mode, which
+// creates the tenant with shape k/shards (0: the defaults) and answers 429
+// past the MaxTenants cap, 409 for a racing creation of another shape and
+// 503 while shutting down.
+func (s *Service) resolve(w http.ResponseWriter, name string, create bool, k, shards int) *tenant {
 	t, ok := s.lookup(name)
-	if !ok {
+	var err error
+	switch {
+	case ok && t.failed == nil:
+		return t
+	case ok:
+		err = t.failed
+	case !create:
 		writeError(w, http.StatusNotFound, "unknown tenant "+strconv.Quote(name))
 		return nil
-	}
-	if t.failed != nil {
-		writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+t.failed.Error())
+	case s.cfg.MaxTenants <= 0:
+		writeError(w, http.StatusNotFound,
+			"unknown tenant "+strconv.Quote(name)+" (multi-tenancy is not enabled)")
 		return nil
+	default:
+		if t, err = s.createTenant(name, k, shards); err == nil {
+			return t
+		}
 	}
-	return t
+	switch {
+	case errors.Is(err, ErrTenantFailed):
+		writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+err.Error())
+	case errors.Is(err, errTenantCap):
+		writeError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, errTenantConflict):
+		writeError(w, http.StatusConflict, err.Error())
+	case errors.Is(err, errShuttingDown):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
+	}
+	return nil
+}
+
+// resolveQuery resolves the tenant of a query endpoint (assign, centers,
+// stats); queries never create tenants.
+func (s *Service) resolveQuery(w http.ResponseWriter, name string) *tenant {
+	return s.resolve(w, name, false, 0, 0)
 }
 
 // shapeHeaders parses the optional X-Kcenter-K / X-Kcenter-Shards pinning
@@ -381,54 +404,28 @@ func shapeHeaders(w http.ResponseWriter, r *http.Request) (k, shards int, ok boo
 	return k, shards, true
 }
 
-// resolveIngest maps a tenant name to its tenant for ingestion, lazily
-// creating unknown tenants in multi-tenant mode: 404 unknown (single-tenant
-// mode), 409 conflicting shape headers or a quarantined tenant, 429 past
-// the MaxTenants cap. It writes the error response itself and returns nil
-// on failure.
+// resolveIngest resolves the tenant of an ingest request, lazily creating
+// an unknown one with the shape its X-Kcenter-K / X-Kcenter-Shards headers
+// pin: 400 for a malformed header, 409 when an existing tenant has another
+// shape, and otherwise resolve's answers.
 func (s *Service) resolveIngest(w http.ResponseWriter, r *http.Request, name string) *tenant {
 	wantK, wantShards, ok := shapeHeaders(w, r)
 	if !ok {
 		return nil
 	}
-	if t, ok := s.lookup(name); ok {
-		if t.failed != nil {
-			writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+t.failed.Error())
-			return nil
-		}
-		if wantK > 0 && wantK != t.k {
-			writeError(w, http.StatusConflict,
-				"tenant "+strconv.Quote(name)+" has k="+strconv.Itoa(t.k)+", request pins k="+strconv.Itoa(wantK))
-			return nil
-		}
-		if wantShards > 0 && wantShards != t.shards {
-			writeError(w, http.StatusConflict,
-				"tenant "+strconv.Quote(name)+" has shards="+strconv.Itoa(t.shards)+", request pins shards="+strconv.Itoa(wantShards))
-			return nil
-		}
-		return t
-	}
-	if s.cfg.MaxTenants <= 0 {
-		writeError(w, http.StatusNotFound,
-			"unknown tenant "+strconv.Quote(name)+" (multi-tenancy is not enabled)")
+	t := s.resolve(w, name, true, wantK, wantShards)
+	switch {
+	case t == nil:
+	case wantK > 0 && wantK != t.k:
+		writeError(w, http.StatusConflict,
+			"tenant "+strconv.Quote(name)+" has k="+strconv.Itoa(t.k)+", request pins k="+strconv.Itoa(wantK))
+		return nil
+	case wantShards > 0 && wantShards != t.shards:
+		writeError(w, http.StatusConflict,
+			"tenant "+strconv.Quote(name)+" has shards="+strconv.Itoa(t.shards)+", request pins shards="+strconv.Itoa(wantShards))
 		return nil
 	}
-	t, err := s.createTenant(name, wantK, wantShards)
-	switch {
-	case err == nil:
-		return t
-	case errors.Is(err, errTenantCap):
-		writeError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, errTenantConflict):
-		writeError(w, http.StatusConflict, err.Error())
-	case errors.Is(err, errShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, ErrTenantFailed):
-		writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+err.Error())
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
-	}
-	return nil
+	return t
 }
 
 // decodePoints decodes a points batch shared by ingest and assign and runs
@@ -706,10 +703,6 @@ func writeAssign(w http.ResponseWriter, rs *replyScratch, m snapshotMeta) {
 }
 
 func (s *Service) handleCenters(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	name, ok := mergeTenantName(w, r, "")
 	if !ok {
 		return
@@ -734,30 +727,28 @@ func (s *Service) handleCenters(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, centersResponse{Snapshot: meta(qs), Centers: centers})
 }
 
-// info summarizes one tenant for listings. Live counters are read from the
-// tenant's atomics and its ingester's per-shard read locks — cheap enough
+// info summarizes one tenant view for listings. Live shape fields are read
+// from the tenant's ingester under its per-shard read locks — cheap enough
 // to call per request, never a merge.
-func (t *tenant) info() tenantInfo {
+func (v *tenantView) info() tenantInfo {
+	t := v.t
 	ti := tenantInfo{
 		Name:            t.name,
-		Status:          "active",
+		Status:          v.status,
 		K:               t.k,
 		Shards:          t.shards,
 		CheckpointPath:  t.ckptPath,
 		CreatedUnixNano: t.created.UnixNano(),
 	}
-	if t.failed != nil {
-		ti.Status = "failed"
-		ti.Error = t.failed.Error()
+	if v.err != nil {
+		ti.Error = v.err.Error()
+	}
+	if v.status == "failed" {
 		return ti
 	}
-	if err := t.checkDegraded(); err != nil {
-		ti.Status = "degraded"
-		ti.Error = err.Error()
-	}
 	ti.Dim = t.dimInt()
-	ti.IngestedPoints = t.ingestedPoints.Load()
-	ti.AssignPoints = t.assignPoints.Load()
+	ti.IngestedPoints = v.IngestedPoints
+	ti.AssignPoints = v.AssignPoints
 	ti.CentersVersion = t.sh.CentersVersion()
 	for _, sh := range t.sh.PerShardStats() {
 		ti.Centers += sh.Centers
@@ -765,38 +756,24 @@ func (t *tenant) info() tenantInfo {
 	return ti
 }
 
-// tenantInfos lists every registered tenant, default first, then by name.
-func (s *Service) tenantInfos() []tenantInfo {
-	s.tmu.RLock()
-	all := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		all = append(all, t)
-	}
-	s.tmu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return tenantNameLess(all[i].name, all[j].name) })
-	out := make([]tenantInfo, len(all))
-	for i, t := range all {
-		out[i] = t.info()
+// tenantInfos lists the views, in their order (default first, then by
+// name).
+func tenantInfos(vs []tenantView) []tenantInfo {
+	out := make([]tenantInfo, len(vs))
+	for i := range vs {
+		out[i] = vs[i].info()
 	}
 	return out
 }
 
 func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	writeJSON(w, http.StatusOK, tenantsResponse{
 		MaxTenants: s.cfg.MaxTenants,
-		Tenants:    s.tenantInfos(),
+		Tenants:    tenantInfos(s.views()),
 	})
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	explicit := requestTenant(r)
 	name, ok := mergeTenantName(w, r, "")
 	if !ok {
@@ -806,31 +783,20 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
+	v := t.view()
 	resp := statsResponse{
-		K:               t.k,
-		Shards:          t.shards,
-		Dim:             t.dimInt(),
-		UptimeSeconds:   time.Since(s.started).Seconds(),
-		AcceptedPoints:  t.acceptedPoints.Load(),
-		AcceptedBatches: t.acceptedBatches.Load(),
-		PendingBatches:  t.pendingBatches.Load(),
-		IngestedPoints:  t.ingestedPoints.Load(),
-		AssignRequests:  t.assignRequests.Load(),
-		AssignPoints:    t.assignPoints.Load(),
-		DistEvals:       t.distEvals.Load(),
-		SnapshotBuilds:  t.snapshotBuilds.Load(),
-		ShedBatches:     t.shedBatches.Load(),
-		ShedPoints:      t.shedPoints.Load(),
-
-		CheckpointWrites:       t.ckptWrites.Load(),
-		CheckpointErrors:       t.ckptErrors.Load(),
+		K:                      t.k,
+		Shards:                 t.shards,
+		Dim:                    t.dimInt(),
+		UptimeSeconds:          time.Since(s.started).Seconds(),
+		tenantCounters:         v.tenantCounters,
 		LastCheckpointUnixNano: t.lastCkptUnix.Load(),
 		LastCheckpointError:    t.lastCheckpointError(),
-		DroppedPoints:          t.totalDropped(),
+		DroppedPoints:          v.Dropped,
+		Degraded:               v.err != nil,
 	}
-	if err := t.checkDegraded(); err != nil {
-		resp.Degraded = true
-		resp.DegradedError = err.Error()
+	if v.err != nil {
+		resp.DegradedError = v.err.Error()
 	}
 	if t.restored != nil {
 		resp.RestoredPoints = t.restored.Ingested
@@ -866,28 +832,23 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxTenants > 0 {
 		resp.Tenant = t.name
 		if explicit == "" {
-			infos := s.tenantInfos()
-			agg := &aggregateStats{
-				Tenants:    len(infos),
-				MaxTenants: s.cfg.MaxTenants,
-			}
-			s.tmu.RLock()
-			for _, tn := range s.tenants {
-				if tn.failed != nil {
+			vs := s.views()
+			agg := &aggregateStats{Tenants: len(vs), MaxTenants: s.cfg.MaxTenants}
+			for _, tv := range vs {
+				switch tv.status {
+				case "failed":
 					agg.FailedTenants++
 					continue
-				}
-				if tn.checkDegraded() != nil {
+				case "degraded":
 					agg.DegradedTenants++
 				}
-				agg.AcceptedPoints += tn.acceptedPoints.Load()
-				agg.IngestedPoints += tn.ingestedPoints.Load()
-				agg.AssignPoints += tn.assignPoints.Load()
-				agg.ShedPoints += tn.shedPoints.Load()
-				agg.DroppedPoints += tn.totalDropped()
+				agg.AcceptedPoints += tv.AcceptedPoints
+				agg.IngestedPoints += tv.IngestedPoints
+				agg.AssignPoints += tv.AssignPoints
+				agg.ShedPoints += tv.ShedPoints
+				agg.DroppedPoints += tv.Dropped
 			}
-			s.tmu.RUnlock()
-			resp.Tenants = infos
+			resp.Tenants = tenantInfos(vs)
 			resp.Aggregate = agg
 		}
 	}

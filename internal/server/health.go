@@ -43,10 +43,6 @@ type healthzResponse struct {
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	probe := r.URL.Query().Get("probe")
 	if probe != "" && probe != "live" && probe != "ready" {
 		writeError(w, http.StatusBadRequest, "probe must be \"live\" or \"ready\"")
@@ -58,21 +54,15 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		HandlerPanics: s.handlerPanics.Load(),
 	}
-	s.tmu.RLock()
-	all := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		all = append(all, t)
+	vs := s.views()
+	resp.Tenants = len(vs)
+	byStatus := map[string][]string{}
+	for _, v := range vs {
+		byStatus[v.status] = append(byStatus[v.status], v.t.name)
 	}
-	s.tmu.RUnlock()
-	resp.Tenants = len(all)
-	for _, t := range all {
-		switch {
-		case t.failed != nil:
-			resp.FailedTenants = append(resp.FailedTenants, t.name)
-		case t.checkDegraded() != nil:
-			resp.DegradedTenants = append(resp.DegradedTenants, t.name)
-		}
-	}
+	// The lists are plainly lexicographic: unlike the other listings they
+	// do not put the default tenant first.
+	resp.DegradedTenants, resp.FailedTenants = byStatus["degraded"], byStatus["failed"]
 	sort.Strings(resp.DegradedTenants)
 	sort.Strings(resp.FailedTenants)
 	switch {

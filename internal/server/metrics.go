@@ -1,26 +1,26 @@
 // GET /metrics: Prometheus text-format exposition (version 0.0.4) of the
 // whole telemetry surface — per-tenant and aggregate request/stage latency
-// histograms (live while Config.Telemetry is armed), the
-// service counters /v1/stats also reports, tenant health gauges, the PR 7
-// fault/degradation signals, shard channel dwell, burst occupancy, and the
-// Service's checkpoint write/fsync durations. Scrapes read atomics and
-// take per-tenant histogram snapshots; they never merge clusterings or take
-// shard locks beyond the per-shard stat reads, so a scraper cannot perturb
-// the serving path.
+// histograms (live while Config.Telemetry is armed), the per-tenant
+// counters of counterTable (the same readings /v1/stats reports), tenant
+// health gauges, handler panics, shard channel dwell, burst occupancy,
+// replication state, and the Service's checkpoint write/fsync durations.
+// Scrapes read atomics and take per-tenant histogram snapshots; they never
+// merge clusterings or take shard locks beyond the per-shard stat reads, so
+// a scraper cannot perturb the serving path.
 //
 // Naming: per-tenant series carry a {tenant=...} label under a
 // kcenter_tenant_* family; the process aggregates are separately named
 // kcenter_* families built by merging the per-tenant histogram snapshots at
 // scrape time — exact, because every histogram shares the same bucket
 // bounds — so sum()-style double counting across the two granularities is
-// impossible by construction.
+// impossible by construction. Family names stay whole string literals:
+// scripts/docscheck.sh extracts them to check ARCHITECTURE's signal table.
 
 package server
 
 import (
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"time"
 
 	"kcenter/internal/obs"
@@ -63,10 +63,11 @@ func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// tenantScrape is one tenant's snapshot taken at the top of a scrape, so
-// every family in the reply describes the same instant per tenant.
+// tenantScrape is one tenant's view plus its histogram snapshots, taken at
+// the top of a scrape, so every family in the reply describes the same
+// instant per tenant.
 type tenantScrape struct {
-	t *tenant
+	tenantView
 	// reqs / stages are the per-route histogram snapshots; stream the shard
 	// dwell one.
 	reqs   [obs.NumRoutes]obs.HistogramSnapshot
@@ -75,29 +76,14 @@ type tenantScrape struct {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	s.tmu.RLock()
-	all := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		all = append(all, t)
-	}
-	s.tmu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return tenantNameLess(all[i].name, all[j].name) })
-
-	scrapes := make([]tenantScrape, 0, len(all))
-	var degraded, failed int
-	for _, t := range all {
-		switch {
-		case t.failed != nil:
-			failed++
-		case t.checkDegraded() != nil:
-			degraded++
-		}
-		ts := tenantScrape{t: t}
-		if m := t.metrics; m != nil {
+	views := s.views()
+	scrapes := make([]tenantScrape, len(views))
+	byStatus := map[string]int{}
+	for i, v := range views {
+		byStatus[v.status]++
+		ts := &scrapes[i]
+		ts.tenantView = v
+		if m := v.t.metrics; m != nil {
 			for ro := obs.Route(0); ro < obs.NumRoutes; ro++ {
 				ts.reqs[ro] = m.Routes[ro].Total.Snapshot()
 				for st := obs.Stage(0); st < obs.NumStages; st++ {
@@ -106,7 +92,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			ts.stream = m.Stream.Dwell.Snapshot()
 		}
-		scrapes = append(scrapes, ts)
 	}
 
 	w.Header().Set("Content-Type", obs.PromContentType)
@@ -125,46 +110,20 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Tenant health.
 	obs.WriteHeader(w, "kcenter_tenants", "gauge", "Registered tenants by status.")
-	obs.WriteSample(w, "kcenter_tenants", []obs.Label{{Name: "status", Value: "active"}},
-		float64(len(all)-degraded-failed))
-	obs.WriteSample(w, "kcenter_tenants", []obs.Label{{Name: "status", Value: "degraded"}}, float64(degraded))
-	obs.WriteSample(w, "kcenter_tenants", []obs.Label{{Name: "status", Value: "failed"}}, float64(failed))
+	for _, st := range []string{"active", "degraded", "failed"} {
+		obs.WriteSample(w, "kcenter_tenants", []obs.Label{{Name: "status", Value: st}}, float64(byStatus[st]))
+	}
 
-	// Per-tenant counters, one family per counter so types stay honest.
-	counters := []struct {
-		name, help string
-		read       func(*tenant) int64
-	}{
-		{"kcenter_tenant_accepted_points_total", "Points validated and queued.",
-			func(t *tenant) int64 { return t.acceptedPoints.Load() }},
-		{"kcenter_tenant_ingested_points_total", "Points handed to the sharded ingester.",
-			func(t *tenant) int64 { return t.ingestedPoints.Load() }},
-		{"kcenter_tenant_assign_points_total", "Points assigned to centers.",
-			func(t *tenant) int64 { return t.assignPoints.Load() }},
-		{"kcenter_tenant_shed_points_total", "Points shed with 429 at the queue watermark.",
-			func(t *tenant) int64 { return t.shedPoints.Load() }},
-		{"kcenter_tenant_dropped_points_total", "Accepted points discarded by a degraded tenant.",
-			func(t *tenant) int64 { return t.totalDropped() }},
-		{"kcenter_tenant_checkpoint_writes_total", "Successful checkpoint writes.",
-			func(t *tenant) int64 { return t.ckptWrites.Load() }},
-		{"kcenter_tenant_checkpoint_errors_total", "Failed checkpoint writes.",
-			func(t *tenant) int64 { return t.ckptErrors.Load() }},
-		{"kcenter_tenant_snapshot_builds_total", "Query snapshot rebuilds (center set changed).",
-			func(t *tenant) int64 { return t.snapshotBuilds.Load() }},
-		{"kcenter_tenant_burst_drains_total", "Shard burst-drain rounds.",
-			func(t *tenant) int64 { return streamCounter(t, false) }},
-		{"kcenter_tenant_burst_messages_total", "Messages consumed by burst drains (ratio to drains = mean burst occupancy).",
-			func(t *tenant) int64 { return streamCounter(t, true) }},
-	}
-	for _, c := range counters {
-		obs.WriteHeader(w, c.name, "counter", c.help)
-		for _, ts := range scrapes {
-			obs.WriteSample(w, c.name, tenantLabel(ts.t), float64(c.read(ts.t)))
+	// Per-tenant counters (and the pending-batch gauge), one family per
+	// counterTable row so types stay honest.
+	for _, row := range counterTable {
+		if row.family == "" {
+			continue
 		}
-	}
-	obs.WriteHeader(w, "kcenter_tenant_pending_batches", "gauge", "Batches queued but not yet pushed.")
-	for _, ts := range scrapes {
-		obs.WriteSample(w, "kcenter_tenant_pending_batches", tenantLabel(ts.t), float64(ts.t.pendingBatches.Load()))
+		obs.WriteHeader(w, row.family, row.typ, row.help)
+		for i := range scrapes {
+			obs.WriteSample(w, row.family, tenantLabel(scrapes[i].t), float64(*row.field(&scrapes[i].tenantCounters)))
+		}
 	}
 
 	// Request latency histograms: per-tenant, then the exact aggregate from
@@ -249,30 +208,28 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	now := time.Now()
-	var originScrapes []struct {
-		t  *tenant
-		os originStatus
+	type originScrape struct {
+		labels []obs.Label
+		os     originStatus
 	}
+	var origins []originScrape
 	for _, ts := range scrapes {
 		for _, os := range ts.t.originStatuses(now) {
-			originScrapes = append(originScrapes, struct {
-				t  *tenant
-				os originStatus
-			}{ts.t, os})
+			origins = append(origins, originScrape{originLabels(ts.t, os), os})
 		}
 	}
-	if len(originScrapes) > 0 {
+	if len(origins) > 0 {
 		obs.WriteHeader(w, "kcenter_tenant_replicate_merges_total", "counter", "Remote states folded into the tenant, per origin.")
-		for _, sc := range originScrapes {
-			obs.WriteSample(w, "kcenter_tenant_replicate_merges_total", originLabels(sc.t, sc.os), float64(sc.os.Merges))
+		for _, o := range origins {
+			obs.WriteSample(w, "kcenter_tenant_replicate_merges_total", o.labels, float64(o.os.Merges))
 		}
 		obs.WriteHeader(w, "kcenter_tenant_replicate_rejects_total", "counter", "Inbound states rejected by validation, per origin.")
-		for _, sc := range originScrapes {
-			obs.WriteSample(w, "kcenter_tenant_replicate_rejects_total", originLabels(sc.t, sc.os), float64(sc.os.Rejects))
+		for _, o := range origins {
+			obs.WriteSample(w, "kcenter_tenant_replicate_rejects_total", o.labels, float64(o.os.Rejects))
 		}
 		obs.WriteHeader(w, "kcenter_tenant_replicate_staleness_seconds", "gauge", "Seconds since the origin's last applied state arrived.")
-		for _, sc := range originScrapes {
-			obs.WriteSample(w, "kcenter_tenant_replicate_staleness_seconds", originLabels(sc.t, sc.os), sc.os.StalenessSeconds)
+		for _, o := range origins {
+			obs.WriteSample(w, "kcenter_tenant_replicate_staleness_seconds", o.labels, o.os.StalenessSeconds)
 		}
 	}
 
@@ -307,16 +264,4 @@ func peerLabel(p *replicaPeer) []obs.Label {
 
 func originLabels(t *tenant, os originStatus) []obs.Label {
 	return append(tenantLabel(t), obs.Label{Name: "origin", Value: os.Origin})
-}
-
-// streamCounter reads a tenant's burst counters, tolerating tenants without
-// metrics (no Telemetry, or quarantined).
-func streamCounter(t *tenant, messages bool) int64 {
-	if t.metrics == nil {
-		return 0
-	}
-	if messages {
-		return t.metrics.Stream.BurstMessages.Load()
-	}
-	return t.metrics.Stream.Bursts.Load()
 }

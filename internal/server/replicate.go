@@ -205,13 +205,7 @@ func (s *Service) replicateLoop() {
 // each peer whose acknowledged version is behind and whose backoff has
 // expired.
 func (s *Service) replicateTick(now time.Time) {
-	for _, tn := range s.liveTenants() {
-		if tn.checkDegraded() != nil {
-			continue // suspect summaries must not propagate
-		}
-		if tn.dim.Load() == 0 {
-			continue // nothing ingested: nothing worth pushing
-		}
+	for _, tn := range s.sortedTenants(healthy) {
 		v := tn.sh.CentersVersion()
 		var due []*replicaPeer
 		for _, p := range s.peers {
@@ -284,44 +278,6 @@ func (s *Service) pushState(p *replicaPeer, tenantName string, ver uint64, paylo
 	}
 }
 
-// resolveReplicate maps a tenant name to its tenant for an inbound push,
-// lazily creating unknown tenants in multi-tenant mode with the shape the
-// payload carries — a follower materializes its tenants from the gossip
-// alone. Same error contract as resolveIngest. It writes the error response
-// itself and returns nil on failure.
-func (s *Service) resolveReplicate(w http.ResponseWriter, name string, snap *checkpoint.Snapshot) *tenant {
-	if t, ok := s.lookup(name); ok {
-		if t.failed != nil {
-			writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+t.failed.Error())
-			return nil
-		}
-		return t
-	}
-	if s.cfg.MaxTenants <= 0 {
-		writeError(w, http.StatusNotFound,
-			"unknown tenant "+strconv.Quote(name)+" (multi-tenancy is not enabled)")
-		return nil
-	}
-	// Shard count is deliberately not pinned from the payload: merge folds
-	// remote shard summaries regardless of the local shard layout.
-	t, err := s.createTenant(name, snap.K, 0)
-	switch {
-	case err == nil:
-		return t
-	case errors.Is(err, errTenantCap):
-		writeError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, errTenantConflict):
-		writeError(w, http.StatusConflict, err.Error())
-	case errors.Is(err, errShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, ErrTenantFailed):
-		writeError(w, http.StatusConflict, "tenant "+strconv.Quote(name)+" unavailable: "+err.Error())
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
-	}
-	return nil
-}
-
 // handleReplicate is POST /v1/replicate: one peer's checksummed state frame,
 // folded into the named tenant. Every failure mode is a typed error and a
 // well-formed 4xx with the tenant's merged state untouched — the never-half-
@@ -374,7 +330,10 @@ func (s *Service) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "replicate payload: "+err.Error())
 		return
 	}
-	t := s.resolveReplicate(w, name, snap)
+	// Unknown tenants are created from the gossip alone, with the payload's
+	// k. Shard count is deliberately not pinned from the payload: merge
+	// folds remote shard summaries regardless of the local shard layout.
+	t := s.resolve(w, name, true, snap.K, 0)
 	if t == nil {
 		return
 	}

@@ -111,7 +111,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -364,14 +363,14 @@ func New(cfg Config) (*Service, error) {
 	s.tenants[DefaultTenant] = def
 	if cfg.MaxTenants > 0 && cfg.CheckpointPath != "" {
 		if err := s.restoreTenantDir(); err != nil {
-			for _, t := range s.liveTenants() {
+			for _, t := range s.sortedTenants(live) {
 				_, _ = t.sh.Finish()
 			}
 			return nil, err
 		}
 	}
 	s.routes()
-	for _, t := range s.liveTenants() {
+	for _, t := range s.sortedTenants(live) {
 		s.startTenant(t)
 	}
 	if cfg.CheckpointPath != "" {
@@ -398,15 +397,12 @@ func (s *Service) Restored() *RestoreSummary {
 // do not appear — they restored nothing; see the /v1/tenants listing for
 // their typed failure.
 func (s *Service) TenantRestores() []*RestoreSummary {
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
 	var out []*RestoreSummary
-	for _, t := range s.tenants {
+	for _, t := range s.sortedTenants(nil) {
 		if t.restored != nil {
 			out = append(out, t.restored)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return tenantNameLess(out[i].Tenant, out[j].Tenant) })
 	return out
 }
 
@@ -439,21 +435,15 @@ func (s *Service) checkpointLoop() {
 			return
 		case <-t.C:
 			now := time.Now()
-			for _, tn := range s.liveTenants() {
+			for _, tn := range s.sortedTenants(healthy) {
 				if tn.ckptPath == "" {
 					continue
-				}
-				if tn.checkDegraded() != nil {
-					continue // preserve the last good checkpoint
 				}
 				if retry := tn.ckptRetryTime(); !retry.IsZero() && now.Before(retry) {
 					continue // backing off after write failures
 				}
 				if v := tn.sh.CentersVersion(); tn.ckptEver.Load() && v == tn.lastCkptVersion.Load() {
 					continue
-				}
-				if tn.dim.Load() == 0 {
-					continue // nothing ever ingested: nothing worth persisting
 				}
 				_ = tn.writeCheckpoint()
 			}
@@ -490,13 +480,7 @@ func (s *Service) CheckpointNow() error {
 		return fmt.Errorf("server: no checkpoint path configured")
 	}
 	var errs []error
-	for _, t := range s.liveTenants() {
-		if t.dim.Load() == 0 {
-			continue
-		}
-		if t.checkDegraded() != nil {
-			continue // the last good checkpoint is the recoverable state
-		}
+	for _, t := range s.sortedTenants(healthy) {
 		if err := t.writeCheckpoint(); err != nil {
 			errs = append(errs, fmt.Errorf("tenant %s: %w", t.name, err))
 		}
@@ -540,14 +524,7 @@ func (s *Service) Close(ctx context.Context) (*stream.Result, error) {
 	close(s.done) // wake handlers blocked on full queues and stop the checkpoint loop
 	// Snapshot the registry: creation checks closed under tmu, so no
 	// tenant can appear after this read.
-	s.tmu.Lock()
-	all := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		if t.failed == nil {
-			all = append(all, t)
-		}
-	}
-	s.tmu.Unlock()
+	all := s.sortedTenants(live)
 	for _, t := range all {
 		t.qmu.Lock() // every enqueue holds the read side; none in flight now
 		close(t.queue)

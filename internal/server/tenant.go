@@ -259,21 +259,6 @@ func (s *Service) lookup(name string) (*tenant, bool) {
 	return t, ok
 }
 
-// liveTenants snapshots the registry's non-quarantined tenants, sorted
-// registration-order-free (map order); callers that present them sort by
-// name themselves.
-func (s *Service) liveTenants() []*tenant {
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
-	out := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		if t.failed == nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // createTenant lazily creates (or returns) the named tenant, enforcing the
 // MaxTenants cap. It is the only way tenants come into existence after
 // New: first ingest contact pins the tenant's shape (k, shards — the
