@@ -402,6 +402,9 @@ func (t *tenant) noteReplicate(origin string, snap *checkpoint.Snapshot, err err
 // receive ledger, sorted by origin. Origins whose every push was rejected
 // still appear (with no state fields), so an operator sees the refusals.
 func (t *tenant) originStatuses(now time.Time) []originStatus {
+	if t.sh == nil {
+		return nil // a failed tenant owns no ingester, so no remote state
+	}
 	states := t.sh.RemoteStates()
 	t.repMu.Lock()
 	defer t.repMu.Unlock()
