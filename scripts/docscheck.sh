@@ -1,5 +1,5 @@
 #!/bin/sh
-# Docs gate, part of `make check` (see scripts/check.sh). Five checks:
+# Docs gate, part of `make check` (see scripts/check.sh). Six checks:
 #
 #   1. gofmt: no file may need reformatting.
 #   2. Package comments: every package has exactly one package doc comment
@@ -16,6 +16,10 @@
 #      and examples/serving/README.md must be a flag registered in
 #      cmd/kcenter/main.go (Go toolchain flags such as -race are exempt), so
 #      a removed or renamed flag cannot linger in the docs.
+#   6. Metric family sync: every kcenter_* family internal/server emits (a
+#      whole "kcenter_..." string literal in its non-test Go) must be named
+#      literally in ARCHITECTURE.md's signal table, so no /metrics signal
+#      ships undocumented.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -120,6 +124,25 @@ for doc in README.md ARCHITECTURE.md examples/serving/README.md; do
 			fail=1
 		fi
 	done
+done
+
+echo "== docs gate: metric family sync (internal/server)"
+families="$(git ls-files 'internal/server/*.go' | grep -v '_test\.go$' | xargs grep -ohE '"kcenter_[a-z0-9_]+"' | tr -d '"' | sort -u)"
+if [ -z "$families" ]; then
+	echo "no kcenter_* families found in internal/server (extraction broken?)"
+	fail=1
+fi
+# The signal table: the rows after its "| Signal | Source | Exposure |" header.
+signal_table="$(awk '/^\| Signal \| Source \| Exposure \|/ { on = 1 } on && !/^\|/ { exit } on' ARCHITECTURE.md)"
+if [ -z "$signal_table" ]; then
+	echo "ARCHITECTURE.md has no signal table"
+	fail=1
+fi
+for fam in $families; do
+	if ! printf '%s\n' "$signal_table" | grep -qE "(^|[^a-z0-9_])$fam([^a-z0-9_]|\$)"; then
+		echo "ARCHITECTURE.md signal table does not name $fam (emitted by internal/server)"
+		fail=1
+	fi
 done
 
 if [ "$fail" -ne 0 ]; then
