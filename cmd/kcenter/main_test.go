@@ -97,6 +97,29 @@ func TestRunCSVInput(t *testing.T) {
 	}
 }
 
+// TestRunCSVHeader: a CSV file whose first line names its columns loads
+// in both the batch and the streaming paths, the header skipped.
+func TestRunCSVHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "points.csv")
+	if err := os.WriteFile(path, []byte("x,label,y\n0,a,0\n1,b,0\n0,c,1\n10,d,10\n11,e,10\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runT([]string{"-algo", "gon", "-csv", path, "-k", "2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "n=5") {
+		t.Fatalf("headed CSV not loaded:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := runT([]string{"stream", "-csv", path, "-k", "2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "ingested=5") || !strings.Contains(out, "centers=2") {
+		t.Fatalf("headed CSV not streamed:\n%s", out)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runT([]string{"-algo", "nope"}, &buf); err == nil {

@@ -99,3 +99,20 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCSVSkipsHeader is the regression test for ReadCSV failing on a
+// file whose first line names its columns ("line 1 has no numeric
+// columns"): the header is skipped and the columns are detected from the
+// first data row.
+func TestReadCSVSkipsHeader(t *testing.T) {
+	d, err := ReadCSV(strings.NewReader("x,label,y\n1,a,2\n3,b,4\n5,c,6\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 3 || d.Dim() != 2 {
+		t.Fatalf("%d x %d, want 3 x 2", d.Len(), d.Dim())
+	}
+	if _, err := ReadCSV(strings.NewReader("x,y\na,b\n1,2\n")); err == nil {
+		t.Fatal("a second all-symbolic line must still fail")
+	}
+}

@@ -318,7 +318,9 @@ type LoadCSVOptions struct {
 	// SkipHeader drops the first line.
 	SkipHeader bool
 	// Columns selects which zero-based columns to keep; nil keeps every
-	// column that parses as a number in the first data row.
+	// column that parses as a number in the first data row. With Columns
+	// nil and SkipHeader off, a first line with no numeric field is taken
+	// for a header and skipped.
 	Columns []int
 	// MaxRows limits how many rows are read; 0 means unlimited.
 	MaxRows int
@@ -336,7 +338,8 @@ type LoadCSVOptions struct {
 // fn stops the scan and is returned verbatim. A value that parses but is not
 // finite ("NaN", "Inf") is a parse error: it names its line and column, or
 // reads as 0 under IgnoreParseErrors. A negative entry in Columns is an
-// error naming it.
+// error naming it. A header line (x,label,y) is detected as LoadCSVOptions
+// describes; any later line with no numeric field is still an error.
 //
 // Each line is trimmed and split as strings.TrimSpace and strings.Split
 // would, and each field parses as strconv.ParseFloat would, but in place
@@ -360,6 +363,7 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 		fields  [][]byte
 		lineNum int
 		rows    int64
+		header  = cols == nil && !opts.SkipHeader
 	)
 	for sc.Scan() {
 		lineNum++
@@ -375,6 +379,10 @@ func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) erro
 				if _, err := parseField(f); err == nil {
 					cols = append(cols, i)
 				}
+			}
+			if len(cols) == 0 && header {
+				header = false // a header line: detect from the next line
+				continue
 			}
 			if len(cols) == 0 {
 				return rows, fmt.Errorf("dataset: line %d has no numeric columns", lineNum)

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -192,6 +193,32 @@ func TestLoadCSVHeaderAndColumnSelection(t *testing.T) {
 	}
 	if ds.N != 2 || ds.Dim != 2 || ds.At(0)[1] != 3 {
 		t.Fatalf("unexpected %+v", ds)
+	}
+}
+
+// TestLoadCSVDetectsHeader: with Columns nil and SkipHeader off, a first
+// non-blank line with no numeric field is a header; only that line.
+func TestLoadCSVDetectsHeader(t *testing.T) {
+	ds, err := LoadCSV(strings.NewReader("\n  \nx,label,y\n1,a,2\n3,b,4\n"), LoadCSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.N != 2 || ds.Dim != 2 || ds.At(1)[1] != 4 {
+		t.Fatalf("unexpected %+v", ds)
+	}
+	for _, c := range []struct {
+		in   string
+		opts LoadCSVOptions
+		err  string
+	}{
+		{"x,y\na,b\n1,2\n", LoadCSVOptions{}, "dataset: line 2 has no numeric columns"},
+		{"x,y\n", LoadCSVOptions{}, "dataset: no data rows"},
+		{"skipped\nx,y\n1,2\n", LoadCSVOptions{SkipHeader: true}, "dataset: line 2 has no numeric columns"},
+		{"x,y\n1,2\n", LoadCSVOptions{Columns: []int{0, 1}}, `dataset: line 1 column 0: strconv.ParseFloat: parsing "x": invalid syntax`},
+	} {
+		if _, err := LoadCSV(strings.NewReader(c.in), c.opts); fmt.Sprint(err) != c.err {
+			t.Errorf("%q %+v: error %v, want %s", c.in, c.opts, err, c.err)
+		}
 	}
 }
 

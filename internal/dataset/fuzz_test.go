@@ -64,8 +64,11 @@ func FuzzForEachCSVRow(f *testing.F) {
 }
 
 // forEachCSVRowStrings is ForEachCSVRow as it was before the byte-level
-// scan, kept verbatim as the fuzz target's reference: strings.TrimSpace and
-// strings.Split on sc.Text(), and strconv.ParseFloat on every field.
+// scan, kept as the fuzz target's reference: strings.TrimSpace and
+// strings.Split on sc.Text(), and strconv.ParseFloat on every field. It
+// applies the same header rule (a first non-blank line with no numeric
+// field is skipped when columns are autodetected and SkipHeader is off), so
+// the target still pins splitting and parsing.
 func forEachCSVRowStrings(r io.Reader, opts LoadCSVOptions, fn func(row []float64) error) (int64, error) {
 	if opts.Comma == 0 {
 		opts.Comma = ','
@@ -77,6 +80,7 @@ func forEachCSVRowStrings(r io.Reader, opts LoadCSVOptions, fn func(row []float6
 		row     []float64
 		lineNum int
 		rows    int64
+		header  = cols == nil && !opts.SkipHeader
 	)
 	for sc.Scan() {
 		lineNum++
@@ -94,6 +98,10 @@ func forEachCSVRowStrings(r io.Reader, opts LoadCSVOptions, fn func(row []float6
 				if _, err := strconv.ParseFloat(strings.TrimSpace(f), 64); err == nil {
 					cols = append(cols, i)
 				}
+			}
+			if len(cols) == 0 && header {
+				header = false
+				continue
 			}
 			if len(cols) == 0 {
 				return rows, fmt.Errorf("dataset: line %d has no numeric columns", lineNum)
