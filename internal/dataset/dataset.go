@@ -338,8 +338,7 @@ type LoadCSVOptions struct {
 // fn stops the scan and is returned verbatim. A value that parses but is not
 // finite ("NaN", "Inf") is a parse error: it names its line and column, or
 // reads as 0 under IgnoreParseErrors. A negative entry in Columns is an
-// error naming it. A header line (x,label,y) is detected as LoadCSVOptions
-// describes; any later line with no numeric field is still an error.
+// error naming it. A header line is detected as LoadCSVOptions describes.
 //
 // Each line is trimmed and split as strings.TrimSpace and strings.Split
 // would, and each field parses as strconv.ParseFloat would, but in place

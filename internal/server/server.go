@@ -436,9 +436,6 @@ func (s *Service) checkpointLoop() {
 		case <-t.C:
 			now := time.Now()
 			for _, tn := range s.sortedTenants(healthy) {
-				if tn.ckptPath == "" {
-					continue
-				}
 				if retry := tn.ckptRetryTime(); !retry.IsZero() && now.Before(retry) {
 					continue // backing off after write failures
 				}

@@ -34,34 +34,28 @@ func live(t *tenant) bool { return t.failed == nil }
 // holding data.
 func healthy(t *tenant) bool { return live(t) && t.checkDegraded() == nil && t.dim.Load() != 0 }
 
-// status classifies the tenant: "failed" (quarantined because its
-// checkpoint did not restore; it refuses all traffic), else "degraded"
-// (quarantined at runtime after a contained panic; it serves its last good
-// snapshot read-only), else "active". err is the typed cause, nil while
-// active.
-func (t *tenant) status() (string, error) {
-	if t.failed != nil {
-		return "failed", t.failed
-	}
-	if err := t.checkDegraded(); err != nil {
-		return "degraded", err
-	}
-	return "active", nil
-}
-
 // tenantView is one tenant read once: its status and its counters. A reply
 // built from views reports each tenant as it was at one instant.
 type tenantView struct {
-	t      *tenant
+	t *tenant
+	// status is "failed" (quarantined because its checkpoint did not
+	// restore; it refuses all traffic), else "degraded" (quarantined at
+	// runtime after a contained panic; it serves its last good snapshot
+	// read-only), else "active"; err is the typed cause, nil while active.
 	status string
 	err    error
 	tenantCounters
 }
 
-// view reads the tenant once: its status and every counter of the table.
+// view reads the tenant once: it classifies its status and reads every
+// counter of the table.
 func (t *tenant) view() tenantView {
-	v := tenantView{t: t}
-	v.status, v.err = t.status()
+	v := tenantView{t: t, status: "active", err: t.failed}
+	if v.err != nil {
+		v.status = "failed"
+	} else if v.err = t.checkDegraded(); v.err != nil {
+		v.status = "degraded"
+	}
 	for _, row := range counterTable {
 		*row.field(&v.tenantCounters) = row.read(t)
 	}
