@@ -727,9 +727,10 @@ func (s *Service) handleCenters(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, centersResponse{Snapshot: meta(qs), Centers: centers})
 }
 
-// info summarizes one tenant view for listings. Live shape fields are read
-// from the tenant's ingester under its per-shard read locks — cheap enough
-// to call per request, never a merge.
+// info summarizes one tenant view for listings. The dimension, center
+// count and center-set version are read live from the tenant's ingester
+// under its per-shard read locks — cheap enough to call per request, never
+// a merge.
 func (v *tenantView) info() tenantInfo {
 	t := v.t
 	ti := tenantInfo{
