@@ -17,8 +17,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector gate: the package list and the harness and EIM test
-# regexes live in scripts/race.sh, which scripts/check.sh runs too.
+# Race-detector gate: the package list and the harness, assign, EIM and
+# core test regexes live in scripts/race.sh, which scripts/check.sh runs too.
 race:
 	GO=$(GO) sh scripts/race.sh
 

@@ -76,8 +76,8 @@ func TestGonzalezBlockedBitIdentical(t *testing.T) {
 	shapes := []struct{ n, k int }{{n, 19}, {n, 20}, {n, 100}, {minBlockedN - 1, 100}}
 	dims := []int{1, 2, 3, 4, 5, 8}
 	if testing.Short() {
-		// One blocked shape: the race gate runs this test, and the layout
-		// is single-threaded.
+		// One blocked shape; TestGonzalezBlockedWorkersBitIdentical is the
+		// one that starts goroutines.
 		dims, shapes = []int{2}, shapes[1:2]
 	}
 	sides := map[bool]int{}
@@ -120,5 +120,58 @@ func TestGonzalezBlockedBitIdentical(t *testing.T) {
 	}
 	if sides[true] == 0 || (!testing.Short() && sides[false] == 0) {
 		t.Fatalf("shapes cover the blocked side %d times and the plain side %d times", sides[true], sides[false])
+	}
+}
+
+// TestGonzalezBlockedWorkersBitIdentical runs the traversal at forced worker
+// counts, the odd ones giving uneven row and block shares, and pins each
+// against gonzalezReference bit for bit, with and without MinDist and the
+// assignment carry and over a subset. Where the layout engages it also pins
+// the slot order against the one-worker layout's, which the results alone
+// do not show: any permutation of the rows gives the same centers.
+func TestGonzalezBlockedWorkersBitIdentical(t *testing.T) {
+	r := rng.New(27)
+	const n = minBlockedN + 808
+	shapes := []struct{ n, k int }{{n, 20}, {n, 100}, {minBlockedN - 1, 100}}
+	dims := []int{1, 2}
+	if testing.Short() {
+		// The race gate runs this test.
+		dims, shapes = []int{2}, shapes[:1]
+	}
+	for _, dim := range dims {
+		for _, sh := range shapes {
+			blocked := preferBlocks(sh.n, sh.k, dim)
+			for _, c := range blockedCases(r, sh.n, dim) {
+				first := c.first
+				if first < 0 {
+					first = r.Intn(sh.n)
+				}
+				want := gonzalezReference(c.ds, sh.k, first)
+				idx := r.Perm(sh.n)[100:]
+				subFirst := r.Intn(len(idx))
+				subWant := gonzalezReference(c.ds.Subset(idx), sh.k, subFirst)
+				subWant.MinDist = nil // gonzalez returns positions in idx and no MinDist
+				var layout []int32
+				for _, workers := range []int{1, 2, 3, 7} {
+					label := fmt.Sprintf("dim=%d n=%d k=%d %s first=%d workers=%d", dim, sh.n, sh.k, c.name, first, workers)
+					opt := Options{First: first}
+					requireSameAsReference(t, label+" MinDist", gonzalez(c.ds, nil, sh.k, opt, true, false, workers), want)
+					requireSameAsReference(t, label+" MinDist+Assignment", gonzalez(c.ds, nil, sh.k, opt, true, true, workers), want)
+					requireSameAsReference(t, label+" subset", gonzalez(c.ds, idx, sh.k, Options{First: subFirst}, false, false, workers), subWant)
+					if !blocked {
+						continue
+					}
+					orig := newBlocks(c.ds, nil, false, workers).orig
+					if layout == nil {
+						layout = orig
+					}
+					for j := range layout {
+						if orig[j] != layout[j] {
+							t.Fatalf("%s: slot %d holds row %d, %d with one worker", label, j, orig[j], layout[j])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
-// Package core implements the sequential k-center primitives at the heart of
-// the reproduction: Gonzalez's greedy farthest-first 2-approximation (GON in
-// the paper), covering-radius evaluation, an exact solver for tiny instances
-// (the test oracle behind every approximation-ratio property test).
+// Package core implements the shared-memory k-center primitives at the
+// heart of the reproduction: Gonzalez's greedy farthest-first
+// 2-approximation (GON in the paper), covering-radius evaluation, an exact
+// solver for tiny instances (the test oracle behind every
+// approximation-ratio property test).
 //
 // GON (Gonzalez 1985) picks an arbitrary first center, then repeatedly marks
 // the point farthest from the chosen centers as the next center, k times.
@@ -16,11 +17,17 @@
 // compact blocks with bounding boxes and skips every block a new center
 // provably cannot improve. The skip is exact, so the centers, radius,
 // MinDist and Assignment are bit-identical to a plain scan.
+//
+// From parallelMinN points, Gonzalez and GonzalezAssign build and traverse
+// that layout on GOMAXPROCS workers, one goroutine each per phase, with the
+// same bits at every worker count. GonzalezSubset, the reducer of MRG and
+// EIM, runs on one: their reducers already run one per core.
 package core
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"kcenter/internal/metric"
 )
@@ -59,7 +66,7 @@ type Options struct {
 // the radius is zero). It panics on k <= 0, an empty dataset or a First
 // outside [0, n), which are programming errors in this repository's callers.
 func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, nil, k, opt, true, false)
+	return gonzalez(ds, nil, k, opt, true, false, workersFor(ds.N))
 }
 
 // GonzalezAssign is Gonzalez with assignment carry: Result.Assignment maps
@@ -71,7 +78,25 @@ func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
 // relaxation keeps the earliest center on ties, matching Evaluate's
 // lowest-position tie-break; pinned by TestGonzalezAssignMatchesEvaluate).
 func GonzalezAssign(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, nil, k, opt, true, true)
+	return gonzalez(ds, nil, k, opt, true, true, workersFor(ds.N))
+}
+
+// parallelMinN is the smallest input Gonzalez and GonzalezAssign split
+// across GOMAXPROCS workers; below it the goroutine starts cost about what
+// the split saves. Fitted on BenchmarkGonzalezShapes's input (GAU,
+// k′ = 25, k ∈ {20, 50, 100}, medians of 3, 2-vCPU host): two workers took
+// 0.88–1.01 of one worker's time at n = 2¹⁶ and 0.78–0.83 at 2¹⁷.
+const parallelMinN = 1 << 17
+
+// workersFor returns the number of workers a top-level traversal over n
+// points runs on: GOMAXPROCS from parallelMinN points up, one below.
+// GonzalezSubset always runs on one: it is the reducer of MRG and EIM,
+// whose reducers already run concurrently, one per core.
+func workersFor(n int) int {
+	if n < parallelMinN {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // gonzalez is the one farthest-first traversal behind every exported
@@ -81,12 +106,14 @@ func GonzalezAssign(ds *metric.Dataset, k int, opt Options) *Result {
 // results:
 //
 //   - blocked (blocks.go), when preferBlocks says the layout pays: only
-//     the blocks the new center can improve are relaxed;
-//   - otherwise one kernel call over the whole input.
+//     the blocks the new center can improve are relaxed, the layout's build
+//     and rounds split across workers goroutines (bit-identical at every
+//     count);
+//   - otherwise one kernel call over the whole input, on one core.
 //
 // wantMinDist gates the per-point distances, which reducer-side callers
 // never consume, and wantAssign the assignment carry.
-func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wantAssign bool) *Result {
+func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wantAssign bool, workers int) *Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: Gonzalez requires k >= 1, got %d", k))
 	}
@@ -107,7 +134,7 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wa
 
 	var blk *blocks
 	if preferBlocks(n, k, ds.Dim) {
-		blk = newBlocks(ds, idx, wantAssign)
+		blk = newBlocks(ds, idx, wantAssign, workers)
 	}
 	if blk == nil && idx != nil {
 		// The plain passes run on a contiguous gathered copy, so the
@@ -197,7 +224,7 @@ func GonzalezSubset(ds *metric.Dataset, idx []int, k int, opt Options) *Result {
 	// Subset results never materialize per-point distances (they would be
 	// indexed by position, not dataset index, and no reducer-side caller
 	// wants them), so the traversal skips that O(n) pass entirely.
-	res := gonzalez(ds, idx, k, opt, false, false)
+	res := gonzalez(ds, idx, k, opt, false, false, 1)
 	for i, pos := range res.Centers {
 		res.Centers[i] = idx[pos]
 	}

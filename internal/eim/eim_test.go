@@ -315,7 +315,8 @@ func TestTenApproxEmpirical(t *testing.T) {
 // BenchmarkEIM runs EIM with a fixed sampling seed, so every iteration
 // does the same work. The gau case is the perfbench batch workload's EIM
 // instance: 100,000 2-D GAU points (k′ = 25), k = 10, φ = 8, ε = 0.1 and
-// 50 machines.
+// 50 machines. The kdd case is fig1's input at n = 10⁵ (KDD-like, dim 38)
+// with fig1's settings at k = 25: the default φ and ε and 50 machines.
 func BenchmarkEIM(b *testing.B) {
 	cases := []struct {
 		name string
@@ -325,6 +326,8 @@ func BenchmarkEIM(b *testing.B) {
 		{"unif-50k", dataset.Unif(dataset.UnifConfig{N: 50000, Seed: 1}).Points, Config{K: 10, Seed: 1}},
 		{"gau-100k", dataset.Gau(dataset.GauConfig{N: 100000, KPrime: 25, Seed: 1}).Points,
 			Config{K: 10, Phi: 8, Epsilon: 0.1, Cluster: mapreduce.Config{Machines: 50}, Seed: 1}},
+		{"kdd-100k", dataset.KDDLike(dataset.KDDLikeConfig{N: 100000, Seed: 1}).Points,
+			Config{K: 25, Cluster: mapreduce.Config{Machines: 50}, Seed: 1}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

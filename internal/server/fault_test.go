@@ -11,6 +11,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +280,44 @@ func TestCheckpointFailureBackoffAndRecovery(t *testing.T) {
 	}
 	if !s.tenant.ckptRetryTime().IsZero() {
 		t.Fatal("backoff deadline not cleared after recovery")
+	}
+}
+
+// TestHealthzListsDefaultTenantFirst pins degraded_tenants to the order of
+// every other listing: the default tenant first, then the rest by name, so
+// a degraded default tenant comes before a degraded "alpha".
+func TestHealthzListsDefaultTenantFirst(t *testing.T) {
+	faults := new(fault.Set)
+	s := newTestService(t, Config{K: 4, Shards: 1, MaxTenants: 4, Faults: faults})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Warm the default tenant, so the cleanup Close has something to flush.
+	pts := genPoints(40, 3)
+	if resp, body := postJSON(t, ts, "/v1/ingest", ingestRequest{Points: pts}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("default warmup: %d %s", resp.StatusCode, body)
+	}
+	waitFor(t, "default warmup ingestion", func() bool { return s.tenant.ingestedPoints.Load() == 40 })
+	if err := faults.Arm(map[string]fault.Rule{fault.ServerIngest: {Mode: fault.ModePanic}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"alpha", ""} {
+		if resp, body := postJSON(t, ts, "/v1/ingest", ingestRequest{Points: pts, Tenant: tenant}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest %q: %d %s", tenant, resp.StatusCode, body)
+		}
+	}
+	at, _ := s.lookup("alpha")
+	waitFor(t, "both tenants degraded", func() bool {
+		return at.checkDegraded() != nil && s.tenant.checkDegraded() != nil
+	})
+	faults.Disarm()
+
+	var hz healthzResponse
+	if resp := getJSON(t, ts, "/v1/healthz", &hz); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d, want 200", resp.StatusCode)
+	}
+	if want := []string{DefaultTenant, "alpha"}; !reflect.DeepEqual(hz.DegradedTenants, want) {
+		t.Fatalf("degraded_tenants = %v, want %v", hz.DegradedTenants, want)
 	}
 }
 

@@ -12,7 +12,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"kcenter/internal/obs"
@@ -60,11 +59,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, v := range vs {
 		byStatus[v.status] = append(byStatus[v.status], v.t.name)
 	}
-	// The lists are plainly lexicographic: unlike the other listings they
-	// do not put the default tenant first.
 	resp.DegradedTenants, resp.FailedTenants = byStatus["degraded"], byStatus["failed"]
-	sort.Strings(resp.DegradedTenants)
-	sort.Strings(resp.FailedTenants)
 	switch {
 	case !resp.Ready:
 		resp.Status = "shutting-down"

@@ -4,8 +4,8 @@
 # decoders (pooled buffers must never alias into a response, and the points
 # codec must accept, reject and parse exactly as encoding/json does), the
 # replication receiver (arbitrary bytes must answer a documented 4xx and
-# never half-merge), the checkpoint reader (arbitrary bytes must fail typed,
-# never panic), the fault-spec grammar and the CSV row reader (the byte-level
+# never half-merge), the checkpoint decoder (arbitrary bytes must fail typed,
+# never panic; the seeds also go through Read from a file), the fault-spec grammar and the CSV row reader (the byte-level
 # scan must deliver the rows, count and error text of the string-based
 # reader it replaced). The committed seed corpora under
 # */testdata/fuzz always run; FUZZTIME (default 10s) adds random exploration

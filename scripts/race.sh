@@ -26,6 +26,11 @@
 # RACE_EIM: EIM's reducers, which all read the carried-distance slice
 # (TestRunMatchesFullRescan and TestRoundOpsChargeOnlyNewSample at small n;
 # the whole EIM package takes ~20 s under -race).
+#
+# RACE_CORE: the blocked farthest-first traversal's workers, which build one
+# layout and relax disjoint blocks of it in each round
+# (TestGonzalezBlockedWorkersBitIdentical at worker counts 1, 2, 3 and 7,
+# beside TestGonzalezBlockedBitIdentical, at one blocked shape).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,6 +40,7 @@ RACE_PKGS="./internal/stream/... ./internal/server/... ./internal/fault/... ./in
 RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
 RACE_ASSIGN='TestGridFilterBitIdentical|TestEvaluateParallelDeterminism'
 RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
+RACE_CORE='TestGonzalezBlocked'
 
 echo "== go test -race -short $RACE_PKGS"
 $GO test -race -short $RACE_PKGS
@@ -44,3 +50,5 @@ echo "== go test -race -short -run '$RACE_ASSIGN' ./internal/assign"
 $GO test -race -short -run "$RACE_ASSIGN" ./internal/assign
 echo "== go test -race -short -run '$RACE_EIM' ./internal/eim"
 $GO test -race -short -run "$RACE_EIM" ./internal/eim
+echo "== go test -race -short -run '$RACE_CORE' ./internal/core"
+$GO test -race -short -run "$RACE_CORE" ./internal/core
