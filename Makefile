@@ -25,8 +25,9 @@ race:
 # Isolation flake gate: the experiment smoke test (every experiment in
 # parallel, chaos's armed fault storm among them) and the two-Service
 # switchboard isolation test, repeated under GOMAXPROCS 1 and 2. A fault
-# rule or telemetry switch leaking from one Service into another shows up
-# here as an injected panic or a degraded tenant in the wrong experiment.
+# rule or telemetry switch leaking from one Service into another is caught
+# by TestServiceSwitchboardIsolation, which arms both on one Service and
+# asserts the other sees no hit, sample or degraded tenant.
 isolation:
 	$(GO) test -count=3 -cpu 1,2 -run 'TestExperimentsSmoke|TestServiceSwitchboardIsolation' ./internal/harness ./internal/server
 

@@ -359,7 +359,10 @@ func BenchmarkStreamPush(b *testing.B) {
 // (Push fan-out, shard summaries, final merge) from a single producer,
 // reporting points/second and the realized-vs-batch quality ratio. The
 // shard counts are fixed (not GOMAXPROCS-derived) so rows are comparable
-// across hosts and across the -cpu 1,2 sweep scripts/bench.sh runs.
+// across hosts and across the -cpu 1,2 sweep scripts/bench.sh runs. It is
+// the one home of the sharded-ingest scaling question: pts/s at 1, 2 and 4
+// shards under each -cpu value, so a run where more shards ingest slower
+// shows up in BENCH_kernels.json.
 func BenchmarkShardedThroughput(b *testing.B) {
 	l := dataset.Unif(dataset.UnifConfig{N: 100000, Seed: 20})
 	gon := core.Gonzalez(l.Points, 25, core.Options{First: 0})

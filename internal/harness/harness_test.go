@@ -86,8 +86,8 @@ func TestMeanStdDev(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"chaos", "fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b",
-		"restart", "scaling", "serve", "serve-obs", "serve-replicate", "serve-tenants",
-		"stream", "table1", "table2", "table3", "table4", "table5", "table6", "table7"}
+		"restart", "serve-replicate", "stream",
+		"table1", "table2", "table3", "table4", "table5", "table6", "table7"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))

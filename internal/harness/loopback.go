@@ -1,7 +1,8 @@
-// Loopback fixture for the serving experiments (serve, restart,
-// serve-tenants, chaos, serve-obs and serve-replicate): a Service behind a
-// loopback HTTP listener, one JSON client per tenant, and the request
-// bodies, warm-up poll and drain wait those experiments share.
+// Loopback fixture for the serving experiments (restart, chaos and
+// serve-replicate): a Service behind a loopback HTTP listener, one JSON
+// client per tenant, and the request bodies, warm-up poll and drain wait
+// those experiments share. Serving latency itself is measured by perfbench
+// (p50_ms on its assign and mixed workloads), not here.
 
 package harness
 

@@ -230,8 +230,10 @@ type statsResponse struct {
 	// Attached only when the node pushes, carries a node id, or has folded
 	// remote state, so replication-free replies stay byte-identical.
 	Replication *replicationStats `json:"replication,omitempty"`
-	Snapshot    *snapshotMeta     `json:"snapshot,omitempty"`
-	PerShard    []shardStats      `json:"per_shard,omitempty"`
+	// Snapshot is the cached query view, as last built by /v1/assign or
+	// /v1/centers; absent until one has been built.
+	Snapshot *snapshotMeta `json:"snapshot,omitempty"`
+	PerShard []shardStats  `json:"per_shard,omitempty"`
 	// Tenant names the tenant this reply describes (multi-tenant mode
 	// only; the fields above are always one tenant's view).
 	Tenant string `json:"tenant,omitempty"`
@@ -820,9 +822,9 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	// The snapshot block, by contrast, deliberately describes the cached
-	// query view (what /v1/assign is answering against right now).
-	if qs, err := t.snapshot(); err == nil {
+	// The snapshot block, by contrast, is the cached query view as it
+	// stands: a stats read builds none, so polling stats merges nothing.
+	if qs := t.snap.Load(); qs != nil {
 		m := meta(qs)
 		resp.Snapshot = &m
 	}

@@ -6,14 +6,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"kcenter/internal/dataset"
 	"kcenter/internal/obs"
 )
 
@@ -305,4 +309,99 @@ func TestPprofGating(t *testing.T) {
 	if !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index unexpected body: %s", body)
 	}
+}
+
+// TestTelemetryOverhead drives the identical ingest+assign workload (GAU
+// k'=25, k=25, 4 shards, one 256-point assign after every 256-point ingest)
+// through a disarmed and an armed Service, interleaved request by request
+// so host noise lands on both, and fails only when a route's armed median
+// both doubled and grew by more than 0.25 ms. Each side gives each route 32
+// samples after a warm-up batch.
+func TestTelemetryOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("latency gate; -short runs (the race gate among them) skip it")
+	}
+	const batch, rounds = 256, 32
+	ds := dataset.Gau(dataset.GauConfig{N: (rounds + 1) * batch, KPrime: 25, Seed: 11}).Points
+	bodies := make([][]byte, rounds+1)
+	for i := range bodies {
+		pts := make([][]float64, batch)
+		for j := range pts {
+			pts[j] = ds.At(i*batch + j)
+		}
+		b, err := json.Marshal(ingestRequest{Points: pts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	post := func(ts *httptest.Server, path string, body []byte) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	type side struct {
+		name           string
+		ts             *httptest.Server
+		ingest, assign []float64 // latencies in ms
+	}
+	var sides []*side
+	for i, name := range []string{"disarmed", "armed"} {
+		s := newTestService(t, Config{K: 25, Shards: 4, MaxBatch: batch, Telemetry: i == 1})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		// Seed one batch and poll past the cold 409 so every sample
+		// measures served traffic.
+		if code := post(ts, "/v1/ingest", bodies[0]); code != http.StatusAccepted {
+			t.Fatalf("seed ingest status %d", code)
+		}
+		waitFor(t, "first snapshot", func() bool { return post(ts, "/v1/assign", bodies[0]) == http.StatusOK })
+		sides = append(sides, &side{name: name, ts: ts})
+	}
+	for _, body := range bodies[1:] {
+		for _, sd := range sides {
+			t0 := time.Now()
+			if code := post(sd.ts, "/v1/ingest", body); code != http.StatusAccepted {
+				t.Fatalf("%s ingest status %d", sd.name, code)
+			}
+			sd.ingest = append(sd.ingest, msSince(t0))
+			t0 = time.Now()
+			if code := post(sd.ts, "/v1/assign", body); code != http.StatusOK {
+				t.Fatalf("%s assign status %d", sd.name, code)
+			}
+			sd.assign = append(sd.assign, msSince(t0))
+		}
+	}
+
+	off, on := sides[0], sides[1]
+	for _, c := range []struct {
+		route   string
+		off, on []float64
+	}{
+		{"ingest", off.ingest, on.ingest},
+		{"assign", off.assign, on.assign},
+	} {
+		p50off, p50on := median(c.off), median(c.on)
+		t.Logf("%s p50: disarmed %.3f ms, armed %.3f ms (%d samples each)", c.route, p50off, p50on, len(c.on))
+		if p50on > 2*p50off && p50on-p50off > 0.25 {
+			t.Errorf("telemetry overhead on %s p50: %.3f ms armed vs %.3f ms disarmed", c.route, p50on, p50off)
+		}
+	}
+}
+
+// msSince is the time since t0 in milliseconds.
+func msSince(t0 time.Time) float64 {
+	return float64(time.Since(t0).Microseconds()) / 1e3
+}
+
+// median is the nearest-rank p50 of xs, which it sorts in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[(len(xs)+1)/2-1]
 }

@@ -249,6 +249,66 @@ func TestSnapshotCacheReusedWhileCentersUnchanged(t *testing.T) {
 	}
 }
 
+// TestStatsReadsDoNotBuildSnapshots: /v1/stats reports the cached query
+// snapshot as it stands, so reads after new ingest leave snapshot_builds
+// alone and the next assign builds exactly one.
+func TestStatsReadsDoNotBuildSnapshots(t *testing.T) {
+	s := newTestService(t, Config{K: 5, Shards: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ingestAll(t, ts, s, genPoints(1000, 43), 250)
+	waitFor(t, "shards drained", func() bool { return shardAbsorbed(s) == 1000 })
+	var first assignResponse
+	_, body := postJSON(t, ts, "/v1/assign", assignRequest{Points: [][]float64{{1, 2}}})
+	if err := json.Unmarshal(body, &first); err != nil {
+		t.Fatal(err)
+	}
+	builds := s.snapshotBuilds.Load()
+	if builds == 0 {
+		t.Fatal("assign built no snapshot")
+	}
+
+	// Points far outside the first cloud must move the center set.
+	far := genPoints(500, 44)
+	for _, p := range far {
+		p[0] += 1e6
+	}
+	if resp, body := postJSON(t, ts, "/v1/ingest", ingestRequest{Points: far}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
+	}
+	waitFor(t, "shards drained", func() bool { return shardAbsorbed(s) == 1500 })
+	if s.sh.MergedVersion() == first.Snapshot.Version {
+		t.Fatal("far ingest left the center set unchanged")
+	}
+
+	for i := 0; i < 2; i++ {
+		var st statsResponse
+		getJSON(t, ts, "/v1/stats", &st)
+		if st.SnapshotBuilds != builds {
+			t.Fatalf("stats read %d: snapshot_builds %d, want %d", i, st.SnapshotBuilds, builds)
+		}
+		if st.Snapshot == nil || st.Snapshot.Version != first.Snapshot.Version {
+			t.Fatalf("stats read %d: snapshot %+v, want the cached version %d", i, st.Snapshot, first.Snapshot.Version)
+		}
+	}
+	if got := s.snapshotBuilds.Load(); got != builds {
+		t.Fatalf("stats reads built %d snapshots", got-builds)
+	}
+
+	var next assignResponse
+	_, body = postJSON(t, ts, "/v1/assign", assignRequest{Points: [][]float64{{1, 2}}})
+	if err := json.Unmarshal(body, &next); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.snapshotBuilds.Load(); got != builds+1 {
+		t.Fatalf("assign after new ingest built %d snapshots, want 1", got-builds)
+	}
+	if next.Snapshot.Version != s.sh.MergedVersion() {
+		t.Fatalf("assign answered from version %d, want %d", next.Snapshot.Version, s.sh.MergedVersion())
+	}
+}
+
 func TestMalformedAndInvalidRequests(t *testing.T) {
 	s := newTestService(t, Config{K: 3, MaxBatch: 8})
 	ts := httptest.NewServer(s.Handler())

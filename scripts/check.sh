@@ -24,6 +24,9 @@ sh scripts/race.sh
 # Isolation flake gate (`make isolation`): the experiment smoke test, with
 # chaos's armed fault storm running beside every other experiment, and the
 # two-Service switchboard isolation test, repeated under GOMAXPROCS 1 and 2.
+# Service-to-Service telemetry and fault leaks are caught by
+# TestServiceSwitchboardIsolation: one Service armed, one not, and the
+# unarmed one must see no hit, sample or degraded tenant.
 echo "== isolation gate (TestExperimentsSmoke, TestServiceSwitchboardIsolation; -count=3 -cpu 1,2)"
 go test -count=3 -cpu 1,2 -run 'TestExperimentsSmoke|TestServiceSwitchboardIsolation' ./internal/harness ./internal/server
 

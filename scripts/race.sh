@@ -13,10 +13,10 @@
 # TestLoggerConcurrentLinesDoNotInterleave), and the simulated MapReduce
 # engine and MRG, whose reducers run concurrently over shared slices.
 #
-# RACE_HARNESS: the harness loopback fixture that the serving experiments
-# share (their TestRun* tests, the chaos nudge tally
-# TestRunChaosCountsNudges and the replicate shutdown test
-# TestRunServeReplicateErrorStopsGoroutines).
+# RACE_HARNESS: the harness loopback fixture that the restart, chaos and
+# serve-replicate experiments share (TestRunRestartWarmMatchesKilledState,
+# TestRunChaos, the chaos nudge tally TestRunChaosCountsNudges and the
+# replicate shutdown test TestRunServeReplicateErrorStopsGoroutines).
 #
 # RACE_ASSIGN: Evaluate's workers, which share the grid filter's candidate
 # lists and write disjoint chunks of one Evaluation
@@ -37,7 +37,7 @@ cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
 RACE_PKGS="./internal/stream/... ./internal/server/... ./internal/fault/... ./internal/obs/... ./internal/mapreduce/... ./internal/mrg/..."
-RACE_HARNESS='TestRun(Serve|Restart|ObsOverhead|Chaos)|TestRunChaosCountsNudges|TestRunServeReplicateErrorStopsGoroutines'
+RACE_HARNESS='TestRun(Restart|Chaos)|TestRunServeReplicateErrorStopsGoroutines'
 RACE_ASSIGN='TestGridFilterBitIdentical|TestEvaluateParallelDeterminism'
 RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
 RACE_CORE='TestGonzalezBlocked'
