@@ -27,26 +27,23 @@
 // root only to compare with and select the pivot.
 //
 // A reducer does not evaluate all of those distances. ΔS is gathered once
-// per iteration with its rows sorted by the coordinate of largest range,
-// and each query runs the projection search of Friedman, Baskett & Shustek
-// ("An Algorithm for Finding Nearest Neighbors", IEEE Trans. Computers,
-// 1975): binary-search the query's coordinate, walk outwards both ways, and
-// stop in each direction once the squared gap in that coordinate alone
-// reaches the best squared distance so far. The search starts from the
-// record's carried value, so in later iterations most records stop at
-// once. The charge stays the paper's brute-force |H|·|ΔS| and |R|·|ΔS|:
-// like the goroutine pool, the pruning is an execution detail of the
-// reducer, and it moves wall time only.
+// per iteration into a metric.Sweep, the sorted-projection layout the
+// serving assign kernel shares (Friedman, Baskett & Shustek, IEEE Trans.
+// Computers, 1975): its rows are sorted by the coordinate of largest
+// range, and a query binary-searches its own coordinate, walks outwards
+// both ways, and stops in each direction once the squared gap in that
+// coordinate alone reaches the best squared distance so far. Sweep.Lower
+// starts from the record's carried value, so in later iterations most
+// records stop at once. The charge stays the paper's brute-force |H|·|ΔS|
+// and |R|·|ΔS|: like the goroutine pool, the pruning is an execution
+// detail of the reducer, and it moves wall time only.
 //
-// The result is bit-identical to a full rescan of Algorithm 2. Every
-// squared distance the search evaluates is computed by metric.SqDist, in
-// the distance kernels' floating-point order; the squared gap never
-// exceeds the full squared distance (a sum of non-negative terms under
-// monotone rounding), so no pruned row could have lowered the minimum; min
-// is exact; and sqrt is correctly rounded and monotone, so
-// min(√a, √b) = √min(a, b). Every removal decision, pivot distance and
-// therefore the centers are the same; the sampling draws do not depend on
-// the distances at all.
+// The result is bit-identical to a full rescan of Algorithm 2. Sweep.Lower
+// returns min(carried, the brute-force minimum) bit for bit (see the
+// metric.Sweep doc); min is exact; and sqrt is correctly rounded and
+// monotone, so min(√a, √b) = √min(a, b). Every removal decision, pivot
+// distance and therefore the centers are the same; the sampling draws do
+// not depend on the distances at all.
 //
 // The loop runs while |R| > (4/ε)·k·n^ε·log n; afterwards C := S ∪ R is the
 // sample and a final MapReduce round runs GON on C to produce the k centers
@@ -66,10 +63,8 @@
 package eim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"kcenter/internal/assign"
@@ -260,9 +255,9 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// Only ΔS is gathered: rounds 2 and 3 lower each record's carried
 		// squared distance by its distance to the new points (see the
 		// package doc for why this equals a rescan of all of S bit for bit).
-		delta := newSweep(ds, deltaS)
+		delta := metric.NewSweep(ds.Subset(deltaS))
 		sqToS := func(pos int) float64 {
-			return delta.lower(ds.At(R[pos]), dR[pos])
+			return delta.Lower(ds.At(R[pos]), dR[pos])
 		}
 
 		// ---- Round 2: pivot selection on one machine (lines 5–6). ----
@@ -368,68 +363,6 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 	res.Evaluation = assign.Evaluate(ds, centers, 0)
 	res.Radius = res.Evaluation.Radius
 	return res, nil
-}
-
-// sweep is a gathered point set whose rows are sorted by one coordinate,
-// for the projection search of Friedman, Baskett & Shustek.
-type sweep struct {
-	set  *metric.Dataset
-	axis int
-	keys []float64 // keys[i] = set.At(i)[axis], ascending
-}
-
-// newSweep gathers the points idx of ds sorted by the coordinate with the
-// largest range among them.
-func newSweep(ds *metric.Dataset, idx []int) *sweep {
-	lo, hi := ds.Subset(idx).Bounds()
-	axis := 0
-	for c := range lo {
-		if hi[c]-lo[c] > hi[axis]-lo[axis] {
-			axis = c
-		}
-	}
-	return sweepOn(ds, idx, axis)
-}
-
-// sweepOn gathers the points idx of ds sorted by coordinate axis.
-// Coordinates are finite (metric.FromPoints and the CSV reader reject the
-// rest), so the keys are totally ordered and the gap to a query grows
-// monotonically outwards from it.
-func sweepOn(ds *metric.Dataset, idx []int, axis int) *sweep {
-	sorted := slices.Clone(idx)
-	slices.SortFunc(sorted, func(a, b int) int { return cmp.Compare(ds.At(a)[axis], ds.At(b)[axis]) })
-	s := &sweep{set: ds.Subset(sorted), axis: axis, keys: make([]float64, len(sorted))}
-	for i := range s.keys {
-		s.keys[i] = s.set.At(i)[axis]
-	}
-	return s
-}
-
-// lower returns min(seed, the squared distance from q to its nearest row),
-// bit for bit what a brute-force scan of the set would give. Rows are
-// visited outwards from q's coordinate; a direction stops once the squared
-// gap in the sort coordinate alone reaches the best squared distance so far.
-func (s *sweep) lower(q []float64, seed float64) float64 {
-	best := seed
-	x := q[s.axis]
-	mid := sort.SearchFloat64s(s.keys, x)
-	for i := mid; i < len(s.keys); i++ {
-		if g := s.keys[i] - x; g*g >= best {
-			break
-		}
-		if sq := metric.SqDist(s.set.At(i), q); sq < best {
-			best = sq
-		}
-	}
-	for i := mid - 1; i >= 0; i-- {
-		if g := x - s.keys[i]; g*g >= best {
-			break
-		}
-		if sq := metric.SqDist(s.set.At(i), q); sq < best {
-			best = sq
-		}
-	}
-	return best
 }
 
 // dedupe removes duplicate indices preserving first-seen order.

@@ -40,13 +40,17 @@
 // that the blocked farthest-first traversal (internal/core) and the
 // grid-filtered assignment (internal/assign) share; both take each
 // bucket's exact bounding box from its points, so the grid only decides
-// how much they prune, never what they return.
+// how much they prune, never what they return. Sweep (sweep.go) is the
+// sorted-projection layout that EIM's reducers (internal/eim) and the
+// serving assign kernel (assign.NearestBatch at dim ≤ 2) share: rows
+// sorted by their widest coordinate, so a nearest-row query evaluates
+// only the rows whose gap in that coordinate could still win.
 //
-// Both layers preserve results bit for bit: kernels accumulate in SqDist's
+// All of them preserve results bit for bit: kernels accumulate in SqDist's
 // exact floating-point order and scan in ascending index order, and
 // pruning only ever skips candidates that provably cannot win under the
 // same strict-< tie-breaking. The property tests in kernels_test.go and
-// the identity tests in core/assign pin this.
+// sweep_test.go and the identity tests in core/assign pin this.
 package metric
 
 import (

@@ -1,0 +1,171 @@
+package metric
+
+import (
+	"math"
+	"testing"
+
+	"kcenter/internal/rng"
+)
+
+// TestSweepMatchesBruteForce: for random sets and queries, the sorted sweep
+// returns min(seed, the brute-force kernel's squared minimum) bit for bit,
+// whichever coordinate the rows are sorted by. Grid sets hold duplicate rows
+// and tied distances; in the constant sets coordinate 0 never varies, so a
+// sweep sorted by it degrades to a full scan.
+func TestSweepMatchesBruteForce(t *testing.T) {
+	r := rng.New(31)
+	for _, dim := range []int{1, 2, 3, 4, 5, 8} {
+		for trial := 0; trial < 40; trial++ {
+			n := 1 + r.Intn(300)
+			if trial == 0 {
+				n = 1
+			}
+			grid, constant := trial%2 == 1, trial%4 >= 2
+			ds := NewDataset(n, dim)
+			for i := range ds.Data {
+				if grid {
+					ds.Data[i] = float64(r.Intn(5))
+				} else {
+					ds.Data[i] = r.Float64Range(-50, 50)
+				}
+			}
+			if constant {
+				for i := 0; i < n; i++ {
+					ds.At(i)[0] = 2
+				}
+			}
+			// A subset in random order, so the gather has to sort it.
+			set := ds.Subset(r.Perm(n)[:1+r.Intn(n)])
+			sweeps := []*Sweep{NewSweep(set)}
+			for axis := 0; axis < dim; axis++ {
+				sweeps = append(sweeps, sweepOn(set, axis))
+			}
+			for qi := 0; qi < 30; qi++ {
+				q := make([]float64, dim)
+				switch qi % 3 {
+				case 0: // a point of ds: often in the set, so at distance 0
+					copy(q, ds.At(r.Intn(n)))
+				case 1: // inside the set's range
+					for c := range q {
+						q[c] = r.Float64Range(-50, 50)
+						if grid {
+							q[c] = float64(r.Intn(5))
+						}
+					}
+				case 2: // outside the set's range in every coordinate
+					for c := range q {
+						q[c] = r.Float64Range(60, 500)
+						if r.Intn(2) == 0 {
+							q[c] = -q[c]
+						}
+					}
+				}
+				_, brute := NearestInRange(set, 0, set.N, q)
+				for _, seed := range []float64{math.Inf(1), 0, brute, brute / 2, 2 * brute, r.Float64Range(0, 1e4)} {
+					want := math.Min(seed, brute)
+					for _, s := range sweeps {
+						if got := s.Lower(q, seed); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("dim=%d trial=%d |set|=%d query %v: sweep on axis %d gives %v for seed %v, brute force min(seed, %v) = %v",
+								dim, trial, set.N, q, s.axis, got, seed, brute, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepEmptySet: with no rows the carried value stands, and the argmin
+// is NearestInRange's empty answer, position 0 at +Inf, with nothing
+// evaluated.
+func TestSweepEmptySet(t *testing.T) {
+	for _, dim := range []int{1, 2, 3} {
+		s := NewSweep(NewDataset(0, dim))
+		q := make([]float64, dim)
+		for _, seed := range []float64{math.Inf(1), 7} {
+			if got := s.Lower(q, seed); got != seed {
+				t.Fatalf("dim %d: empty sweep lowered %v to %v", dim, seed, got)
+			}
+		}
+		if c, sq, evals := s.Nearest(q); c != 0 || !math.IsInf(sq, 1) || evals != 0 {
+			t.Fatalf("dim %d: empty sweep's nearest is (%d, %v) after %d evals, want (0, +Inf) after 0", dim, c, sq, evals)
+		}
+	}
+}
+
+// TestSweepNearestMatchesNearestInRange pins the argmin query to the plain
+// scan it stands in for: the same position and bit-equal squared distance,
+// after at most k evaluations, for every k from 0 to 128 at the dims the
+// assignment kernel sweeps (1 and 2) and at dim 3 (the generic body).
+// The inputs stress the tie-break and the strict stop:
+//
+//   - tie grids: coordinates on {0, 0.5, …, 2}, so centers repeat and a
+//     query on the grid is often equidistant from several of them;
+//   - continuous centers, with queries inside and far outside their range;
+//   - huge coordinates, ±1e154 beside small ones, where some squared
+//     distances overflow to +Inf and, for some queries, all do — the plain
+//     scan then answers position 0 at +Inf;
+//   - a NaN query coordinate, which the plain scan also answers with
+//     position 0 at +Inf.
+func TestSweepNearestMatchesNearestInRange(t *testing.T) {
+	r := rng.New(47)
+	const (
+		tieGrid = iota
+		continuous
+		huge
+		kinds
+	)
+	draw := func(kind int) float64 {
+		switch kind {
+		case tieGrid:
+			return float64(r.Intn(5)) / 2
+		case huge:
+			return []float64{-1e154, 1e154, 0, 1, -3}[r.Intn(5)]
+		default:
+			return r.Float64Range(-50, 50)
+		}
+	}
+	for _, dim := range []int{1, 2, 3} {
+		for k := 0; k <= 128; k++ {
+			for kind := 0; kind < kinds; kind++ {
+				centers := NewDataset(k, dim)
+				for i := range centers.Data {
+					centers.Data[i] = draw(kind)
+				}
+				s := NewSweep(centers)
+				for qi := 0; qi < 24; qi++ {
+					q := make([]float64, dim)
+					switch {
+					case qi < 4 && k > 0: // a center: distance 0, often tied
+						copy(q, centers.At(r.Intn(k)))
+					case qi < 16:
+						for c := range q {
+							q[c] = draw(kind)
+						}
+					case qi < 20: // outside the centers' range
+						for c := range q {
+							q[c] = r.Float64Range(60, 1e6)
+							if r.Intn(2) == 0 {
+								q[c] = -q[c]
+							}
+						}
+					default: // NaN in one coordinate
+						for c := range q {
+							q[c] = draw(kind)
+						}
+						q[r.Intn(dim)] = math.NaN()
+					}
+					wantC, wantSq := NearestInRange(centers, 0, k, q)
+					c, sq, evals := s.Nearest(q)
+					if c != wantC || math.Float64bits(sq) != math.Float64bits(wantSq) {
+						t.Fatalf("dim=%d k=%d kind=%d query %v: sweep (%d, %v), plain scan (%d, %v)",
+							dim, k, kind, q, c, sq, wantC, wantSq)
+					}
+					if evals > int64(k) {
+						t.Fatalf("dim=%d k=%d kind=%d query %v: sweep evaluated %d > k distances", dim, k, kind, q, evals)
+					}
+				}
+			}
+		}
+	}
+}

@@ -27,8 +27,9 @@
 //	                  request are assigned against a single cached snapshot
 //	                  of the tenant's clustering (snapshot isolation), in
 //	                  one assign.NearestBatch pass over the decoded query
-//	                  slab: metric.Pruned above the pruning crossover,
-//	                  metric.NearestInRange below it.
+//	                  slab: metric.Pruned above the pruning crossover, a
+//	                  metric.Sweep gathered over the centers at dim ≤ 2
+//	                  and k ≥ 16, metric.NearestInRange elsewhere.
 //	GET  /v1/centers  the tenant's current ≤ k center coordinates and
 //	                  certified coverage bounds.
 //	POST /v1/replicate one peer node's checksummed exported clustering
@@ -36,10 +37,11 @@
 //	                  this node serves assign/centers against the union
 //	                  summary (see replicate.go; the push side is the
 //	                  Config.ReplicatePeers loop).
-//	GET  /v1/stats    per-tenant service counters (points, batches,
-//	                  distance evaluations), snapshot version and per-shard
-//	                  state; in multi-tenant mode the default view also
-//	                  carries a per-tenant summary and aggregate totals.
+//	GET  /v1/stats    per-tenant service counters (points, batches, the
+//	                  distance evaluations the assign kernel computed),
+//	                  snapshot version and per-shard state; in
+//	                  multi-tenant mode the default view also carries a
+//	                  per-tenant summary and aggregate totals.
 //	GET  /v1/tenants  the tenant registry: every tenant's shape, counters,
 //	                  status (active, degraded or failed) and checkpoint
 //	                  file.

@@ -83,8 +83,9 @@ type tenantCounters struct {
 	IngestedPoints  int64 `json:"ingested_points"`
 	AssignRequests  int64 `json:"assign_requests"`
 	AssignPoints    int64 `json:"assign_points"`
-	// DistEvals counts assignment distance evaluations actually performed
-	// (pruning makes this sub-linear in k per point above the crossover).
+	// DistEvals counts assignment distance evaluations actually performed:
+	// the sorted-projection sweep's at dim ≤ 2 and k ≥ 16, the pruned
+	// scan's above its crossover, so sub-linear in k per point on both.
 	DistEvals      int64 `json:"dist_evals"`
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	// ShedBatches/ShedPoints count ingest batches (and the points in them)
