@@ -13,10 +13,11 @@ import (
 )
 
 // TestAdaptiveModesBitIdentical pins the adaptive-kernel contract: the
-// plain one-to-many scan, the triangle-inequality-pruned scan and the grid
-// filter must produce bit-identical evaluations on both sides of the
-// crossovers, so whichever one preferGrid and metric.PreferPruned pick,
-// the result is the same.
+// plain one-to-many scan, the grid filter and the adaptive path (the grid
+// filter where preferGrid holds, else the metric.Index's kernel) must
+// produce bit-identical evaluations on both sides of the crossovers. At
+// n = 4000, below the grid's floor, unif2d and gau2d at k = 80 take the
+// index's sweep and kdd at k = 80 its pruned scan.
 func TestAdaptiveModesBitIdentical(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -32,25 +33,21 @@ func TestAdaptiveModesBitIdentical(t *testing.T) {
 		for _, k := range []int{1, 5, 80} {
 			res := core.Gonzalez(w.ds, k, core.Options{First: 0})
 			plain := evaluate(w.ds, res.Centers, 0, modePlain)
-			pruned := evaluate(w.ds, res.Centers, 0, modePruned)
 			grid := evaluate(w.ds, res.Centers, 0, modeGrid)
 			adaptive := Evaluate(w.ds, res.Centers, 0)
 			name := w.name + "/k=" + strconv.Itoa(k)
-			assertIdentical(t, name+"/plain-vs-pruned", plain, pruned)
-			assertIdentical(t, name+"/grid-vs-pruned", grid, pruned)
-			assertIdentical(t, name+"/adaptive-vs-pruned", adaptive, pruned)
+			assertIdentical(t, name+"/grid-vs-plain", grid, plain)
+			assertIdentical(t, name+"/adaptive-vs-plain", adaptive, plain)
 
 			// The plain path's accounting is exact: n·k, no matrix.
 			wantPlain := int64(w.ds.N) * int64(len(res.Centers))
 			if plain.DistEvals != wantPlain {
 				t.Fatalf("%s: plain DistEvals = %d, want %d", name, plain.DistEvals, wantPlain)
 			}
-			// The adaptive path must match whichever mode it selected.
-			want := plain.DistEvals
+			// The adaptive path must match whichever path it selected.
+			want := indexEvals(w.ds, res.Centers)
 			if preferGrid(w.ds.N, len(res.Centers), w.ds.Dim) {
 				want = grid.DistEvals
-			} else if metric.PreferPruned(len(res.Centers), w.ds.Dim) {
-				want = pruned.DistEvals
 			}
 			if adaptive.DistEvals != want {
 				t.Fatalf("%s: adaptive DistEvals = %d, want %d", name, adaptive.DistEvals, want)
@@ -59,39 +56,16 @@ func TestAdaptiveModesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPreferPrunedCrossoverShape pins the heuristic's shape against the
-// BenchmarkKernelPrunedNearest (k, dim) sweep in BENCH_kernels.json:
-// higher dimension pushes toward pruning, dim ≤ 2 never prunes (a dim-2
-// distance costs no more than the skip check itself — pruned measured at
-// best a tie at every k up to 100), and every measured losing shape stays
-// on the full-scan side.
-func TestPreferPrunedCrossoverShape(t *testing.T) {
-	for _, k := range []int{8, 16, 25, 50, 100} {
-		if metric.PreferPruned(k, 2) {
-			t.Fatalf("k=%d dim=2: pruned never beats the four-flop full scan", k)
-		}
+// indexEvals is the DistEvals of Evaluate's index path: the build of the
+// metric.Index over the centers plus what each point's query evaluated.
+func indexEvals(ds *metric.Dataset, centers []int) int64 {
+	idx := metric.NewIndex(ds.Subset(centers))
+	evals := idx.BuildEvals()
+	for i := 0; i < ds.N; i++ {
+		_, _, e := idx.Nearest(ds.At(i))
+		evals += e
 	}
-	if metric.PreferPruned(16, 3) {
-		t.Fatal("k=16 dim=3 measured slower pruned; should stay on the plain scan")
-	}
-	if !metric.PreferPruned(50, 3) {
-		t.Fatal("k=50 dim=3 should prefer pruning (measured 14% win)")
-	}
-	if metric.PreferPruned(16, 4) {
-		t.Fatal("k=16 dim=4 measured slower pruned; should stay on the plain scan")
-	}
-	if !metric.PreferPruned(50, 4) {
-		t.Fatal("k=50 dim=4 should prefer pruning")
-	}
-	if !metric.PreferPruned(25, 8) {
-		t.Fatal("k=25 dim=8 should prefer pruning")
-	}
-	if !metric.PreferPruned(16, 8) {
-		t.Fatal("k=16 dim=8 should prefer pruning (measured 9-30% win)")
-	}
-	if metric.PreferPruned(4, 64) {
-		t.Fatal("tiny k should never prefer pruning")
-	}
+	return evals
 }
 
 // gridCase is one input of TestGridFilterBitIdentical.
@@ -190,23 +164,19 @@ func TestGridFilterBitIdentical(t *testing.T) {
 			} {
 				label := fmt.Sprintf("n=%d k=%d dim=%d %s", sh.n, sh.k, sh.dim, c.name)
 				plain := evaluate(c.ds, centers, 3, modePlain)
-				pruned := evaluate(c.ds, centers, 3, modePruned)
 				grid := evaluate(c.ds, centers, 3, modeGrid)
 				adaptive := Evaluate(c.ds, centers, 0)
 				assertIdentical(t, label+" grid", grid, plain)
-				assertIdentical(t, label+" pruned", pruned, plain)
 				assertIdentical(t, label+" adaptive", adaptive, plain)
 				if want, _ := core.CoveringRadius(c.ds, centers); math.Float64bits(grid.Radius) != math.Float64bits(want) {
 					t.Fatalf("%s: radius %v, core.CoveringRadius %v", label, grid.Radius, want)
 				}
-				// The adaptive path must match whichever kernel it selected
+				// The adaptive path must match whichever path it selected
 				// (Gonzalez stops early on the identical input, below the
 				// rule's k).
-				want := plain.DistEvals
+				want := indexEvals(c.ds, centers)
 				if preferGrid(sh.n, len(centers), sh.dim) {
 					want = grid.DistEvals
-				} else if metric.PreferPruned(len(centers), sh.dim) {
-					want = pruned.DistEvals
 				}
 				if adaptive.DistEvals != want {
 					t.Fatalf("%s: adaptive DistEvals %d, want %d", label, adaptive.DistEvals, want)

@@ -5,7 +5,7 @@
 // because the paper reports solution values as a property of the output, not
 // as algorithm runtime.
 //
-// Nearest-center queries run one of three bit-identical kernels per call:
+// Nearest-center queries take one of two bit-identical paths per call:
 //
 //   - the grid filter (grid.go), where preferGrid holds: dim ≤ 2, k ≥ 16
 //     and n ≥ 4096. The points are bucketed into a metric.Grid of at most
@@ -13,20 +13,14 @@
 //     centers that may be nearest to some point of its exact bounding box,
 //     and each point is scanned against its cell's candidates alone — about
 //     one to four per point on the paper's GAU inputs at k ≤ 100. Input
-//     with a NaN or ±Inf coordinate takes the plain scan;
-//   - otherwise, where metric.PreferPruned holds (dim ≥ 3 and k above a
-//     crossover fitted from BENCH_kernels.json), metric.Pruned: a k×k
-//     center-center distance matrix, computed once per evaluation, lets
-//     each point's scan skip any center c' with d(c_best, c') >=
-//     2·d(p, c_best) (triangle-inequality pruning);
-//   - otherwise the plain one-to-many scan (metric.NearestInRange over the
-//     gathered centers), which wins at small k and low dim, where a
-//     distance costs no more than the check that would skip it.
+//     with a NaN or ±Inf coordinate takes the index;
+//   - otherwise a metric.Index over the gathered centers, built once per
+//     evaluation; metric.NewIndex chooses its kernel.
 //
 // Assignments, distances, radii, the farthest point and the cluster sizes
-// are identical whichever kernel runs; only DistEvals reflects which one
-// did. Every kernel writes its outputs in row order, over the same
-// contiguous row-order chunk per worker.
+// are identical whichever path runs; only DistEvals reflects which one
+// did. Both write their outputs in row order, over the same contiguous
+// row-order chunk per worker.
 package assign
 
 import (
@@ -53,12 +47,12 @@ type Evaluation struct {
 	// ClusterSizes[c] counts points assigned to centers[c].
 	ClusterSizes []int
 	// DistEvals counts the distance evaluations actually performed. On the
-	// pruned path it is k² for the center-center matrix plus the per-point
-	// evaluations the triangle-inequality pruning could not skip (at most
-	// k² + n·|centers|, typically far below the unpruned n·|centers|); on
-	// the grid path it is two box bounds per center per occupied cell plus
-	// each point's candidate count; on the plain-scan path it is exactly
-	// n·|centers|.
+	// grid path it is two box bounds per center per occupied cell plus each
+	// point's candidate count. On the index path it is the index's build
+	// (k² for the pruned scan's center-center matrix, none otherwise) plus
+	// what each point's query evaluated: exactly n·|centers| on the plain
+	// scan, and the unskipped centers on the sweep and the pruned scan
+	// (at most k² + n·|centers| in all).
 	DistEvals int64
 }
 
@@ -66,10 +60,9 @@ type Evaluation struct {
 type evalMode int
 
 const (
-	modeAdaptive evalMode = iota // preferGrid, then metric.PreferPruned, decides
+	modeAdaptive evalMode = iota // preferGrid decides, else the index
 	modePlain                    // force the plain one-to-many scan
-	modePruned                   // force the triangle-inequality-pruned scan
-	modeGrid                     // force the grid filter (plain on non-finite input)
+	modeGrid                     // force the grid filter (the index on non-finite input)
 )
 
 // Evaluate assigns every point of ds to its nearest center. centers holds
@@ -94,9 +87,9 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 		Farthest:     -1,
 	}
 	// Copy center coordinates once so the inner loop reads a compact block.
-	// The grid filter and the center-center matrix of the pruned scan are
-	// immutable once built, so all workers share them. scan is the
-	// per-chunk kernel, with identical index/distance results either way.
+	// The grid filter and the index are immutable once built, so all
+	// workers share them. scan is the per-chunk kernel, with identical
+	// index/distance results either way.
 	cpts := ds.Subset(centers)
 	k := cpts.N
 	var gf *gridFilter
@@ -108,23 +101,25 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 	case gf != nil:
 		ev.DistEvals = gf.evals
 		scan = func(lo, hi int, p *partial) { gf.scan(ev, lo, hi, p) }
-	case mode == modePruned || (mode == modeAdaptive && metric.PreferPruned(k, ds.Dim)):
-		pr := metric.NewPruned(cpts)
-		ev.DistEvals = pr.MatrixEvals()
-		scan = func(lo, hi int, p *partial) {
-			for i := lo; i < hi; i++ {
-				c, sq, evals := pr.Nearest(ds.At(i))
-				p.evals += evals
-				p.add(ev, i, c, sq)
-			}
-		}
-	default:
+	case mode == modePlain:
 		scan = func(lo, hi int, p *partial) {
 			for i := lo; i < hi; i++ {
 				c, sq := metric.NearestInRange(cpts, 0, k, ds.At(i))
 				p.add(ev, i, c, sq)
 			}
 			p.evals += int64(hi-lo) * int64(k)
+		}
+	default:
+		idx := metric.NewIndex(cpts)
+		ev.DistEvals = idx.BuildEvals()
+		scan = func(lo, hi int, p *partial) {
+			// The batch writes each squared distance where add stores
+			// its square root.
+			rows := &metric.Dataset{Data: ds.Data[lo*ds.Dim : hi*ds.Dim], N: hi - lo, Dim: ds.Dim}
+			p.evals += idx.NearestBatch(rows, ev.Assignment[lo:hi], ev.Dist[lo:hi])
+			for i := lo; i < hi; i++ {
+				p.add(ev, i, ev.Assignment[i], ev.Dist[i])
+			}
 		}
 	}
 	partials := make([]partial, workers)

@@ -25,17 +25,10 @@ func TestEvaluateKnownInstance(t *testing.T) {
 	if ev.ClusterSizes[0] != 3 || ev.ClusterSizes[1] != 2 {
 		t.Fatalf("sizes %v", ev.ClusterSizes)
 	}
-	// k = 2 sits below the pruning crossover, so the adaptive path runs the
-	// plain scan: exactly n·k = 5·2 = 10 evaluations, no matrix.
+	// Two centers at dim 1 take the index's plain scan: exactly n·k = 5·2 =
+	// 10 evaluations, no matrix.
 	if ev.DistEvals != 10 {
 		t.Fatalf("evals %d, want 10", ev.DistEvals)
-	}
-	// Forced-pruned accounting: 2² = 4 matrix evaluations, plus per-point
-	// evaluations. Points {0}, {1}, {4} prune the second center (the
-	// center gap 10 dwarfs 2× their distance to center 0), points {9} and
-	// {10} evaluate both: 4 + 3·1 + 2·2 = 11.
-	if pruned := evaluate(ds, []int{0, 3}, 0, modePruned); pruned.DistEvals != 11 {
-		t.Fatalf("pruned evals %d, want 11", pruned.DistEvals)
 	}
 }
 

@@ -4,19 +4,19 @@ import (
 	"math"
 	"testing"
 
+	"kcenter/internal/core"
+	"kcenter/internal/dataset"
 	"kcenter/internal/metric"
 	"kcenter/internal/rng"
 )
 
 // TestNearestBatchMatchesPerPoint pins NearestBatch to the per-point plain
-// scan it replaces: the same center and a bit-equal squared distance, with
-// and without the pruned index, on both sides of preferSweep's k floor.
-// The evaluation count is the path's own: the pruned scan's per query,
-// the sweep's per query where preferSweep holds, and n·k elsewhere; it
-// never exceeds n·k without the matrix.
+// scan it replaces: the same center and a bit-equal squared distance,
+// with a nil index and with one prepared over the centers, at dims 1–4 and
+// k on both sides of NewIndex's crossovers. The evaluation count is the
+// index's own, per query, and never exceeds n·k.
 func TestNearestBatchMatchesPerPoint(t *testing.T) {
 	r := rng.New(5)
-	swept := 0
 	for trial := 0; trial < 16; trial++ {
 		dim := 1 + r.Intn(4)
 		centers := metric.NewDataset(1+r.Intn(40), dim)
@@ -26,42 +26,45 @@ func TestNearestBatchMatchesPerPoint(t *testing.T) {
 				ds.Data[i] = r.Float64Range(-10, 10)
 			}
 		}
-		if preferSweep(centers.N, dim) {
-			swept++
-		}
-		pr := metric.NewPruned(centers)
-		sw := metric.NewSweep(centers)
-		for _, p := range []*metric.Pruned{nil, pr} {
+		idx := metric.NewIndex(centers)
+		for _, x := range []*metric.Index{nil, idx} {
 			outC := make([]int, queries.N)
 			outSq := make([]float64, queries.N)
-			evals := NearestBatch(centers, p, queries, outC, outSq)
+			evals := NearestBatch(centers, x, queries, outC, outSq)
 			var wantEvals int64
 			for i := 0; i < queries.N; i++ {
 				c, sq := metric.NearestInRange(centers, 0, centers.N, queries.At(i))
 				if outC[i] != c || math.Float64bits(outSq[i]) != math.Float64bits(sq) {
-					t.Fatalf("trial %d pruned=%v point %d: batch (%d, %v), per-point (%d, %v)",
-						trial, p != nil, i, outC[i], outSq[i], c, sq)
+					t.Fatalf("trial %d prepared=%v point %d: batch (%d, %v), per-point (%d, %v)",
+						trial, x != nil, i, outC[i], outSq[i], c, sq)
 				}
-				switch {
-				case p != nil:
-					_, _, e := p.Nearest(queries.At(i))
-					wantEvals += e
-				case preferSweep(centers.N, dim):
-					_, _, e := sw.Nearest(queries.At(i))
-					wantEvals += e
-				default:
-					wantEvals += int64(centers.N)
-				}
+				_, _, e := idx.Nearest(queries.At(i))
+				wantEvals += e
 			}
 			if evals != wantEvals {
-				t.Fatalf("trial %d pruned=%v: batch charged %d evals, per-point %d", trial, p != nil, evals, wantEvals)
+				t.Fatalf("trial %d prepared=%v: batch charged %d evals, per-point %d", trial, x != nil, evals, wantEvals)
 			}
-			if p == nil && evals > int64(queries.N)*int64(centers.N) {
+			if evals > int64(queries.N)*int64(centers.N) {
 				t.Fatalf("trial %d: batch charged %d evals, above n·k = %d", trial, evals, queries.N*centers.N)
 			}
 		}
 	}
-	if swept == 0 {
-		t.Fatal("no trial took the sweep path")
+}
+
+// TestNearestBatchPreparedIndexAllocatesNothing: with the index prepared
+// once, as a server snapshot holds it, a batch at the served shape (GAU
+// dim 2, k = 50, 256 queries: the sweep) allocates nothing, so no request
+// rebuilds the sweep.
+func TestNearestBatchPreparedIndexAllocatesNothing(t *testing.T) {
+	ds := dataset.Gau(dataset.GauConfig{N: 20_000, KPrime: 25, Seed: 7}).Points
+	queries := dataset.Gau(dataset.GauConfig{N: 256, KPrime: 25, Seed: 8}).Points
+	centers := ds.Subset(core.Gonzalez(ds, 50, core.Options{First: 0}).Centers)
+	idx := metric.NewIndex(centers)
+	outC := make([]int, queries.N)
+	outSq := make([]float64, queries.N)
+	if allocs := testing.AllocsPerRun(20, func() {
+		NearestBatch(centers, idx, queries, outC, outSq)
+	}); allocs != 0 {
+		t.Fatalf("NearestBatch with a prepared index: %v allocations per batch, want 0", allocs)
 	}
 }

@@ -33,7 +33,7 @@ import (
 // plain scan's strict < picks the lowest position among the nearest, as
 // the plain scan does. A d² that overflows to +Inf keeps the argument
 // (ub = +Inf makes every center a candidate); a NaN or ±Inf coordinate
-// does not, and such input takes the plain scan.
+// does not, and such input takes the metric.Index.
 
 // The grid is the smallest 2^b × 2^b with at most gridPointsPerCell
 // points per cell on average, up to b = gridMaxBits (64 × 64 cells).
@@ -71,7 +71,7 @@ const (
 //   - dim 3: the grid buckets two coordinates, so a cell's box spans the
 //     whole range of the third. GAU still wins (0.34–0.59 from n = 10⁵),
 //     but UNIF is 1.7–2.5× slower at every measured shape, so dim ≥ 3
-//     keeps the plain or pruned scan.
+//     keeps the metric.Index.
 //
 // At the batch shape of the paper's GAU runs (n = 10⁶, k = 50)
 // BenchmarkEvaluateShapes reads the grid at 0.26–0.28 of the plain time

@@ -15,7 +15,7 @@ import (
 // Evaluate on MRG's centers over GAU n = 10⁶, k′ = 25 (dataset.Gau seed 7,
 // the shape of MRG's final evaluation in the paper's GAU runs) across the
 // paper's k sweep, and over UNIF n = 10⁶ at k = 50. Two shapes off dim 2,
-// where preferGrid keeps the plain scan today, give ROADMAP item 9 its
+// where preferGrid keeps the index today, give ROADMAP item 9 its
 // parent rows: GAU n = 10⁵ at dim 3 (k = 50) and KDD-like n = 10⁵, fig1's
 // input at dim 38 (k = 25). Each shape runs the
 // adaptive entry point and, beside it, the plain scan and the grid filter

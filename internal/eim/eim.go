@@ -28,7 +28,7 @@
 //
 // A reducer does not evaluate all of those distances. ΔS is gathered once
 // per iteration into a metric.Sweep, the sorted-projection layout the
-// serving assign kernel shares (Friedman, Baskett & Shustek, IEEE Trans.
+// nearest-center index shares (Friedman, Baskett & Shustek, IEEE Trans.
 // Computers, 1975): its rows are sorted by the coordinate of largest
 // range, and a query binary-searches its own coordinate, walks outwards
 // both ways, and stops in each direction once the squared gap in that

@@ -1,4 +1,4 @@
-package assign
+package metric_test
 
 import (
 	"strconv"
@@ -9,13 +9,14 @@ import (
 	"kcenter/internal/metric"
 )
 
-// BenchmarkNearestBatchShapes covers the shapes preferSweep is fitted on:
-// one 256-point query batch (the serving batch perfbench sends) against k
-// farthest-first centers of 20,000 points, on GAU and UNIF at dims 1, 2
-// and 3, for k ∈ {5, 10, 16, 25, 50, 100}. The queries are fresh draws
-// from the same generator. Each shape runs the adaptive entry point and,
-// beside it, the plain scan and the sweep forced, so a shift of the
-// crossover shows in one run.
+// BenchmarkNearestBatchShapes covers the shapes NewIndex's sweep rule is
+// fitted on: one 256-point query batch (the serving batch perfbench sends)
+// against k farthest-first centers of 20,000 points, on GAU and UNIF at
+// dims 1, 2 and 3, for k ∈ {5, 10, 16, 25, 50, 100}. The queries are fresh
+// draws from the same generator. Each shape runs NewIndex's pick and,
+// beside it, the plain scan, the sweep and the pruned scan forced, every
+// row building its index per batch as assign.NearestBatch does when given
+// none, so a shift of either crossover shows in one run.
 func BenchmarkNearestBatchShapes(b *testing.B) {
 	const batch = 256
 	gen := map[string]func(n, dim int, seed uint64) *metric.Dataset{
@@ -38,16 +39,16 @@ func BenchmarkNearestBatchShapes(b *testing.B) {
 				shape := name + "/d=" + strconv.Itoa(dim) + "/k=" + strconv.Itoa(k)
 				b.Run(shape, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						NearestBatch(centers, nil, queries, outC, outSq)
+						metric.NewIndex(centers).NearestBatch(queries, outC, outSq)
 					}
 				})
 				for _, m := range []struct {
 					name string
-					run  func(centers, queries *metric.Dataset, outC []int, outSq []float64) int64
-				}{{"plain", nearestPlain}, {"sweep", nearestSweep}} {
+					kind metric.IndexKind
+				}{{"plain", metric.KindPlain}, {"sweep", metric.KindSweep}, {"pruned", metric.KindPruned}} {
 					b.Run(shape+"/"+m.name, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							m.run(centers, queries, outC, outSq)
+							metric.NewIndexOfKind(centers, m.kind).NearestBatch(queries, outC, outSq)
 						}
 					})
 				}

@@ -110,18 +110,18 @@ func prunedInstance(k, dim, queries int) (*Dataset, *Dataset) {
 // nearest-center query against the full kernel scan on clustered
 // instances. The original single shape (k=25, dim=2) sits right at the
 // crossover; the (k, dim) sweep samples both sides of it in every
-// dimension class so the PreferPruned fit can be validated (and refitted)
-// against measured data rather than one point — see the crossover
-// discussion on metric.PreferPruned.
+// dimension class so NewIndex's pruned crossover can be validated (and
+// refitted) against measured data rather than one point — see the fit on
+// NewIndex.
 func BenchmarkKernelPrunedNearest(b *testing.B) {
 	const queries = 10000
 	run := func(name string, k, dim int) {
 		centers, qs := prunedInstance(k, dim, queries)
-		pr := NewPruned(centers)
+		pr := newPruned(centers)
 		b.Run("pruned/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for qi := 0; qi < queries; qi++ {
-					pr.Nearest(qs.At(qi))
+					pr.nearest(qs.At(qi))
 				}
 			}
 		})

@@ -140,8 +140,8 @@ func TestKernelsEmptyRange(t *testing.T) {
 func TestQuickPrunedNearestMatchesFullScan(t *testing.T) {
 	f := func(seed uint64, kRaw, dimRaw uint8) bool {
 		centers, q := kernelInstance(seed, kRaw, dimRaw)
-		pr := NewPruned(centers)
-		best, bestSq, evals := pr.Nearest(q)
+		pr := newPruned(centers)
+		best, bestSq, evals := pr.nearest(q)
 		wantBest, wantSq := NearestInRange(centers, 0, centers.N, q)
 		if evals < 1 || evals > int64(centers.N) {
 			return false
@@ -163,7 +163,7 @@ func TestPrunedSkipsEvaluations(t *testing.T) {
 		centers.At(i)[0] = float64(i) * 1000
 		centers.At(i)[1] = 0
 	}
-	pr := NewPruned(centers)
+	pr := newPruned(centers)
 	// Once the true center is found, everything after it prunes: a query
 	// near center c costs at most c+1 evaluations (the scan walks toward c
 	// improving the bound, then the tail is ruled out), never the full k.
@@ -172,7 +172,7 @@ func TestPrunedSkipsEvaluations(t *testing.T) {
 	for qi := 0; qi < queries; qi++ {
 		c := r.Intn(k)
 		q := []float64{float64(c)*1000 + r.Float64Range(-1, 1), r.Float64Range(-1, 1)}
-		best, _, evals := pr.Nearest(q)
+		best, _, evals := pr.nearest(q)
 		if best != c {
 			t.Fatalf("query near center %d assigned to %d", c, best)
 		}
@@ -188,7 +188,7 @@ func TestPrunedSkipsEvaluations(t *testing.T) {
 	// other center: exactly one evaluation.
 	for qi := 0; qi < 50; qi++ {
 		q := []float64{r.Float64Range(-1, 1), r.Float64Range(-1, 1)}
-		if _, _, evals := pr.Nearest(q); evals != 1 {
+		if _, _, evals := pr.nearest(q); evals != 1 {
 			t.Fatalf("query on center 0 took %d evaluations, want 1", evals)
 		}
 	}

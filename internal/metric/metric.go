@@ -28,23 +28,21 @@
 //     2–3× the four flops of actual arithmetic, which is exactly the
 //     speedup the kernels recover (see BenchmarkKernelRelaxFarthest).
 //
-//   - Triangle-inequality pruning (pruned.go): Pruned precomputes the k×k
-//     center-center distance matrix so nearest-center queries can skip any
-//     candidate c' with d(c_best, c') >= 2·d(p, c_best), making the number
-//     of distance evaluations per query sub-linear in k in the common
-//     case. Assignment (assign.Evaluate), streaming coverage tests
-//     (stream.Summary.Push, with the matrix maintained incrementally as
-//     centers change) and stream.Cover all query through it.
+//   - One nearest-center index per center set (index.go): Index holds k
+//     centers prepared for "which center is nearest to q" and answers it
+//     by one of three kernels, the plain scan above, the sorted-projection
+//     sweep (sweep.go) or the triangle-inequality-pruned scan (pruned.go).
+//     NewIndex picks the kernel from k and dim; the rule and its fit live
+//     there. assign.Evaluate (behind its grid filter), assign.NearestBatch
+//     (the served /v1/assign) and stream.Cover all query through an Index.
 //
 // Beside them, Grid (grid.go) is the spatial bucketing of two coordinates
 // that the blocked farthest-first traversal (internal/core) and the
 // grid-filtered assignment (internal/assign) share; both take each
 // bucket's exact bounding box from its points, so the grid only decides
-// how much they prune, never what they return. Sweep (sweep.go) is the
-// sorted-projection layout that EIM's reducers (internal/eim) and the
-// serving assign kernel (assign.NearestBatch at dim ≤ 2) share: rows
-// sorted by their widest coordinate, so a nearest-row query evaluates
-// only the rows whose gap in that coordinate could still win.
+// how much they prune, never what they return. Sweep (sweep.go) is also
+// EIM's reducer layout (internal/eim), which asks it for a value-only
+// minimum.
 //
 // All of them preserve results bit for bit: kernels accumulate in SqDist's
 // exact floating-point order and scan in ascending index order, and
@@ -112,21 +110,6 @@ func (Chebyshev) Distance(a, b []float64) float64 {
 
 // Name implements Interface.
 func (Chebyshev) Name() string { return "chebyshev" }
-
-// Minkowski is the Lp metric for p >= 1.
-type Minkowski struct{ P float64 }
-
-// Distance returns the Lp distance between a and b.
-func (m Minkowski) Distance(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += math.Pow(math.Abs(a[i]-b[i]), m.P)
-	}
-	return math.Pow(s, 1/m.P)
-}
-
-// Name implements Interface.
-func (m Minkowski) Name() string { return fmt.Sprintf("minkowski(p=%g)", m.P) }
 
 // SqDist returns the squared Euclidean distance between a and b. The loop is
 // written with 4-way unrolling over the common prefix: on the hot path this

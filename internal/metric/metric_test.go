@@ -81,21 +81,6 @@ func metricAxioms(t *testing.T, m Interface) {
 func TestEuclideanAxioms(t *testing.T) { metricAxioms(t, Euclidean{}) }
 func TestManhattanAxioms(t *testing.T) { metricAxioms(t, Manhattan{}) }
 func TestChebyshevAxioms(t *testing.T) { metricAxioms(t, Chebyshev{}) }
-func TestMinkowskiAxioms(t *testing.T) { metricAxioms(t, Minkowski{P: 3}) }
-
-func TestMinkowskiSpecialCases(t *testing.T) {
-	r := rng.New(4)
-	for trial := 0; trial < 100; trial++ {
-		a, b := randomVec(r, 8), randomVec(r, 8)
-		if got, want := (Minkowski{P: 2}).Distance(a, b), (Euclidean{}).Distance(a, b); !almostEqual(got, want, 1e-9) {
-			t.Fatalf("Minkowski p=2 %v != Euclidean %v", got, want)
-		}
-		if got, want := (Minkowski{P: 1}).Distance(a, b), (Manhattan{}).Distance(a, b); !almostEqual(got, want, 1e-9) {
-			t.Fatalf("Minkowski p=1 %v != Manhattan %v", got, want)
-		}
-	}
-}
-
 func TestKnownDistances(t *testing.T) {
 	a := []float64{0, 0}
 	b := []float64{3, 4}

@@ -29,42 +29,33 @@ package metric
 
 import "math"
 
-// Pruned is a center set prepared for triangle-inequality-pruned nearest-
-// center queries. It is immutable after construction and safe for
-// concurrent readers; Evaluate's worker pool shares one instance.
-type Pruned struct {
-	// C holds the k center coordinates, gathered contiguously.
-	C *Dataset
-	// cc is the k×k matrix of squared center-center distances, row-major.
-	cc []float64
+// pruned is a center set prepared for triangle-inequality-pruned
+// nearest-center queries, the Index kernel chosen at dim ≥ 3 above the
+// crossover on NewIndex.
+type pruned struct {
+	c  *Dataset  // the k center coordinates, gathered contiguously
+	cc []float64 // the k×k squared center-center distances, row-major
 }
 
-// NewPruned gathers the center-center distance matrix for c. It costs
-// c.N² distance evaluations (reported by MatrixEvals), amortized over the
-// point scans that follow.
-func NewPruned(c *Dataset) *Pruned {
+// newPruned gathers the center-center distance matrix for c, k² distance
+// evaluations amortized over the queries that follow.
+func newPruned(c *Dataset) *pruned {
 	k := c.N
 	cc := make([]float64, k*k)
 	for i := 0; i < k; i++ {
 		SqDistsInto(cc[i*k:(i+1)*k], c, 0, k, c.At(i))
 	}
-	return &Pruned{C: c, cc: cc}
-}
-
-// MatrixEvals returns the number of distance evaluations spent building
-// the center-center matrix, for DistEvals accounting.
-func (p *Pruned) MatrixEvals() int64 {
-	return int64(p.C.N) * int64(p.C.N)
+	return &pruned{c: c, cc: cc}
 }
 
 // sqTo returns the squared distance from center c to q with a dimension-
 // specialized body (the same accumulation order as SqDist), avoiding the
 // per-candidate slice-header and call overhead on the surviving
 // evaluations.
-func (p *Pruned) sqTo(c int, q []float64) float64 {
-	base := c * p.C.Dim
-	data := p.C.Data
-	switch p.C.Dim {
+func (p *pruned) sqTo(c int, q []float64) float64 {
+	base := c * p.c.Dim
+	data := p.c.Data
+	switch p.c.Dim {
 	case 2:
 		d0 := data[base] - q[0]
 		d1 := data[base+1] - q[1]
@@ -83,30 +74,24 @@ func (p *Pruned) sqTo(c int, q []float64) float64 {
 	case 8:
 		return sqDist8(data[base:base+8], q)
 	default:
-		return SqDist(data[base:base+p.C.Dim:base+p.C.Dim], q)
+		return SqDist(data[base:base+p.c.Dim:base+p.c.Dim], q)
 	}
 }
 
-// Nearest returns the position of the center nearest to q, its squared
-// distance, and the number of distance evaluations performed. The result
-// is identical to NearestInRange(p.C, 0, p.C.N, q) — same index under the
-// same tie-breaking, same squared distance — but candidates whose matrix
-// entry certifies they cannot win are skipped without evaluating a
-// distance.
-func (p *Pruned) Nearest(q []float64) (int, float64, int64) {
-	if p.C.Dim == 2 {
+// nearest returns the position of the center nearest to q, its squared
+// distance, and the number of distance evaluations performed. Like
+// NearestInRange it keeps the first strictly smaller squared distance from
+// +Inf, so it returns the same position and squared distance, but skips
+// every candidate whose matrix entry certifies it cannot win. Until a
+// distance below +Inf is found the limit is NaN, which no entry reaches.
+func (p *pruned) nearest(q []float64) (int, float64, int64) {
+	if p.c.Dim == 2 {
 		return p.nearest2(q)
 	}
-	k := p.C.N
-	best := 0
-	bestSq := p.sqTo(0, q)
-	evals := int64(1)
-	if k == 1 {
-		return best, bestSq, evals
-	}
-	row := p.cc[:k] // row of the current best center
-	lim := pruneLimit(bestSq)
-	for c := 1; c < k; c++ {
+	k := p.c.N
+	best, bestSq, evals := 0, math.Inf(1), int64(0)
+	row, lim := p.cc[:k], math.NaN() // the row of the current best center
+	for c := 0; c < k; c++ {
 		if row[c] >= lim {
 			continue
 		}
@@ -122,23 +107,17 @@ func (p *Pruned) Nearest(q []float64) (int, float64, int64) {
 	return best, bestSq, evals
 }
 
-// nearest2 is Nearest with the candidate evaluation inlined for the 2-D
+// nearest2 is nearest with the candidate evaluation inlined for the 2-D
 // common case: at dim 2 a squared distance is four flops, so even the
 // overhead of a specialized call per surviving candidate would rival the
 // arithmetic it performs.
-func (p *Pruned) nearest2(q []float64) (int, float64, int64) {
-	data := p.C.Data
-	k := p.C.N
+func (p *pruned) nearest2(q []float64) (int, float64, int64) {
+	data := p.c.Data
+	k := p.c.N
 	q0, q1 := q[0], q[1]
-	d0 := data[0] - q0
-	d1 := data[1] - q1
-	best, bestSq, evals := 0, d0*d0+d1*d1, int64(1)
-	if k == 1 {
-		return best, bestSq, evals
-	}
-	row := p.cc[:k]
-	lim := pruneLimit(bestSq)
-	for c := 1; c < k; c++ {
+	best, bestSq, evals := 0, math.Inf(1), int64(0)
+	row, lim := p.cc[:k], math.NaN()
+	for c := 0; c < k; c++ {
 		if row[c] >= lim {
 			continue
 		}
@@ -169,34 +148,3 @@ func pruneLimit(bestSq float64) float64 {
 // a sqrt-free skip certificate, cc(c_b, c) >= 2·(bestSq + lim²) ⇒
 // d(c_b, c) >= d(p, c_b) + lim (AM–GM); that variant lives where its
 // incremental matrix does, in stream.Summary.coveredWithin.
-
-// PreferPruned reports whether a triangle-inequality-pruned nearest-center
-// scan (Pruned.Nearest) is expected to beat the plain one-to-many kernel
-// scan (NearestInRange) for many queries against k centers of dimension
-// dim. Both produce bit-identical results; this only picks the faster one.
-//
-// The crossover is fitted from the BenchmarkKernelPrunedNearest (k, dim)
-// sweep in BENCH_kernels.json (k ∈ {8, 16, 25, 50, 100} × dim ∈ {2, 3, 4,
-// 8}, clustered queries — pruning's best case):
-//
-//   - dim 2: pruned never wins decisively at any measured k (ties at
-//     k ∈ {8, 16, 100}, loses 4–6% at k ∈ {25, 50}). A dim-2 distance is
-//     four flops — the same cost as the matrix-row check that would skip
-//     it — so the certificate can only break even before its own branch
-//     overhead. Dim ≤ 2 therefore always takes the full kernel scan.
-//   - dim ≥ 3: the saving per skipped candidate grows linearly with dim
-//     while the check stays constant, so the break-even k shrinks like
-//     1/dim. Measured: dim 3 wins at k ≥ 50 (up to 26%), loses below
-//     k = 25; dim 4 wins at k ≥ 50; dim 8 wins from k = 16 (30% at
-//     k = 100). k > 64/dim (clamped to k > 8) puts every measured win on
-//     the pruned side and every measured loss on the full-scan side.
-func PreferPruned(k, dim int) bool {
-	if dim <= 2 {
-		return false
-	}
-	threshold := 64 / dim
-	if threshold < 8 {
-		threshold = 8
-	}
-	return k > threshold
-}

@@ -20,7 +20,7 @@
 //   - Lower, EIM's value-only min(seed, nearest squared distance). It stops
 //     when the squared gap reaches the best value so far (≥), since a row
 //     that only ties cannot lower a minimum.
-//   - Nearest, the assignment's argmin. It keeps the plain scan's
+//   - nearest, the Index's argmin. It keeps the plain scan's
 //     lowest-position tie-break, so it stops only when the squared gap
 //     exceeds the best squared distance (strict >): a row at exactly the
 //     best distance is still visited, and wins if its position is lower.
@@ -164,13 +164,13 @@ func (s *Sweep) lower2(q []float64, seed float64) float64 {
 	return best
 }
 
-// Nearest returns the input position of the row nearest to q, its squared
+// nearest returns the input position of the row nearest to q, its squared
 // distance, and the number of distances evaluated. The position and the
 // squared distance are those NearestInRange(set, 0, set.N, q) returns over
 // the input rows: ties go to the lowest position, and when no squared
 // distance is below +Inf (no rows, a NaN coordinate, or distances that
 // overflow) the answer is (0, +Inf).
-func (s *Sweep) Nearest(q []float64) (int, float64, int64) {
+func (s *Sweep) nearest(q []float64) (int, float64, int64) {
 	switch s.dim {
 	case 1:
 		return s.nearest1(q[0])
@@ -203,7 +203,7 @@ func (s *Sweep) Nearest(q []float64) (int, float64, int64) {
 	return best, bestSq, evals
 }
 
-// nearest1 is Nearest at dim 1, where the key is the row and the squared
+// nearest1 is nearest at dim 1, where the key is the row and the squared
 // gap is the squared distance, SqDist's lone d·d.
 func (s *Sweep) nearest1(x float64) (int, float64, int64) {
 	best, bestSq, evals := 0, math.Inf(1), int64(0)
@@ -234,7 +234,7 @@ func (s *Sweep) nearest1(x float64) (int, float64, int64) {
 	return best, bestSq, evals
 }
 
-// nearest2 is Nearest with the dim-2 distance inlined, in SqDist's order.
+// nearest2 is nearest with the dim-2 distance inlined, in SqDist's order.
 func (s *Sweep) nearest2(q []float64) (int, float64, int64) {
 	best, bestSq, evals := 0, math.Inf(1), int64(0)
 	order, rows := s.order, s.rows[:2*len(s.order)]

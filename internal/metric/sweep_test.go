@@ -87,17 +87,21 @@ func TestSweepEmptySet(t *testing.T) {
 				t.Fatalf("dim %d: empty sweep lowered %v to %v", dim, seed, got)
 			}
 		}
-		if c, sq, evals := s.Nearest(q); c != 0 || !math.IsInf(sq, 1) || evals != 0 {
+		if c, sq, evals := s.nearest(q); c != 0 || !math.IsInf(sq, 1) || evals != 0 {
 			t.Fatalf("dim %d: empty sweep's nearest is (%d, %v) after %d evals, want (0, +Inf) after 0", dim, c, sq, evals)
 		}
 	}
 }
 
-// TestSweepNearestMatchesNearestInRange pins the argmin query to the plain
-// scan it stands in for: the same position and bit-equal squared distance,
-// after at most k evaluations, for every k from 0 to 128 at the dims the
-// assignment kernel sweeps (1 and 2) and at dim 3 (the generic body).
-// The inputs stress the tie-break and the strict stop:
+// TestSweepNearestMatchesNearestInRange pins every Index kernel to the
+// plain scan it stands in for: each forced kind (plain, sweep, pruned)
+// returns the same position and bit-equal squared distance, after at most
+// k evaluations, for every k from 0 to 128, query by query and through
+// NearestBatch. The sweep runs at the dims NewIndex gives it (1 and 2) and
+// at dim 3 (the generic body); the plain and pruned scans also at dims 4,
+// 8 and 10 (their dimension-specialized and generic bodies). The inputs
+// stress the tie-break, the sweep's strict stop and the pruned scan's
+// certificate:
 //
 //   - tie grids: coordinates on {0, 0.5, …, 2}, so centers repeat and a
 //     query on the grid is often equidistant from several of them;
@@ -113,10 +117,10 @@ func TestSweepNearestMatchesNearestInRange(t *testing.T) {
 		tieGrid = iota
 		continuous
 		huge
-		kinds
+		inputs
 	)
-	draw := func(kind int) float64 {
-		switch kind {
+	draw := func(input int) float64 {
+		switch input {
 		case tieGrid:
 			return float64(r.Intn(5)) / 2
 		case huge:
@@ -125,22 +129,29 @@ func TestSweepNearestMatchesNearestInRange(t *testing.T) {
 			return r.Float64Range(-50, 50)
 		}
 	}
-	for _, dim := range []int{1, 2, 3} {
+	const queries = 24
+	outC := make([]int, queries)
+	outSq := make([]float64, queries)
+	for _, dim := range []int{1, 2, 3, 4, 8, 10} {
+		kinds := []indexKind{kindPlain, kindPruned}
+		if dim <= 3 {
+			kinds = append(kinds, kindSweep)
+		}
 		for k := 0; k <= 128; k++ {
-			for kind := 0; kind < kinds; kind++ {
+			for input := 0; input < inputs; input++ {
 				centers := NewDataset(k, dim)
 				for i := range centers.Data {
-					centers.Data[i] = draw(kind)
+					centers.Data[i] = draw(input)
 				}
-				s := NewSweep(centers)
-				for qi := 0; qi < 24; qi++ {
-					q := make([]float64, dim)
+				qs := NewDataset(queries, dim)
+				for qi := 0; qi < queries; qi++ {
+					q := qs.At(qi)
 					switch {
 					case qi < 4 && k > 0: // a center: distance 0, often tied
 						copy(q, centers.At(r.Intn(k)))
 					case qi < 16:
 						for c := range q {
-							q[c] = draw(kind)
+							q[c] = draw(input)
 						}
 					case qi < 20: // outside the centers' range
 						for c := range q {
@@ -151,18 +162,36 @@ func TestSweepNearestMatchesNearestInRange(t *testing.T) {
 						}
 					default: // NaN in one coordinate
 						for c := range q {
-							q[c] = draw(kind)
+							q[c] = draw(input)
 						}
 						q[r.Intn(dim)] = math.NaN()
 					}
-					wantC, wantSq := NearestInRange(centers, 0, k, q)
-					c, sq, evals := s.Nearest(q)
-					if c != wantC || math.Float64bits(sq) != math.Float64bits(wantSq) {
-						t.Fatalf("dim=%d k=%d kind=%d query %v: sweep (%d, %v), plain scan (%d, %v)",
-							dim, k, kind, q, c, sq, wantC, wantSq)
+				}
+				for _, kind := range kinds {
+					x := newIndex(centers, kind)
+					var sum int64
+					for qi := 0; qi < queries; qi++ {
+						q := qs.At(qi)
+						wantC, wantSq := NearestInRange(centers, 0, k, q)
+						c, sq, evals := x.Nearest(q)
+						if c != wantC || math.Float64bits(sq) != math.Float64bits(wantSq) {
+							t.Fatalf("dim=%d k=%d input=%d kind=%d query %v: index (%d, %v), plain scan (%d, %v)",
+								dim, k, input, kind, q, c, sq, wantC, wantSq)
+						}
+						if evals > int64(k) {
+							t.Fatalf("dim=%d k=%d input=%d kind=%d query %v: evaluated %d > k distances", dim, k, input, kind, q, evals)
+						}
+						sum += evals
 					}
-					if evals > int64(k) {
-						t.Fatalf("dim=%d k=%d kind=%d query %v: sweep evaluated %d > k distances", dim, k, kind, q, evals)
+					if evals := x.NearestBatch(qs, outC, outSq); evals != sum {
+						t.Fatalf("dim=%d k=%d input=%d kind=%d: batch evaluated %d distances, queries %d", dim, k, input, kind, evals, sum)
+					}
+					for qi := 0; qi < queries; qi++ {
+						c, sq, _ := x.Nearest(qs.At(qi))
+						if outC[qi] != c || math.Float64bits(outSq[qi]) != math.Float64bits(sq) {
+							t.Fatalf("dim=%d k=%d input=%d kind=%d query %d: batch (%d, %v), query (%d, %v)",
+								dim, k, input, kind, qi, outC[qi], outSq[qi], c, sq)
+						}
 					}
 				}
 			}

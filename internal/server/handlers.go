@@ -678,7 +678,7 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 	n := batch.ds.N
 	rs := getReply(n)
 	defer putReply(rs)
-	evals := assign.NearestBatch(qs.res.Centers, qs.pruned, &batch.ds, rs.centers, rs.sqDists)
+	evals := assign.NearestBatch(qs.res.Centers, qs.index, &batch.ds, rs.centers, rs.sqDists)
 	tr.Mark(obs.StageKernel)
 	t.assignRequests.Add(1)
 	t.assignPoints.Add(int64(n))

@@ -27,9 +27,8 @@
 //	                  request are assigned against a single cached snapshot
 //	                  of the tenant's clustering (snapshot isolation), in
 //	                  one assign.NearestBatch pass over the decoded query
-//	                  slab: metric.Pruned above the pruning crossover, a
-//	                  metric.Sweep gathered over the centers at dim ≤ 2
-//	                  and k ≥ 16, metric.NearestInRange elsewhere.
+//	                  slab through the snapshot's metric.Index (whose
+//	                  kernel metric.NewIndex chooses).
 //	GET  /v1/centers  the tenant's current ≤ k center coordinates and
 //	                  certified coverage bounds.
 //	POST /v1/replicate one peer node's checksummed exported clustering
@@ -578,10 +577,10 @@ func (s *Service) Close(ctx context.Context) (*stream.Result, error) {
 }
 
 // querySnapshot is one cached consistent view of a tenant's clustering:
-// the merged ≤ k centers plus the prepared nearest-center kernel. It is
-// immutable and safe for concurrent readers.
+// the merged ≤ k centers plus their nearest-center index, built once per
+// snapshot. It is immutable and safe for concurrent readers.
 type querySnapshot struct {
 	version uint64
 	res     *stream.Result
-	pruned  *metric.Pruned // nil below the pruning crossover
+	index   *metric.Index
 }

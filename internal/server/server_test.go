@@ -207,8 +207,19 @@ func TestIngestAssignCentersStats(t *testing.T) {
 	}
 }
 
+// TestSnapshotCacheReusedWhileCentersUnchanged: at one snapshot version
+// every assign answers from the same cached snapshot and its one
+// nearest-center index, so the first assign builds the snapshot once and
+// the later ones build nothing. It runs at K = 5 and at K = 50, where the
+// index is the sorted sweep that was once rebuilt per request.
 func TestSnapshotCacheReusedWhileCentersUnchanged(t *testing.T) {
-	s := newTestService(t, Config{K: 5, Shards: 2})
+	for _, k := range []int{5, 50} {
+		testSnapshotCacheReused(t, k)
+	}
+}
+
+func testSnapshotCacheReused(t *testing.T, k int) {
+	s := newTestService(t, Config{K: k, Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -223,6 +234,7 @@ func TestSnapshotCacheReusedWhileCentersUnchanged(t *testing.T) {
 		return n == 2000
 	})
 
+	before := s.snapshotBuilds.Load()
 	var first assignResponse
 	resp, body := postJSON(t, ts, "/v1/assign", assignRequest{Points: [][]float64{{1, 2}}})
 	if resp.StatusCode != http.StatusOK {
@@ -232,8 +244,13 @@ func TestSnapshotCacheReusedWhileCentersUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := s.snapshotBuilds.Load()
+	if builds != before+1 {
+		t.Fatalf("K=%d: first assign built %d snapshots, want 1", k, builds-before)
+	}
+	index := s.snap.Load().index
 	// With no ingestion in flight the centers cannot change: repeated
-	// queries must reuse the cached snapshot (same version, no rebuilds).
+	// queries must reuse the cached snapshot (same version, no rebuilds)
+	// and its index.
 	for i := 0; i < 5; i++ {
 		var again assignResponse
 		_, body := postJSON(t, ts, "/v1/assign", assignRequest{Points: [][]float64{{3, 4}}})
@@ -241,11 +258,14 @@ func TestSnapshotCacheReusedWhileCentersUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		if again.Snapshot.Version != first.Snapshot.Version {
-			t.Fatalf("idle snapshot version moved %d -> %d", first.Snapshot.Version, again.Snapshot.Version)
+			t.Fatalf("K=%d: idle snapshot version moved %d -> %d", k, first.Snapshot.Version, again.Snapshot.Version)
+		}
+		if got := s.snap.Load().index; got != index {
+			t.Fatalf("K=%d: assign %d answered through another index", k, i+2)
 		}
 	}
 	if got := s.snapshotBuilds.Load(); got != builds {
-		t.Fatalf("idle queries rebuilt the snapshot %d times", got-builds)
+		t.Fatalf("K=%d: idle queries rebuilt the snapshot %d times", k, got-builds)
 	}
 }
 

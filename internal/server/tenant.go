@@ -757,10 +757,7 @@ func (t *tenant) snapshot() (*querySnapshot, error) {
 		}
 		return nil, err
 	}
-	qs := &querySnapshot{version: v, res: res}
-	if metric.PreferPruned(res.Centers.N, res.Centers.Dim) {
-		qs.pruned = metric.NewPruned(res.Centers)
-	}
+	qs := &querySnapshot{version: v, res: res, index: metric.NewIndex(res.Centers)}
 	t.snap.Store(qs)
 	t.snapshotBuilds.Add(1)
 	return qs, nil

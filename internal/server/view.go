@@ -83,9 +83,9 @@ type tenantCounters struct {
 	IngestedPoints  int64 `json:"ingested_points"`
 	AssignRequests  int64 `json:"assign_requests"`
 	AssignPoints    int64 `json:"assign_points"`
-	// DistEvals counts assignment distance evaluations actually performed:
-	// the sorted-projection sweep's at dim ≤ 2 and k ≥ 16, the pruned
-	// scan's above its crossover, so sub-linear in k per point on both.
+	// DistEvals counts the assignment distance evaluations the snapshot's
+	// metric.Index actually performed: k per point on its plain scan,
+	// sub-linear in k on its sweep and its pruned scan.
 	DistEvals      int64 `json:"dist_evals"`
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	// ShedBatches/ShedPoints count ingest batches (and the points in them)

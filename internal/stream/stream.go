@@ -333,12 +333,9 @@ func Cover(ds *metric.Dataset, centers *metric.Dataset, m metric.Interface) floa
 	}
 	var worst float64
 	if m == nil {
-		// One k×k matrix up front lets every point's nearest-center scan
-		// prune candidates by the triangle inequality; the minimum each
-		// query returns is unchanged.
-		pr := metric.NewPruned(centers)
+		idx := metric.NewIndex(centers)
 		for i := 0; i < ds.N; i++ {
-			if _, best, _ := pr.Nearest(ds.At(i)); best > worst {
+			if _, best, _ := idx.Nearest(ds.At(i)); best > worst {
 				worst = best
 			}
 		}
