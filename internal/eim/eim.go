@@ -30,20 +30,28 @@
 // per iteration into a metric.Sweep, the sorted-projection layout the
 // nearest-center index shares (Friedman, Baskett & Shustek, IEEE Trans.
 // Computers, 1975): its rows are sorted by the coordinate of largest
-// range, and a query binary-searches its own coordinate, walks outwards
-// both ways, and stops in each direction once the squared gap in that
-// coordinate alone reaches the best squared distance so far. Sweep.Lower
-// starts from the record's carried value, so in later iterations most
-// records stop at once. The charge stays the paper's brute-force |H|·|ΔS|
-// and |R|·|ΔS|: like the goroutine pool, the pruning is an execution
-// detail of the reducer, and it moves wall time only.
+// range, and a query starts at its own coordinate's place among them,
+// walks outwards both ways, and stops in each direction once the squared
+// gap in that coordinate alone reaches the best squared distance so far.
+// Sweep.Lower starts from the record's carried value, so in later
+// iterations most records stop at once. The removal round asks a yes/no
+// question, d(x, S) ≤ d(v, S), so it passes the pivot distance as Lower's
+// cut, and a record that leaves stops at its first sample within the
+// pivot. The select round needs exact distances and passes no cut. The
+// charge stays the paper's brute-force |H|·|ΔS| and |R|·|ΔS|: like the
+// goroutine pool, the pruning and the early exit are execution details
+// of the reducer, and they move wall time only.
 //
-// The result is bit-identical to a full rescan of Algorithm 2. Sweep.Lower
-// returns min(carried, the brute-force minimum) bit for bit (see the
-// metric.Sweep doc); min is exact; and sqrt is correctly rounded and
-// monotone, so min(√a, √b) = √min(a, b). Every removal decision, pivot
-// distance and therefore the centers are the same; the sampling draws do
-// not depend on the distances at all.
+// The result is bit-identical to a full rescan of Algorithm 2. With no
+// cut, or above it, Sweep.Lower returns min(carried, the brute-force
+// minimum) bit for bit (see the metric.Sweep doc); min is exact; and sqrt
+// is correctly rounded and monotone, so min(√a, √b) = √min(a, b). Below
+// the cut it may return early, with a value v ≥ that minimum and √v ≤
+// pivot: then the minimum is within the pivot too, so the rescan removes
+// the record as well. A survivor's value is exact, so it carries the same
+// distance. Every removal decision, pivot distance and therefore the
+// centers are the same; the sampling draws do not depend on the distances
+// at all.
 //
 // The loop runs while |R| > (4/ε)·k·n^ε·log n; afterwards C := S ∪ R is the
 // sample and a final MapReduce round runs GON on C to produce the k centers
@@ -256,8 +264,8 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// squared distance by its distance to the new points (see the
 		// package doc for why this equals a rescan of all of S bit for bit).
 		delta := metric.NewSweep(ds.Subset(deltaS))
-		sqToS := func(pos int) float64 {
-			return delta.Lower(ds.At(R[pos]), dR[pos])
+		sqToS := func(pos int, cut float64) float64 {
+			return delta.Lower(ds.At(R[pos]), dR[pos], cut)
 		}
 
 		// ---- Round 2: pivot selection on one machine (lines 5–6). ----
@@ -276,7 +284,7 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 			}
 			dH := make([]float64, len(H))
 			for i, pos := range H {
-				dH[i] = math.Sqrt(sqToS(pos))
+				dH[i] = math.Sqrt(sqToS(pos, -1)) // exact: no cut
 			}
 			ops.Add(int64(len(H)) * int64(len(deltaS)))
 			// Order farthest-to-nearest and take the ⌈φ·log n⌉-th (line 3 of
@@ -294,17 +302,18 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// ---- Round 3: removal (lines 7–9) with the §4.1 fixes. ----
 		// d(x,S) <= d(v,S) removes x; with no pivot (pivotDist 0) only the
 		// points at distance zero from S, the freshly sampled ones among
-		// them, are removed. Survivors keep their updated distance.
+		// them, are removed. The pivot distance is Lower's cut (see the
+		// package doc); survivors keep their exact updated distance.
 		kept := make([][]int, len(parts))
 		keptD := make([][]float64, len(parts))
 		removalTasks := make([]mapreduce.Task, len(parts))
 		for i, part := range parts {
 			i, part := i, part
 			removalTasks[i] = func(ops *mapreduce.OpCounter) error {
-				var keep []int
-				var keepD []float64
+				keep := make([]int, 0, len(part))
+				keepD := make([]float64, 0, len(part))
 				for _, pos := range part {
-					if sq := sqToS(pos); math.Sqrt(sq) > pivotDist {
+					if sq := sqToS(pos, pivotDist); math.Sqrt(sq) > pivotDist {
 						keep = append(keep, R[pos])
 						keepD = append(keepD, sq)
 					}

@@ -2,16 +2,20 @@ package metric
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"kcenter/internal/rng"
 )
 
 // TestSweepMatchesBruteForce: for random sets and queries, the sorted sweep
-// returns min(seed, the brute-force kernel's squared minimum) bit for bit,
-// whichever coordinate the rows are sorted by. Grid sets hold duplicate rows
-// and tied distances; in the constant sets coordinate 0 never varies, so a
-// sweep sorted by it degrades to a full scan.
+// keeps Lower's contract against want = min(seed, the brute-force kernel's
+// squared minimum), whichever coordinate the rows are sorted by: when √want
+// exceeds the cut it returns want bit for bit, and otherwise a value v ≥
+// want with √v ≤ cut. The cuts are −1 and 0, √want and its neighbouring
+// floats, 1e300 (whose square overflows) and +Inf. Grid sets hold duplicate
+// rows and tied distances; in the constant sets coordinate 0 never varies,
+// so a sweep sorted by it degrades to a full scan.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	r := rng.New(31)
 	for _, dim := range []int{1, 2, 3, 4, 5, 8} {
@@ -63,10 +67,15 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 				_, brute := NearestInRange(set, 0, set.N, q)
 				for _, seed := range []float64{math.Inf(1), 0, brute, brute / 2, 2 * brute, r.Float64Range(0, 1e4)} {
 					want := math.Min(seed, brute)
-					for _, s := range sweeps {
-						if got := s.Lower(q, seed); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("dim=%d trial=%d |set|=%d query %v: sweep on axis %d gives %v for seed %v, brute force min(seed, %v) = %v",
-								dim, trial, set.N, q, s.axis, got, seed, brute, want)
+					root := math.Sqrt(want)
+					for _, cut := range []float64{-1, 0, root, math.Nextafter(root, 0), math.Nextafter(root, math.Inf(1)), 1e300, math.Inf(1)} {
+						for _, s := range sweeps {
+							got := s.Lower(q, seed, cut)
+							if root > cut && math.Float64bits(got) != math.Float64bits(want) ||
+								root <= cut && !(got >= want && math.Sqrt(got) <= cut) {
+								t.Fatalf("dim=%d trial=%d |set|=%d query %v: sweep on axis %d gives %v for seed %v, cut %v; brute force min(seed, %v) = %v",
+									dim, trial, set.N, q, s.axis, got, seed, cut, brute, want)
+							}
 						}
 					}
 				}
@@ -83,13 +92,68 @@ func TestSweepEmptySet(t *testing.T) {
 		s := NewSweep(NewDataset(0, dim))
 		q := make([]float64, dim)
 		for _, seed := range []float64{math.Inf(1), 7} {
-			if got := s.Lower(q, seed); got != seed {
+			if got := s.Lower(q, seed, -1); got != seed {
 				t.Fatalf("dim %d: empty sweep lowered %v to %v", dim, seed, got)
 			}
 		}
 		if c, sq, evals := s.nearest(q); c != 0 || !math.IsInf(sq, 1) || evals != 0 {
 			t.Fatalf("dim %d: empty sweep's nearest is (%d, %v) after %d evals, want (0, +Inf) after 0", dim, c, sq, evals)
 		}
+	}
+}
+
+// TestSweepSearch: the bucketed search finds what sort.SearchFloat64s finds
+// over the sorted keys (0 for a NaN query, where SearchFloat64s answers the
+// row count), for key sets with and without a bucket table: no
+// rows and one row, all-equal keys, tie grids, clustered and continuous
+// keys, a span of two adjacent floats, subnormal keys (the scale
+// overflows), and keys at ±1e154 and ±1e308 (at ±1e308 the span
+// overflows). The queries are every key, its neighbouring floats, draws
+// inside and outside the range, NaN and ±Inf.
+func TestSweepSearch(t *testing.T) {
+	r := rng.New(53)
+	inf := math.Inf(1)
+	sets := map[string]func(n int) float64{
+		"equal":      func(int) float64 { return 3 },
+		"tie-grid":   func(int) float64 { return float64(r.Intn(5)) / 2 },
+		"continuous": func(int) float64 { return r.Float64Range(-50, 50) },
+		"clustered":  func(int) float64 { return float64(r.Intn(3))*1e4 + r.Float64Range(0, 1) },
+		"adjacent":   func(int) float64 { return math.Nextafter(1, float64(r.Intn(2))*2) },
+		"subnormal":  func(int) float64 { return float64(r.Intn(4)) * 5e-324 },
+		"1e154":      func(int) float64 { return []float64{-1e154, 1e154, 0, 1, -3}[r.Intn(5)] },
+		"1e308":      func(int) float64 { return []float64{-1e308, 1e308, 0, 1, -3}[r.Intn(5)] },
+	}
+	tabled := 0
+	for name, draw := range sets {
+		for _, n := range []int{0, 1, 2, 3, 7, 64, 500} {
+			ds := NewDataset(n, 1)
+			for i := range ds.Data {
+				ds.Data[i] = draw(n)
+			}
+			s := NewSweep(ds)
+			if s.start != nil {
+				tabled++
+			}
+			queries := []float64{math.NaN(), inf, -inf, 0, -1e308, 1e308}
+			for _, key := range s.keys {
+				queries = append(queries, key, math.Nextafter(key, -inf), math.Nextafter(key, inf))
+			}
+			for i := 0; i < 50; i++ {
+				queries = append(queries, draw(n), r.Float64Range(-1e5, 1e5))
+			}
+			for _, x := range queries {
+				want := sort.SearchFloat64s(s.keys, x)
+				if math.IsNaN(x) {
+					want = 0 // no key is below NaN, nor at or above it
+				}
+				if got := s.search(x); got != want {
+					t.Fatalf("%s n=%d (table %v): search(%v) = %d, sort.SearchFloat64s = %d", name, n, s.start != nil, x, got, want)
+				}
+			}
+		}
+	}
+	if tabled == 0 {
+		t.Fatal("no key set built a bucket table")
 	}
 }
 

@@ -269,6 +269,51 @@ func testSnapshotCacheReused(t *testing.T, k int) {
 	}
 }
 
+// TestAssignAllocatesNoIndex: /v1/assign answers through the index its
+// cached snapshot holds, and builds none per request. At dim 2, k = 50 the
+// snapshot's index is the sorted sweep, whose build allocates several
+// slices; at k = 8 it is the plain scan, whose build is one small
+// allocation. So a 256-point assign through the handler allocates about as
+// often at k = 50 as at k = 8, while a handler that rebuilt the index per
+// request would add the sweep's build, 8 allocations more, at k = 50. The
+// count is process-wide, so the bound leaves 2 for the service's own
+// goroutines, and each service is closed once measured.
+func TestAssignAllocatesNoIndex(t *testing.T) {
+	queries := genPoints(256, 46)
+	body, err := json.Marshal(assignRequest{Points: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(k int) float64 {
+		s := newTestService(t, Config{K: k, Shards: 2})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		ingestAll(t, ts, s, genPoints(2000, 45), 400)
+		waitFor(t, "shards drained", func() bool { return shardAbsorbed(s) == 2000 })
+		h := s.Handler()
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/assign", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("k=%d: assign status %d: %s", k, rec.Code, rec.Body)
+			}
+		}
+		serve() // builds and caches the snapshot
+		if got := s.snap.Load().res.Centers.N; got != k {
+			t.Fatalf("k=%d: snapshot holds %d centers", k, got)
+		}
+		n := testing.AllocsPerRun(200, serve)
+		if _, err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	plain, sweep := allocs(8), allocs(50)
+	if sweep > plain+2 {
+		t.Fatalf("an assign at k = 50 (sweep) allocates %v times, at k = 8 (plain scan) %v: the handler builds an index per request", sweep, plain)
+	}
+}
+
 // TestStatsReadsDoNotBuildSnapshots: /v1/stats reports the cached query
 // snapshot as it stands, so reads after new ingest leave snapshot_builds
 // alone and the next assign builds exactly one.

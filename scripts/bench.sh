@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_kernels.json}"
 # Serial suite: everything except the parallel sweep below.
-PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkGonzalezShapes$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$|BenchmarkEIM$|BenchmarkLoadCSV$|BenchmarkNearestBatchShapes$)'
+PATTERN='^(BenchmarkKernel|BenchmarkEvaluate|BenchmarkGonzalezUNIF2D$|BenchmarkGonzalezGAU2D$|BenchmarkGonzalez$|BenchmarkGonzalezShapes$|BenchmarkStreamPush|BenchmarkServe|BenchmarkDecodePoints|BenchmarkEncodeAssign|BenchmarkReplicateMerge$|BenchmarkEIM$|BenchmarkLoadCSV$|BenchmarkNearestBatchShapes$|BenchmarkSweepLower$)'
 # Parallel suite, run under -cpu 1,2: the 1 row is the single-core
 # baseline, the 2 row is what the shard fan-out buys (or costs) at 2-way
 # GOMAXPROCS on this host.
