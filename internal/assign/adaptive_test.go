@@ -13,9 +13,9 @@ import (
 )
 
 // TestAdaptiveModesBitIdentical pins the adaptive-kernel contract: the
-// plain one-to-many scan, the grid filter and the adaptive path (the grid
-// filter where preferGrid holds, else the metric.Index's kernel) must
-// produce bit-identical evaluations on both sides of the crossovers. At
+// metric.Index, the grid filter and the adaptive path (the grid filter
+// where preferGrid holds, else the index) must reproduce evaluateUnpruned
+// bit for bit on both sides of the crossovers. At
 // n = 4000, below the grid's floor, unif2d and gau2d at k = 80 take the
 // index's sweep and kdd at k = 80 its pruned scan.
 func TestAdaptiveModesBitIdentical(t *testing.T) {
@@ -32,20 +32,22 @@ func TestAdaptiveModesBitIdentical(t *testing.T) {
 		// agree regardless.
 		for _, k := range []int{1, 5, 80} {
 			res := core.Gonzalez(w.ds, k, core.Options{First: 0})
-			plain := evaluate(w.ds, res.Centers, 0, modePlain)
+			ref := evaluateUnpruned(w.ds, res.Centers)
+			index := evaluate(w.ds, res.Centers, 0, modeIndex)
 			grid := evaluate(w.ds, res.Centers, 0, modeGrid)
 			adaptive := Evaluate(w.ds, res.Centers, 0)
 			name := w.name + "/k=" + strconv.Itoa(k)
-			assertIdentical(t, name+"/grid-vs-plain", grid, plain)
-			assertIdentical(t, name+"/adaptive-vs-plain", adaptive, plain)
+			assertIdentical(t, name+"/index", index, ref)
+			assertIdentical(t, name+"/grid", grid, ref)
+			assertIdentical(t, name+"/adaptive", adaptive, ref)
 
-			// The plain path's accounting is exact: n·k, no matrix.
-			wantPlain := int64(w.ds.N) * int64(len(res.Centers))
-			if plain.DistEvals != wantPlain {
-				t.Fatalf("%s: plain DistEvals = %d, want %d", name, plain.DistEvals, wantPlain)
+			// The index path counts its build and what each query
+			// evaluated.
+			want := indexEvals(w.ds, res.Centers)
+			if index.DistEvals != want {
+				t.Fatalf("%s: index DistEvals = %d, want %d", name, index.DistEvals, want)
 			}
 			// The adaptive path must match whichever path it selected.
-			want := indexEvals(w.ds, res.Centers)
 			if preferGrid(w.ds.N, len(res.Centers), w.ds.Dim) {
 				want = grid.DistEvals
 			}
@@ -128,8 +130,9 @@ func gridCases(r *rng.Source, n, dim int) []gridCase {
 	}
 }
 
-// TestGridFilterBitIdentical pins the grid filter against the plain scan,
-// bit for bit (Assignment, Dist, Radius, Farthest, ClusterSizes), and the
+// TestGridFilterBitIdentical pins the grid filter against
+// evaluateUnpruned, bit for bit (Assignment, Dist, Radius, Farthest,
+// ClusterSizes), and the
 // radius against core.CoveringRadius, on both sides of preferGrid, for
 // Gonzalez centers, random centers and rows 0 and 1.
 func TestGridFilterBitIdentical(t *testing.T) {
@@ -163,11 +166,11 @@ func TestGridFilterBitIdentical(t *testing.T) {
 				{0, 1},
 			} {
 				label := fmt.Sprintf("n=%d k=%d dim=%d %s", sh.n, sh.k, sh.dim, c.name)
-				plain := evaluate(c.ds, centers, 3, modePlain)
+				ref := evaluateUnpruned(c.ds, centers)
 				grid := evaluate(c.ds, centers, 3, modeGrid)
 				adaptive := Evaluate(c.ds, centers, 0)
-				assertIdentical(t, label+" grid", grid, plain)
-				assertIdentical(t, label+" adaptive", adaptive, plain)
+				assertIdentical(t, label+" grid", grid, ref)
+				assertIdentical(t, label+" adaptive", adaptive, ref)
 				if want, _ := core.CoveringRadius(c.ds, centers); math.Float64bits(grid.Radius) != math.Float64bits(want) {
 					t.Fatalf("%s: radius %v, core.CoveringRadius %v", label, grid.Radius, want)
 				}

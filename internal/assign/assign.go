@@ -61,7 +61,7 @@ type evalMode int
 
 const (
 	modeAdaptive evalMode = iota // preferGrid decides, else the index
-	modePlain                    // force the plain one-to-many scan
+	modeIndex                    // force the metric.Index
 	modeGrid                     // force the grid filter (the index on non-finite input)
 )
 
@@ -81,10 +81,22 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 	n := ds.N
 	workers = max(min(workers, n), 1)
 	ev := &Evaluation{
-		Assignment:   make([]int, n),
-		Dist:         make([]float64, n),
 		ClusterSizes: make([]int, len(centers)),
 		Farthest:     -1,
+	}
+	// A large make clears its memory, and takes its page faults, on the
+	// goroutine that calls it, so with more than one worker Dist is made
+	// beside Assignment.
+	if workers > 1 {
+		made := make(chan struct{})
+		go func() {
+			ev.Dist = make([]float64, n)
+			close(made)
+		}()
+		ev.Assignment = make([]int, n)
+		<-made
+	} else {
+		ev.Assignment, ev.Dist = make([]int, n), make([]float64, n)
 	}
 	// Copy center coordinates once so the inner loop reads a compact block.
 	// The grid filter and the index are immutable once built, so all
@@ -101,14 +113,6 @@ func evaluate(ds *metric.Dataset, centers []int, workers int, mode evalMode) *Ev
 	case gf != nil:
 		ev.DistEvals = gf.evals
 		scan = func(lo, hi int, p *partial) { gf.scan(ev, lo, hi, p) }
-	case mode == modePlain:
-		scan = func(lo, hi int, p *partial) {
-			for i := lo; i < hi; i++ {
-				c, sq := metric.NearestInRange(cpts, 0, k, ds.At(i))
-				p.add(ev, i, c, sq)
-			}
-			p.evals += int64(hi-lo) * int64(k)
-		}
 	default:
 		idx := metric.NewIndex(cpts)
 		ev.DistEvals = idx.BuildEvals()

@@ -6,7 +6,7 @@ package assign
 type EvalMode = evalMode
 
 const (
-	ModePlain = modePlain
+	ModeIndex = modeIndex
 	ModeGrid  = modeGrid
 )
 

@@ -74,9 +74,9 @@ const (
 //     keeps the metric.Index.
 //
 // At the batch shape of the paper's GAU runs (n = 10⁶, k = 50)
-// BenchmarkEvaluateShapes reads the grid at 0.26–0.28 of the plain time
-// (18 ms against 66 ms in one run; the host's speed varied up to 2×
-// between runs, the ratio did not).
+// BenchmarkEvaluateShapes, then with a forced plain row, read the grid at
+// 0.26–0.28 of the plain time (18 ms against 66 ms in one run; the host's
+// speed varied up to 2× between runs, the ratio did not).
 func preferGrid(n, k, dim int) bool {
 	return dim <= 2 && k >= 16 && n >= 4096
 }

@@ -18,8 +18,8 @@ import (
 // where preferGrid keeps the index today, give ROADMAP item 9 its
 // parent rows: GAU n = 10⁵ at dim 3 (k = 50) and KDD-like n = 10⁵, fig1's
 // input at dim 38 (k = 25). Each shape runs the
-// adaptive entry point and, beside it, the plain scan and the grid filter
-// forced, so a shift of the crossover shows in one run.
+// adaptive entry point and, beside it, the metric.Index and the grid
+// filter forced, so a shift of the crossover shows in one run.
 func BenchmarkEvaluateShapes(b *testing.B) {
 	gau := dataset.Gau(dataset.GauConfig{N: 1_000_000, KPrime: 25, Seed: 7}).Points
 	unif := dataset.Unif(dataset.UnifConfig{N: 1_000_000, Seed: 7}).Points
@@ -48,7 +48,7 @@ func BenchmarkEvaluateShapes(b *testing.B) {
 		for _, m := range []struct {
 			name string
 			mode assign.EvalMode
-		}{{"plain", assign.ModePlain}, {"grid", assign.ModeGrid}} {
+		}{{"index", assign.ModeIndex}, {"grid", assign.ModeGrid}} {
 			b.Run(name+"/"+m.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					assign.EvaluateMode(s.ds, res.Centers, 0, m.mode)

@@ -99,7 +99,8 @@ type blocks struct {
 	workers int
 	data    []float64 // coordinates in slot order, n·dim
 	// orig[j] is the input row of slot j (a dataset index, or a position
-	// in the caller's idx) and slot[i] the slot of input row i.
+	// in the caller's idx) and slot[i] the slot of input row i (nil when
+	// neither MinDist nor the assignment is wanted).
 	orig, slot []int32
 	// minSq[j] is slot j's squared distance to its nearest center so far;
 	// assign[j] that center's selection position (nil without the carry).
@@ -123,10 +124,10 @@ type blocks struct {
 	best []int
 
 	// Build and return-to-row-order state: the input (src, with idx as in
-	// gonzalez), the grid, worker w's lowest then highest coordinates at
-	// bounds[2·dim·w:], whether its rows hold a NaN or ±Inf, its count and
-	// then next slot of cell c at start[w·cells+c], and whether MinDist
-	// is wanted.
+	// gonzalez, both dropped once built), the grid, worker w's lowest then
+	// highest coordinates at bounds[2·dim·w:], whether its rows hold a NaN
+	// or ±Inf, its count and then next slot of cell c at
+	// start[w·cells+c], and whether MinDist is wanted.
 	src         []float64
 	idx         []int
 	grid        metric.Grid
@@ -141,24 +142,30 @@ type blocks struct {
 func zStride(dim int) int { return (dim + 7) &^ 7 }
 
 // newBlocks lays out the n points of ds named by idx (every point of ds
-// when idx is nil), with dim ≤ 2, on workers workers. It returns nil when a
+// when idx is nil), with dim ≤ 2, on workers workers. Its arrays are those
+// of reuse where they are large enough, so that a sequence of traversals on
+// one Scratch allocates only when an input outgrows the last; reuse is nil
+// for a fresh layout. A layout that wants MinDist or the assignment must be
+// fresh: rowOrder hands its arrays to the Result. The row-order slots are
+// kept only when one of them is wanted. newBlocks returns nil when a
 // coordinate is NaN or ±Inf: the box bound then no longer holds, and the
 // plain traversal handles such input as it always has.
-func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool, workers int) *blocks {
+func newBlocks(ds *metric.Dataset, idx []int, wantMinDist, wantAssign bool, workers int, reuse *blocks) *blocks {
 	dim := ds.Dim
 	n := ds.N
 	if idx != nil {
 		n = len(idx)
 	}
-	b := &blocks{
-		dim:       dim,
-		workers:   workers,
-		src:       ds.Data,
-		idx:       idx,
-		bounds:    make([]float64, 2*dim*workers),
-		nonFinite: make([]bool, workers),
-		n:         n,
+	b := reuse
+	if b == nil {
+		b = new(blocks)
 	}
+	b.n, b.dim, b.workers = n, dim, workers
+	b.src, b.idx = ds.Data, idx
+	b.wantMinDist = wantMinDist
+	b.bounds = grow(b.bounds, 2*dim*workers)
+	b.nonFinite = grow(b.nonFinite, workers)
+	clear(b.nonFinite)
 
 	// Bounds of every coordinate, and the finiteness check. The merge
 	// keeps the first of equal extremes, as one pass over the rows would.
@@ -166,6 +173,7 @@ func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool, workers int) *blo
 	lo, hi := b.bounds[:dim], b.bounds[dim:2*dim]
 	for w := 0; w < workers; w++ {
 		if b.nonFinite[w] {
+			b.src, b.idx = nil, nil
 			return nil
 		}
 		wb := b.bounds[2*dim*w:]
@@ -183,19 +191,13 @@ func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool, workers int) *blo
 		bits++
 	}
 	b.grid = metric.NewGrid(bits, lo, hi)
-
-	b.data = make([]float64, n*dim)
-	b.orig = make([]int32, n)
-	b.slot = make([]int32, n)
-	b.minSq = make([]float64, n)
-	if wantAssign {
-		b.assign = make([]int, n)
-	}
+	b.makeArrays(wantMinDist || wantAssign, wantAssign)
 
 	// The stable counting sort: per-worker cell counts, their exclusive
 	// prefix over (cell, worker), and the placing pass.
 	cells := b.grid.Side * b.grid.Side
-	b.start = make([]int32, workers*cells)
+	b.start = grow(b.start, workers*cells)
+	clear(b.start)
 	b.each((*blocks).cellShare)
 	var next int32
 	for c := 0; c < cells; c++ {
@@ -207,16 +209,75 @@ func newBlocks(ds *metric.Dataset, idx []int, wantAssign bool, workers int) *blo
 	b.each((*blocks).scatterShare)
 
 	nb := (n + blockSize - 1) / blockSize
-	b.box = make([]float64, 2*dim*nb)
-	b.max = make([]float64, nb)
-	b.arg = make([]int, nb)
+	b.box = grow(b.box, 2*dim*nb)
+	b.max = grow(b.max, nb)
+	b.arg = grow(b.arg, nb)
 	b.each((*blocks).boxShare)
 
-	b.z = make([]float64, workers*zStride(dim))
-	b.far = make([]float64, workers)
-	b.best = make([]int, workers)
-	b.src, b.idx, b.bounds, b.nonFinite, b.start = nil, nil, nil, nil, nil
+	b.z = grow(b.z, workers*zStride(dim))
+	b.far = grow(b.far, workers)
+	b.best = grow(b.best, workers)
+	b.src, b.idx = nil, nil
 	return b
+}
+
+// makeArrays sizes the layout's per-point arrays for n points: the
+// coordinate copy, orig and minSq always, slot when wantSlot, and a fresh
+// zeroed assignment when wantAssign. A large make clears its memory, and
+// takes its page faults, on the goroutine that calls it, so the arrays are
+// made on the build workers, each whole on one, the largest first on the
+// worker with the fewest bytes so far.
+func (b *blocks) makeArrays(wantSlot, wantAssign bool) {
+	n, dim := b.n, b.dim
+	type array struct {
+		bytes int
+		alloc func()
+	}
+	// In descending size, as dim ≥ 1.
+	arrays := []array{
+		{8 * n * dim, func() { b.data = grow(b.data, n*dim) }},
+		{8 * n, func() { b.minSq = grow(b.minSq, n) }},
+	}
+	if wantAssign {
+		arrays = append(arrays, array{8 * n, func() { b.assign = make([]int, n) }})
+	}
+	arrays = append(arrays, array{4 * n, func() { b.orig = grow(b.orig, n) }})
+	if wantSlot {
+		arrays = append(arrays, array{4 * n, func() { b.slot = grow(b.slot, n) }})
+	}
+	if b.workers == 1 {
+		for _, a := range arrays {
+			a.alloc()
+		}
+		return
+	}
+	owner := make([]int, len(arrays))
+	load := make([]int, b.workers)
+	for i, a := range arrays {
+		w := 0
+		for v, l := range load {
+			if l < load[w] {
+				w = v
+			}
+		}
+		owner[i] = w
+		load[w] += a.bytes
+	}
+	b.each(func(_ *blocks, w int) {
+		for i, a := range arrays {
+			if owner[i] == w {
+				a.alloc()
+			}
+		}
+	})
+}
+
+// grow returns s resized to n, reusing its array when it is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // each runs phase for every worker, worker 0 on the calling goroutine and
@@ -308,7 +369,10 @@ func (b *blocks) scatterShare(w int) {
 		c := int(b.minSq[i])
 		j := int(start[c])
 		start[c]++
-		b.orig[j], b.slot[i] = int32(i), int32(j)
+		b.orig[j] = int32(i)
+		if b.slot != nil {
+			b.slot[i] = int32(j)
+		}
 		o := rowOffset(b.idx, i, dim)
 		for d, v := range b.src[o : o+dim] { // a loop: copy would call memmove
 			b.data[j*dim+d] = v
@@ -436,17 +500,16 @@ func (b *blocks) relaxBlock(first, last int, q []float64, c int) (float64, int) 
 
 // rowOrder returns MinDist (the square roots of minSq) and the assignment
 // in input-row order, reusing their slot-order arrays; nil for MinDist when
-// wantMinDist is false. The layout is spent by then: the coordinate copy
+// it is not wanted. The layout is spent by then: the coordinate copy
 // stages minSq for the gather and orig the assignment, whose positions are
 // below k ≤ n ≤ 2^31 − 1.
-func (b *blocks) rowOrder(wantMinDist bool) ([]float64, []int) {
-	if !wantMinDist && b.assign == nil {
+func (b *blocks) rowOrder() ([]float64, []int) {
+	if !b.wantMinDist && b.assign == nil {
 		return nil, nil
 	}
-	b.wantMinDist = wantMinDist
 	b.each((*blocks).stageShare)
 	b.each((*blocks).gatherShare)
-	if !wantMinDist {
+	if !b.wantMinDist {
 		return nil, b.assign
 	}
 	return b.minSq, b.assign

@@ -155,13 +155,13 @@ func TestGonzalezBlockedWorkersBitIdentical(t *testing.T) {
 				for _, workers := range []int{1, 2, 3, 7} {
 					label := fmt.Sprintf("dim=%d n=%d k=%d %s first=%d workers=%d", dim, sh.n, sh.k, c.name, first, workers)
 					opt := Options{First: first}
-					requireSameAsReference(t, label+" MinDist", gonzalez(c.ds, nil, sh.k, opt, true, false, workers), want)
-					requireSameAsReference(t, label+" MinDist+Assignment", gonzalez(c.ds, nil, sh.k, opt, true, true, workers), want)
-					requireSameAsReference(t, label+" subset", gonzalez(c.ds, idx, sh.k, Options{First: subFirst}, false, false, workers), subWant)
+					requireSameAsReference(t, label+" MinDist", gonzalez(c.ds, nil, sh.k, opt, true, false, workers, nil), want)
+					requireSameAsReference(t, label+" MinDist+Assignment", gonzalez(c.ds, nil, sh.k, opt, true, true, workers, nil), want)
+					requireSameAsReference(t, label+" subset", gonzalez(c.ds, idx, sh.k, Options{First: subFirst}, false, false, workers, nil), subWant)
 					if !blocked {
 						continue
 					}
-					orig := newBlocks(c.ds, nil, false, workers).orig
+					orig := newBlocks(c.ds, nil, false, false, workers, nil).orig
 					if layout == nil {
 						layout = orig
 					}
@@ -171,6 +171,55 @@ func TestGonzalezBlockedWorkersBitIdentical(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGonzalezRangeReusesScratch runs a sequence of GonzalezRange calls
+// through one Scratch, across dimensions, blocked and plain ranges, and
+// ranges that shrink and grow again, and pins each against
+// gonzalezReference over a copy of the range, bit for bit. A stale cell
+// count, minSq, box or block maximum left by an earlier call would show.
+func TestGonzalezRangeReusesScratch(t *testing.T) {
+	r := rng.New(29)
+	const n = 2*minBlockedN + 3000
+	ranges := []struct{ lo, hi, k int }{
+		{0, n, 50},                          // blocked, the whole input
+		{3000, 3000 + minBlockedN, 20},      // blocked, smaller
+		{100, 5000, 50},                     // plain: below minBlockedN
+		{7, n - 1000, 19},                   // plain: k < 20
+		{1, n, 100},                         // blocked again
+		{n - minBlockedN - 1, n - 1, 20},    // blocked, at the end
+		{minBlockedN, minBlockedN + 40, 50}, // fewer points than k
+	}
+	dims := []int{1, 2, 3}
+	if testing.Short() {
+		dims = []int{2}
+	}
+	var sc Scratch
+	for _, dim := range dims {
+		for _, c := range blockedCases(r, n, dim) {
+			for _, rg := range ranges {
+				first := r.Intn(rg.hi - rg.lo)
+				if c.first >= 0 {
+					first = 0
+				}
+				label := fmt.Sprintf("dim=%d %s rows [%d, %d) k=%d first=%d", dim, c.name, rg.lo, rg.hi, rg.k, first)
+				idx := make([]int, rg.hi-rg.lo)
+				for i := range idx {
+					idx[i] = rg.lo + i
+				}
+				want := gonzalezReference(c.ds.Subset(idx), rg.k, first)
+				for i := range want.Centers {
+					want.Centers[i] += rg.lo
+				}
+				want.MinDist, want.Assignment = nil, nil
+				got := GonzalezRange(c.ds, rg.lo, rg.hi, rg.k, Options{First: first}, &sc)
+				if got.MinDist != nil || got.Assignment != nil {
+					t.Fatalf("%s: GonzalezRange returned MinDist or Assignment", label)
+				}
+				requireSameAsReference(t, label, got, want)
 			}
 		}
 	}

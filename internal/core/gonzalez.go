@@ -20,8 +20,9 @@
 //
 // From parallelMinN points, Gonzalez and GonzalezAssign build and traverse
 // that layout on GOMAXPROCS workers, one goroutine each per phase, with the
-// same bits at every worker count. GonzalezSubset, the reducer of MRG and
-// EIM, runs on one: their reducers already run one per core.
+// same bits at every worker count. GonzalezRange and GonzalezSubset, the
+// reducers of MRG and EIM, run on one: their reducers already run one per
+// core.
 package core
 
 import (
@@ -66,7 +67,7 @@ type Options struct {
 // the radius is zero). It panics on k <= 0, an empty dataset or a First
 // outside [0, n), which are programming errors in this repository's callers.
 func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, nil, k, opt, true, false, workersFor(ds.N))
+	return gonzalez(ds, nil, k, opt, true, false, workersFor(ds.N), nil)
 }
 
 // GonzalezAssign is Gonzalez with assignment carry: Result.Assignment maps
@@ -78,7 +79,7 @@ func Gonzalez(ds *metric.Dataset, k int, opt Options) *Result {
 // relaxation keeps the earliest center on ties, matching Evaluate's
 // lowest-position tie-break; pinned by TestGonzalezAssignMatchesEvaluate).
 func GonzalezAssign(ds *metric.Dataset, k int, opt Options) *Result {
-	return gonzalez(ds, nil, k, opt, true, true, workersFor(ds.N))
+	return gonzalez(ds, nil, k, opt, true, true, workersFor(ds.N), nil)
 }
 
 // parallelMinN is the smallest input Gonzalez and GonzalezAssign split
@@ -90,8 +91,9 @@ const parallelMinN = 1 << 17
 
 // workersFor returns the number of workers a top-level traversal over n
 // points runs on: GOMAXPROCS from parallelMinN points up, one below.
-// GonzalezSubset always runs on one: it is the reducer of MRG and EIM,
-// whose reducers already run concurrently, one per core.
+// GonzalezRange and GonzalezSubset always run on one: they are the
+// reducers of MRG and EIM, whose reducers already run concurrently, one
+// per core.
 func workersFor(n int) int {
 	if n < parallelMinN {
 		return 1
@@ -112,8 +114,10 @@ func workersFor(n int) int {
 //   - otherwise one kernel call over the whole input, on one core.
 //
 // wantMinDist gates the per-point distances, which reducer-side callers
-// never consume, and wantAssign the assignment carry.
-func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wantAssign bool, workers int) *Result {
+// never consume, and wantAssign the assignment carry. sc, when not nil,
+// holds the traversal's working arrays for the next call to reuse; then
+// neither output may be wanted, since both would be its arrays.
+func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wantAssign bool, workers int, sc *Scratch) *Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: Gonzalez requires k >= 1, got %d", k))
 	}
@@ -132,9 +136,13 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wa
 		panic(fmt.Sprintf("core: first center %d out of range [0,%d)", first, n))
 	}
 
+	var reuse *blocks
+	if sc != nil {
+		reuse = &sc.blk
+	}
 	var blk *blocks
 	if preferBlocks(n, k, ds.Dim) {
-		blk = newBlocks(ds, idx, wantAssign, workers)
+		blk = newBlocks(ds, idx, wantMinDist, wantAssign, workers, reuse)
 	}
 	if blk == nil && idx != nil {
 		// The plain passes run on a contiguous gathered copy, so the
@@ -156,7 +164,12 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wa
 	var assigned []int
 	var scratch []float64
 	if blk == nil {
-		minSq = make([]float64, n)
+		if sc != nil {
+			sc.blk.minSq = grow(sc.blk.minSq, n)
+			minSq = sc.blk.minSq
+		} else {
+			minSq = make([]float64, n)
+		}
 		for i := range minSq {
 			minSq[i] = math.Inf(1)
 		}
@@ -197,7 +210,7 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wa
 		center = next
 	}
 	if blk != nil {
-		res.MinDist, res.Assignment = blk.rowOrder(wantMinDist)
+		res.MinDist, res.Assignment = blk.rowOrder()
 		return res
 	}
 	if wantMinDist {
@@ -212,8 +225,9 @@ func gonzalez(ds *metric.Dataset, idx []int, k int, opt Options, wantMinDist, wa
 
 // GonzalezSubset runs the farthest-first traversal restricted to the points
 // named by idx (indices into ds) and returns centers as indices into ds.
-// It is the reducer-side primitive of MRG: a reducer receives a partition of
-// the point set and runs GON on just that partition.
+// It is the reducer of EIM's final round and of the outlier solver, which
+// run GON on an arbitrary index set; MRG's partitions are row ranges and
+// take GonzalezRange.
 //
 // The partition is gathered into a contiguous copy first — one O(n·dim)
 // copy, in blocked order when the blocked layout engages and in idx order
@@ -224,9 +238,33 @@ func GonzalezSubset(ds *metric.Dataset, idx []int, k int, opt Options) *Result {
 	// Subset results never materialize per-point distances (they would be
 	// indexed by position, not dataset index, and no reducer-side caller
 	// wants them), so the traversal skips that O(n) pass entirely.
-	res := gonzalez(ds, idx, k, opt, false, false, 1)
+	res := gonzalez(ds, idx, k, opt, false, false, 1, nil)
 	for i, pos := range res.Centers {
 		res.Centers[i] = idx[pos]
+	}
+	return res
+}
+
+// Scratch is the working memory of a sequence of GonzalezRange calls, kept
+// between them so that each reuses the arrays of the last: the blocked
+// layout's coordinate copy, rows, minSq, cell counts and boxes, or the
+// plain traversal's minSq, which is the layout's. A caller running
+// reducers on several goroutines keeps one Scratch per goroutine. The zero
+// value is ready for use.
+type Scratch struct {
+	blk blocks
+}
+
+// GonzalezRange is GonzalezSubset over the contiguous rows [lo, hi) of ds,
+// on one worker, reading the rows in place instead of gathering a copy and
+// keeping its working arrays in sc. Options.First is a position in the
+// range; centers are returned as rows of ds. It is MRG's reducer: the
+// arrays a Scratch holds are those of the largest range it has served.
+func GonzalezRange(ds *metric.Dataset, lo, hi, k int, opt Options, sc *Scratch) *Result {
+	rows := &metric.Dataset{Data: ds.Data[lo*ds.Dim : hi*ds.Dim], N: hi - lo, Dim: ds.Dim}
+	res := gonzalez(rows, nil, k, opt, false, false, 1, sc)
+	for i := range res.Centers {
+		res.Centers[i] += lo
 	}
 	return res
 }

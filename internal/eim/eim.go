@@ -223,16 +223,19 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// ---- Round 1: sampling (Algorithm 2, lines 3–4). ----
 		pS := math.Min(1, 9*float64(cfg.K)*ne*logn/float64(len(R)))
 		pH := math.Min(1, 4*ne*logn/float64(len(R)))
-		parts := mapreduce.Partition(len(R), m)
-		newS := make([][]int, len(parts))
-		newH := make([][]int, len(parts))
-		tasks := make([]mapreduce.Task, len(parts))
-		for i, part := range parts {
-			i, part := i, part
+		// Reducer i holds the records at positions [bounds[i], bounds[i+1])
+		// of R in both the sampling and the removal round.
+		bounds := mapreduce.PartitionBounds(len(R), m)
+		parts := len(bounds) - 1
+		newS := make([][]int, parts)
+		newH := make([][]int, parts)
+		tasks := make([]mapreduce.Task, parts)
+		for i := range tasks {
+			i := i
 			reducerRng := r.Split(uint64(iter)<<32 | uint64(i))
 			tasks[i] = func(ops *mapreduce.OpCounter) error {
 				var si, hi []int
-				for _, pos := range part {
+				for pos := bounds[i]; pos < bounds[i+1]; pos++ {
 					if reducerRng.Bernoulli(pS) {
 						si = append(si, R[pos])
 					}
@@ -240,7 +243,7 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 						hi = append(hi, pos)
 					}
 				}
-				ops.Add(int64(len(part)))
+				ops.Add(int64(bounds[i+1] - bounds[i]))
 				newS[i] = si
 				newH[i] = hi
 				return nil
@@ -252,7 +255,7 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// ΔS holds the points sampled this iteration; H holds positions into
 		// R, so a candidate's carried distance comes with it.
 		var deltaS, H []int
-		for i := range parts {
+		for i := 0; i < parts; i++ {
 			deltaS = append(deltaS, newS[i]...)
 			H = append(H, newH[i]...)
 		}
@@ -303,38 +306,39 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		// d(x,S) <= d(v,S) removes x; with no pivot (pivotDist 0) only the
 		// points at distance zero from S, the freshly sampled ones among
 		// them, are removed. The pivot distance is Lower's cut (see the
-		// package doc); survivors keep their exact updated distance.
-		kept := make([][]int, len(parts))
-		keptD := make([][]float64, len(parts))
-		removalTasks := make([]mapreduce.Task, len(parts))
-		for i, part := range parts {
-			i, part := i, part
+		// package doc); survivors keep their exact updated distance. Each
+		// reducer compacts its survivors to the front of its own range of R
+		// and dR, in order, and one pass then closes the gaps between the
+		// ranges.
+		kept := make([]int, parts)
+		removalTasks := make([]mapreduce.Task, parts)
+		for i := range removalTasks {
+			i := i
 			removalTasks[i] = func(ops *mapreduce.OpCounter) error {
-				keep := make([]int, 0, len(part))
-				keepD := make([]float64, 0, len(part))
-				for _, pos := range part {
+				lo, hi := bounds[i], bounds[i+1]
+				next := lo
+				for pos := lo; pos < hi; pos++ {
 					if sq := sqToS(pos, pivotDist); math.Sqrt(sq) > pivotDist {
-						keep = append(keep, R[pos])
-						keepD = append(keepD, sq)
+						R[next], dR[next] = R[pos], sq
+						next++
 					}
 				}
-				ops.Add(int64(len(part)) * int64(len(deltaS)))
-				kept[i] = keep
-				keptD[i] = keepD
+				ops.Add(int64(hi-lo) * int64(len(deltaS)))
+				kept[i] = next - lo
 				return nil
 			}
 		}
 		if _, err := engine.Run(fmt.Sprintf("eim-%d-remove", iter+1), removalTasks); err != nil {
 			return nil, err
 		}
-		var nextR []int
-		var nextD []float64
-		for i := range kept {
-			nextR = append(nextR, kept[i]...)
-			nextD = append(nextD, keptD[i]...)
+		size := 0
+		for i, survivors := range kept {
+			copy(R[size:], R[bounds[i]:bounds[i]+survivors])
+			copy(dR[size:], dR[bounds[i]:bounds[i]+survivors])
+			size += survivors
 		}
-		stalled := len(nextR) >= len(R)
-		R, dR = nextR, nextD
+		stalled := size >= len(R)
+		R, dR = R[:size], dR[:size]
 		it.RAfter = len(R)
 		res.PerIteration = append(res.PerIteration, it)
 		res.Iterations++

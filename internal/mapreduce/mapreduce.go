@@ -245,32 +245,43 @@ func runRecovered(task Task, ops *OpCounter) (err error) {
 // at most ⌈n/m⌉, matching Algorithm 1's mapper contract ("arbitrarily
 // partitions V into sets V1…Vm with |Vi| ≤ ⌈n/m⌉"). The parts are contiguous
 // ranges, the cheapest "arbitrary" choice and the one that preserves
-// streaming locality. When n < m only n singleton parts are returned.
+// streaming locality: those of PartitionBounds. When n < m only n singleton
+// parts are returned.
 func Partition(n, m int) [][]int {
+	bounds := PartitionBounds(n, m)
+	if bounds == nil {
+		return nil
+	}
+	parts := make([][]int, len(bounds)-1)
+	for i := range parts {
+		part := make([]int, bounds[i+1]-bounds[i])
+		for j := range part {
+			part[j] = bounds[i] + j
+		}
+		parts[i] = part
+	}
+	return parts
+}
+
+// PartitionBounds returns Partition's parts as boundaries, without the
+// index lists: part i is the range [bounds[i], bounds[i+1]). The first
+// n mod m parts hold ⌈n/m⌉ indices and the rest ⌊n/m⌋. It returns nil when
+// n or m is not positive.
+func PartitionBounds(n, m int) []int {
 	if n <= 0 || m <= 0 {
 		return nil
 	}
 	if m > n {
 		m = n
 	}
-	parts := make([][]int, 0, m)
-	base := n / m
-	rem := n % m
-	start := 0
+	bounds := make([]int, m+1)
+	base, rem := n/m, n%m
 	for i := 0; i < m; i++ {
 		size := base
 		if i < rem {
 			size++
 		}
-		if size == 0 {
-			continue
-		}
-		part := make([]int, size)
-		for j := range part {
-			part[j] = start + j
-		}
-		parts = append(parts, part)
-		start += size
+		bounds[i+1] = bounds[i] + size
 	}
-	return parts
+	return bounds
 }

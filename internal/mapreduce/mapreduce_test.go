@@ -44,6 +44,34 @@ func TestPartitionInvariants(t *testing.T) {
 	}
 }
 
+// TestPartitionBounds pins the split both MRG's row ranges and EIM's
+// record ranges follow: contiguous ranges in order, the first n mod m of
+// them one longer, and nil for an empty input or no machines.
+func TestPartitionBounds(t *testing.T) {
+	if PartitionBounds(0, 5) != nil || PartitionBounds(5, 0) != nil {
+		t.Fatal("PartitionBounds of an empty input or no machines is not nil")
+	}
+	for _, tc := range []struct {
+		n, m int
+		want []int
+	}{
+		{1, 1, []int{0, 1}},
+		{3, 5, []int{0, 1, 2, 3}},
+		{10, 3, []int{0, 4, 7, 10}},
+		{100, 7, []int{0, 15, 30, 44, 58, 72, 86, 100}},
+	} {
+		got := PartitionBounds(tc.n, tc.m)
+		if len(got) != len(tc.want) {
+			t.Fatalf("n=%d m=%d: bounds %v, want %v", tc.n, tc.m, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("n=%d m=%d: bounds %v, want %v", tc.n, tc.m, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestPartitionQuick(t *testing.T) {
 	f := func(nRaw, mRaw uint16) bool {
 		n := int(nRaw%2000) + 1

@@ -22,15 +22,21 @@
 //     convergence requires k sufficiently below c (intuitively 2k < c).
 //
 // Runtime (paper §5.1): O(k·n/m) for the first round plus O(k²·m) for the
-// final round. Reducer-side GON runs through core.GonzalezSubset, which
-// gathers each partition into one contiguous copy: in idx order for the
-// dimension-specialized kernels of internal/metric, or, at k ≥ 20 on large
-// low-dimensional partitions, in the blocked layout that skips the blocks
-// a new center cannot improve. Either way a reducer is charged its full
-// k·|Vi| evaluations and returns the same centers. The final full-dataset
-// evaluation is assign.Evaluate, uncharged like every solution evaluation;
-// at the paper's dim 2 and k ≥ 16 it runs the grid filter, which scans each
-// point against the few centers its grid cell's box may be nearest to.
+// final round. Every reducer runs core.GonzalezRange on a contiguous row
+// range of one Dataset, read in place: the input itself in the first
+// iteration, and the gathered sample ds.Subset(S) in any later one and in
+// the final round after one, whose centers map back through S. The
+// traversal scans its rows with the dimension-specialized kernels of
+// internal/metric or, at k ≥ 20 on large low-dimensional partitions,
+// sorts them into the blocked layout that skips the blocks a new center
+// cannot improve. That layout lives in a core.Scratch: one Run keeps one
+// per engine worker and every reducer borrows one, so a round of m
+// reducers allocates no per-reducer copy. Either way a reducer is charged
+// its full k·|Vi| evaluations and returns the same centers. The final
+// full-dataset evaluation is assign.Evaluate, uncharged like every
+// solution evaluation; at the paper's dim 2 and k ≥ 16 it runs the grid
+// filter, which scans each point against the few centers its grid cell's
+// box may be nearest to.
 package mrg
 
 import (
@@ -121,51 +127,69 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 
 	res := &Result{Stats: engine.Stats()}
 
-	// S starts as the whole vertex set (Algorithm 1, line 1).
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
+	// S starts as the whole vertex set (Algorithm 1, line 1). cur holds the
+	// points of S in S's order and rows maps its rows to dataset rows, nil
+	// while S is the input itself, so every reducer of every round reads a
+	// contiguous row range of cur in place.
+	cur := ds
+	var rows []int
+	// Each reducer borrows a traversal scratch from free and gives it back,
+	// so the engine's workers, which run one reducer at a time each, share
+	// one scratch apiece across all reducers and rounds of this run.
+	workers := engine.Config().Workers
+	free := make(chan *core.Scratch, workers)
+	for w := 0; w < workers; w++ {
+		free <- new(core.Scratch)
+	}
+	// reduce runs GON on rows [lo, hi) of cur and returns its centers as
+	// dataset rows. A round's reducers all run before cur moves on.
+	reduce := func(lo, hi int, ops *mapreduce.OpCounter) []int {
+		sc := <-free
+		defer func() { free <- sc }()
+		g := core.GonzalezRange(cur, lo, hi, cfg.K, core.Options{First: 0}, sc)
+		ops.Add(g.DistEvals)
+		if rows != nil {
+			for i, row := range g.Centers {
+				g.Centers[i] = rows[row]
+			}
+		}
+		return g.Centers
 	}
 
 	c := cluster.Capacity
-	for len(s) > c {
+	for cur.N > c {
 		if res.Iterations >= maxRounds {
 			return nil, fmt.Errorf("mrg: sample still has %d > c = %d points after %d iterations; "+
 				"k·m must shrink below c for MRG to terminate (need roughly 2k < c)",
-				len(s), c, res.Iterations)
+				cur.N, c, res.Iterations)
 		}
 		// Machine count for this iteration: the first iteration uses all m
 		// machines (the data already lives there); later iterations need
 		// only ⌈|S|/c⌉ machines (paper §3.3).
 		mi := m
 		if res.Iterations > 0 {
-			mi = (len(s) + c - 1) / c
+			mi = (cur.N + c - 1) / c
 			if mi > m {
 				mi = m
 			}
 		}
-		parts := mapreduce.Partition(len(s), mi)
-		for _, part := range parts {
+		bounds := mapreduce.PartitionBounds(cur.N, mi)
+		parts := len(bounds) - 1
+		for i := 0; i < parts; i++ {
 			// Every partition must fit on its reducer.
-			if err := engine.CheckCapacity(len(part)); err != nil {
-				return nil, fmt.Errorf("mrg: partition of %d points: %w", len(part), err)
-			}
-			for j := range part {
-				part[j] = s[part[j]]
+			if err := engine.CheckCapacity(bounds[i+1] - bounds[i]); err != nil {
+				return nil, fmt.Errorf("mrg: partition of %d points: %w", bounds[i+1]-bounds[i], err)
 			}
 		}
 
 		// Parallel round: each reducer runs GON on its partition and emits k
 		// centers (Algorithm 1, line 4).
-		centerSets := make([][]int, len(parts))
-		tasks := make([]mapreduce.Task, len(parts))
-		for i, part := range parts {
-			part := part
+		centerSets := make([][]int, parts)
+		tasks := make([]mapreduce.Task, parts)
+		for i := range tasks {
 			i := i
 			tasks[i] = func(ops *mapreduce.OpCounter) error {
-				g := core.GonzalezSubset(ds, part, cfg.K, core.Options{First: 0})
-				ops.Add(g.DistEvals)
-				centerSets[i] = g.Centers
+				centerSets[i] = reduce(bounds[i], bounds[i+1], ops)
 				return nil
 			}
 		}
@@ -173,28 +197,26 @@ func Run(ds *metric.Dataset, cfg Config) (*Result, error) {
 		if _, err := engine.Run(roundName, tasks); err != nil {
 			return nil, err
 		}
-		next := make([]int, 0, len(parts)*cfg.K)
+		next := make([]int, 0, parts*cfg.K)
 		for _, cs := range centerSets {
 			next = append(next, cs...)
 		}
-		if len(next) >= len(s) {
+		if len(next) >= cur.N {
 			return nil, fmt.Errorf("mrg: iteration %d did not shrink the sample (%d -> %d); "+
-				"increase capacity or reduce k", res.Iterations+1, len(s), len(next))
+				"increase capacity or reduce k", res.Iterations+1, cur.N, len(next))
 		}
-		s = next
+		cur, rows = ds.Subset(next), next
 		res.Iterations++
-		res.SampleSizes = append(res.SampleSizes, len(s))
+		res.SampleSizes = append(res.SampleSizes, cur.N)
 	}
 
 	// Final round: one machine runs GON on S (Algorithm 1, lines 6–7).
-	if err := engine.CheckCapacity(len(s)); err != nil {
+	if err := engine.CheckCapacity(cur.N); err != nil {
 		return nil, err
 	}
 	var final []int
 	task := func(ops *mapreduce.OpCounter) error {
-		g := core.GonzalezSubset(ds, s, cfg.K, core.Options{First: 0})
-		ops.Add(g.DistEvals)
-		final = g.Centers
+		final = reduce(0, cur.N, ops)
 		return nil
 	}
 	if _, err := engine.Run("mrg-final", []mapreduce.Task{task}); err != nil {

@@ -238,12 +238,33 @@ func TestPredictMachines(t *testing.T) {
 	}
 }
 
+// BenchmarkMRGTwoRound runs the paper's two-round MRG (m = 50, default
+// capacity) on UNIF n = 10⁵ at k = 25, whose 2,000-point reducers take the
+// plain traversal, and at perfbench's batch shape, GAU n = 10⁶ (k′ = 25)
+// at k = 50, whose 20,000-point reducers take the blocked layout; with
+// -benchmem the second row records what one batch solve allocates.
 func BenchmarkMRGTwoRound(b *testing.B) {
-	l := dataset.Unif(dataset.UnifConfig{N: 100000, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(l.Points, Config{K: 25}); err != nil {
-			b.Fatal(err)
-		}
+	shapes := []struct {
+		name string
+		ds   func() *metric.Dataset
+		k    int
+	}{
+		{"unif/n=100000/k=25", func() *metric.Dataset {
+			return dataset.Unif(dataset.UnifConfig{N: 100_000, Seed: 1}).Points
+		}, 25},
+		{"gau/n=1000000/k=50", func() *metric.Dataset {
+			return dataset.Gau(dataset.GauConfig{N: 1_000_000, KPrime: 25, Seed: 7}).Points
+		}, 50},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			ds := sh.ds()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(ds, Config{K: sh.k, Cluster: mapreduce.Config{Machines: 50}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

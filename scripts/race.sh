@@ -11,7 +11,9 @@
 # fault-injection Set (TestConcurrentHits: Arm/Disarm flips racing hot-path
 # Hit calls on one Set), the telemetry layer (TestConcurrentObserve,
 # TestLoggerConcurrentLinesDoNotInterleave), and the simulated MapReduce
-# engine and MRG, whose reducers run concurrently over shared slices.
+# engine and MRG, whose reducers run concurrently over one shared Dataset
+# and borrow traversal scratch from a per-run free list
+# (TestMRGMatchesIndexPartitions at engine workers 1 and 3).
 #
 # RACE_HARNESS: the harness loopback fixture that the restart, chaos and
 # serve-replicate experiments share (TestRunRestartWarmMatchesKilledState,
