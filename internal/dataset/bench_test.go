@@ -6,15 +6,17 @@ import (
 	"testing"
 )
 
-// BenchmarkLoadCSV times LoadCSV on two shapes: 1M two-dimensional GAU
+// BenchmarkLoadCSV times LoadCSV on three shapes: 1M two-dimensional GAU
 // rows written with four decimals, the text perfbench's batch workload
-// loads, and the 25,010 ten-column small-integer rows of a Poker Hand-like
-// file. Each shape builds its text only when it runs.
+// loads; the 25,010 ten-column small-integer rows of a Poker Hand-like
+// file; and 50,000 KDD Cup-like rows of 41 columns, whose three symbolic
+// ones autodetection must drop. Each shape builds its text only when it
+// runs.
 func BenchmarkLoadCSV(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		text func() []byte
-	}{{"points2d", points2dCSV}, {"poker10", poker10CSV}} {
+	}{{"points2d", points2dCSV}, {"poker10", poker10CSV}, {"kdd41", kdd41CSV}} {
 		b.Run(c.name, func(b *testing.B) {
 			text := c.text()
 			b.SetBytes(int64(len(text)))
@@ -52,4 +54,25 @@ func poker10CSV() []byte {
 		panic(err)
 	}
 	return text.Bytes()
+}
+
+// kdd41CSV writes 50,000 KDDLike rows in the KDD Cup 1999 layout: the 38
+// numeric features with two decimals, and symbolic protocol, service and
+// flag columns at positions 1–3.
+func kdd41CSV() []byte {
+	kdd := KDDLike(KDDLikeConfig{N: 50_000, Seed: 1}).Points
+	symbolic := [3][]string{{"tcp", "udp", "icmp"}, {"http", "smtp", "ecr_i", "private"}, {"SF", "S0", "REJ"}}
+	var text []byte
+	for i := 0; i < kdd.N; i++ {
+		p := kdd.At(i)
+		text = strconv.AppendFloat(text, p[0], 'f', 2, 64)
+		for _, s := range symbolic {
+			text = append(append(text, ','), s[i%len(s)]...)
+		}
+		for _, v := range p[1:] {
+			text = strconv.AppendFloat(append(text, ','), v, 'f', 2, 64)
+		}
+		text = append(text, '\n')
+	}
+	return text
 }

@@ -28,12 +28,7 @@
 package dataset
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
-	"math"
-	"strconv"
 
 	"kcenter/internal/metric"
 	"kcenter/internal/rng"
@@ -309,180 +304,4 @@ func scaleSlice(v []float64, f float64) []float64 {
 		out[i] = x * f
 	}
 	return out
-}
-
-// LoadCSVOptions controls LoadCSV.
-type LoadCSVOptions struct {
-	// Comma is the field separator; ',' when zero.
-	Comma rune
-	// SkipHeader drops the first line.
-	SkipHeader bool
-	// Columns selects which zero-based columns to keep; nil keeps every
-	// column that parses as a number in the first data row. With Columns
-	// nil and SkipHeader off, a first line with no numeric field is taken
-	// for a header and skipped.
-	Columns []int
-	// MaxRows limits how many rows are read; 0 means unlimited.
-	MaxRows int
-	// IgnoreParseErrors replaces unparseable and non-finite fields with 0
-	// instead of failing; non-numeric symbolic columns (e.g. KDD's protocol
-	// field) are typically excluded via Columns instead.
-	IgnoreParseErrors bool
-}
-
-// ForEachCSVRow reads UCI-style comma-separated text row by row, calling fn
-// with each parsed numeric row without materializing the matrix — the
-// primitive behind both LoadCSV and the CLI's incremental streaming
-// ingestion. The slice passed to fn is reused between calls; fn must copy
-// what it keeps. Returns the number of rows delivered. A non-nil error from
-// fn stops the scan and is returned verbatim. A value that parses but is not
-// finite ("NaN", "Inf") is a parse error: it names its line and column, or
-// reads as 0 under IgnoreParseErrors. A negative entry in Columns is an
-// error naming it. A header line is detected as LoadCSVOptions describes.
-//
-// Each line is trimmed and split as strings.TrimSpace and strings.Split
-// would, and each field parses as strconv.ParseFloat would, but in place
-// on the scanner's bytes, so a row costs no allocation (ARCHITECTURE.md,
-// "Loading").
-func ForEachCSVRow(r io.Reader, opts LoadCSVOptions, fn func(row []float64) error) (int64, error) {
-	if opts.Comma == 0 {
-		opts.Comma = ','
-	}
-	for _, c := range opts.Columns {
-		if c < 0 {
-			return 0, fmt.Errorf("dataset: column %d is negative", c)
-		}
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var (
-		sep     = []byte(string(opts.Comma))
-		cols    = opts.Columns
-		row     []float64
-		fields  [][]byte
-		lineNum int
-		rows    int64
-		header  = cols == nil && !opts.SkipHeader
-	)
-	for sc.Scan() {
-		lineNum++
-		if opts.SkipHeader && lineNum == 1 {
-			continue
-		}
-		if fields = splitLine(fields[:0], sc.Bytes(), sep); len(fields) == 0 {
-			continue
-		}
-		if cols == nil {
-			// Autodetect numeric columns from the first data row.
-			for i, f := range fields {
-				if _, err := parseField(f); err == nil {
-					cols = append(cols, i)
-				}
-			}
-			if len(cols) == 0 && header {
-				header = false // a header line: detect from the next line
-				continue
-			}
-			if len(cols) == 0 {
-				return rows, fmt.Errorf("dataset: line %d has no numeric columns", lineNum)
-			}
-		}
-		if row == nil {
-			row = make([]float64, len(cols))
-		}
-		for i, c := range cols {
-			if c >= len(fields) {
-				return rows, fmt.Errorf("dataset: line %d has %d fields, need column %d", lineNum, len(fields), c)
-			}
-			v, err := parseField(fields[c])
-			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-				err = fmt.Errorf("non-finite value %v", v)
-			}
-			if err != nil {
-				if !opts.IgnoreParseErrors {
-					return rows, fmt.Errorf("dataset: line %d column %d: %v", lineNum, c, err)
-				}
-				v = 0
-			}
-			row[i] = v
-		}
-		if err := fn(row); err != nil {
-			return rows, err
-		}
-		rows++
-		if opts.MaxRows > 0 && rows >= int64(opts.MaxRows) {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return rows, fmt.Errorf("dataset: read: %w", err)
-	}
-	if rows == 0 {
-		return 0, fmt.Errorf("dataset: no data rows")
-	}
-	return rows, nil
-}
-
-// splitLine appends to dst the fields of line split on sep, each one
-// trimmed, exactly as strings.Split(strings.TrimSpace(line), sep) with
-// strings.TrimSpace on every field would, without allocating; a blank line
-// yields none.
-func splitLine(dst [][]byte, line, sep []byte) [][]byte {
-	if line = bytes.TrimSpace(line); len(line) == 0 {
-		return dst
-	}
-	for {
-		f, rest, ok := bytes.Cut(line, sep)
-		dst = append(dst, bytes.TrimSpace(f))
-		if !ok {
-			return dst
-		}
-		line = rest
-	}
-}
-
-// LoadCSV reads a numeric matrix from UCI-style comma-separated text with
-// ForEachCSVRow. It is how the real Poker Hand / KDD Cup files plug into the
-// harness when the user has them on disk. The matrix grows by doubling its
-// capacity, so growth copies fewer than two coordinates per coordinate
-// loaded and leaves at most half the capacity spare.
-func LoadCSV(r io.Reader, opts LoadCSVOptions) (*metric.Dataset, error) {
-	var data []float64
-	n, err := ForEachCSVRow(r, opts, func(row []float64) error {
-		if len(row) == 0 {
-			return fmt.Errorf("dataset: no columns selected")
-		}
-		if cap(data)-len(data) < len(row) {
-			data = append(make([]float64, 0, max(2*cap(data), 1<<12, len(row))), data...)
-		}
-		data = append(data, row...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &metric.Dataset{Data: data, N: int(n), Dim: len(data) / int(n)}, nil
-}
-
-// WriteCSV writes the dataset as comma-separated text, the inverse of
-// LoadCSV. Used by examples and round-trip tests.
-func WriteCSV(w io.Writer, ds *metric.Dataset) error {
-	bw := bufio.NewWriter(w)
-	for i := 0; i < ds.N; i++ {
-		p := ds.At(i)
-		for j, v := range p {
-			if j > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

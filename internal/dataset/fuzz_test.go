@@ -3,6 +3,7 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"kcenter/internal/metric"
 )
 
 // longLine is one line as long as the scanner's 16 MiB token limit, so a
@@ -29,12 +32,7 @@ func FuzzForEachCSVRow(f *testing.F) {
 		for _, c := range cols[:min(len(cols), 8)] {
 			opts.Columns = append(opts.Columns, int(c%8))
 		}
-		input := func() io.Reader {
-			if long == 0xff {
-				return io.MultiReader(bytes.NewReader(data), bytes.NewReader(longLine()))
-			}
-			return bytes.NewReader(data)
-		}
+		input := fuzzInput(data, long)
 		var got, want [][]float64
 		collect := func(rows *[][]float64) func([]float64) error {
 			return func(row []float64) error {
@@ -63,12 +61,78 @@ func FuzzForEachCSVRow(f *testing.F) {
 	})
 }
 
+// fuzzInput returns a fresh reader of data each call, followed by a line
+// over the scanner's limit when long == 0xff.
+func fuzzInput(data []byte, long byte) func() io.Reader {
+	return func() io.Reader {
+		if long == 0xff {
+			return io.MultiReader(bytes.NewReader(data), bytes.NewReader(longLine()))
+		}
+		return bytes.NewReader(data)
+	}
+}
+
+// FuzzLoadCSV holds the chunked parallel loader to the string-based
+// reader: cut into blocks from chunk+1 bytes (1–256) and parsed by
+// workers%4+1 workers, loadCSV returns the rows forEachCSVRowStrings
+// delivers as one matrix, bit for bit and with no spare capacity, or the
+// same error text. The other arguments work as in FuzzForEachCSVRow,
+// except that a leading 0xff in cols makes the selection non-nil, so
+// []byte{0xff} selects no column at all.
+func FuzzLoadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, comma rune, skipHeader bool, cols []byte, maxRows int, ignore bool, long byte, chunk, workers uint8) {
+		opts := LoadCSVOptions{Comma: comma, SkipHeader: skipHeader, MaxRows: maxRows, IgnoreParseErrors: ignore}
+		if len(cols) > 0 && cols[0] == 0xff {
+			opts.Columns, cols = []int{}, cols[1:]
+		}
+		for _, c := range cols[:min(len(cols), 8)] {
+			opts.Columns = append(opts.Columns, int(c%8))
+		}
+		input := fuzzInput(data, long)
+		got, err := loadCSV(input(), opts, int(chunk)+1, int(workers%4)+1)
+		want, werr := loadCSVStrings(input(), opts)
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("error %v, want %v", err, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if got.N != want.N || got.Dim != want.Dim || len(got.Data) != len(want.Data) || cap(got.Data) != len(got.Data) {
+			t.Fatalf("loaded %d×%d (%d values, capacity %d), want %d×%d", got.N, got.Dim, len(got.Data), cap(got.Data), want.N, want.Dim)
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("value %d = %v, want %v", i, got.Data[i], v)
+			}
+		}
+	})
+}
+
+// loadCSVStrings is LoadCSV on the reference reader: the rows of
+// forEachCSVRowStrings appended to one matrix, and an empty column
+// selection refused at the first row.
+func loadCSVStrings(r io.Reader, opts LoadCSVOptions) (*metric.Dataset, error) {
+	var data []float64
+	n, err := forEachCSVRowStrings(r, opts, func(row []float64) error {
+		if len(row) == 0 {
+			return errors.New("dataset: no columns selected")
+		}
+		data = append(data, row...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &metric.Dataset{Data: data, N: int(n), Dim: len(data) / int(n)}, nil
+}
+
 // forEachCSVRowStrings is ForEachCSVRow as it was before the byte-level
 // scan, kept as the fuzz target's reference: strings.TrimSpace and
 // strings.Split on sc.Text(), and strconv.ParseFloat on every field. It
 // applies the same header rule (a first non-blank line with no numeric
-// field is skipped when columns are autodetected and SkipHeader is off), so
-// the target still pins splitting and parsing.
+// field is skipped when columns are autodetected and SkipHeader is off)
+// and drops a UTF-8 byte-order mark from the first line, so the targets
+// still pin splitting and parsing.
 func forEachCSVRowStrings(r io.Reader, opts LoadCSVOptions, fn func(row []float64) error) (int64, error) {
 	if opts.Comma == 0 {
 		opts.Comma = ','
@@ -87,8 +151,11 @@ func forEachCSVRowStrings(r io.Reader, opts LoadCSVOptions, fn func(row []float6
 		if opts.SkipHeader && lineNum == 1 {
 			continue
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := sc.Text()
+		if lineNum == 1 {
+			line = strings.TrimPrefix(line, "\ufeff") // a UTF-8 byte-order mark
+		}
+		if line = strings.TrimSpace(line); line == "" {
 			continue
 		}
 		fields := strings.Split(line, string(opts.Comma))

@@ -363,9 +363,12 @@ func putReply(rs *replyScratch) {
 	}
 }
 
-// writeBody writes an already encoded JSON body with writeJSON's headers.
+// writeBody writes an already encoded JSON body with writeJSON's headers
+// and its Content-Length, so net/http sends it in one piece rather than
+// chunked.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

@@ -314,6 +314,24 @@ func TestAssignAllocatesNoIndex(t *testing.T) {
 	}
 }
 
+// TestAssignReplyHasContentLength: a 256-point assign reply, well past the
+// 2 KiB net/http buffers before it must choose, goes out with its
+// Content-Length and without chunked transfer encoding.
+func TestAssignReplyHasContentLength(t *testing.T) {
+	s := newTestService(t, Config{K: 8, Shards: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ingestAll(t, ts, s, genPoints(2000, 45), 400)
+	resp, body := postJSON(t, ts, "/v1/assign", assignRequest{Points: genPoints(256, 46)})
+	if resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+		t.Fatalf("assign status %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("a %d-byte reply came with Content-Length %d and transfer encoding %v",
+			len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+}
+
 // TestStatsReadsDoNotBuildSnapshots: /v1/stats reports the cached query
 // snapshot as it stands, so reads after new ingest leave snapshot_builds
 // alone and the next assign builds exactly one.

@@ -92,7 +92,10 @@ func NewDataset(points [][]float64) (*Dataset, error) {
 }
 
 // ReadCSV loads a numeric matrix from comma-separated text (UCI-style
-// files). Non-numeric columns are skipped automatically.
+// files). Non-numeric columns are skipped automatically, a first line
+// with no numeric field is taken for a header, and a UTF-8 byte-order
+// mark is dropped. The text is read in runs of whole lines, which are
+// parsed on every core (runtime.GOMAXPROCS) once it spans more than one.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	m, err := dataset.LoadCSV(r, dataset.LoadCSVOptions{})
 	if err != nil {

@@ -33,6 +33,11 @@
 # layout and relax disjoint blocks of it in each round
 # (TestGonzalezBlockedWorkersBitIdentical at worker counts 1, 2, 3 and 7,
 # beside TestGonzalezBlockedBitIdentical, at one blocked shape).
+#
+# RACE_DATASET: LoadCSV's workers, which parse blocks of lines cut from the
+# reader's pooled buffers and write each block's own rows
+# (TestLoadCSVChunksMatchRows, TestLoadCSVChunksStopGoroutines and
+# TestLoadCSVChunksEndlessReader, at blocks of a few bytes on 1–4 workers).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,6 +48,7 @@ RACE_HARNESS='TestRun(Restart|Chaos)|TestRunServeReplicateErrorStopsGoroutines'
 RACE_ASSIGN='TestGridFilterBitIdentical|TestEvaluateParallelDeterminism'
 RACE_EIM='TestRunMatchesFullRescan|TestRoundOpsChargeOnlyNewSample'
 RACE_CORE='TestGonzalezBlocked'
+RACE_DATASET='TestLoadCSVChunks'
 
 echo "== go test -race -short $RACE_PKGS"
 $GO test -race -short $RACE_PKGS
@@ -54,3 +60,5 @@ echo "== go test -race -short -run '$RACE_EIM' ./internal/eim"
 $GO test -race -short -run "$RACE_EIM" ./internal/eim
 echo "== go test -race -short -run '$RACE_CORE' ./internal/core"
 $GO test -race -short -run "$RACE_CORE" ./internal/core
+echo "== go test -race -short -run '$RACE_DATASET' ./internal/dataset"
+$GO test -race -short -run "$RACE_DATASET" ./internal/dataset
