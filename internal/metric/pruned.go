@@ -145,6 +145,7 @@ func pruneLimit(bestSq float64) float64 {
 }
 
 // Threshold ("is any center within lim?") queries use the same matrix with
-// a sqrt-free skip certificate, cc(c_b, c) >= 2·(bestSq + lim²) ⇒
-// d(c_b, c) >= d(p, c_b) + lim (AM–GM); that variant lives where its
-// incremental matrix does, in stream.Summary.coveredWithin.
+// a sqrt-free skip certificate, cc(c_b, c) > 2·(bestSq + lim²) ⇒
+// d(c_b, c) > d(p, c_b) + lim (AM–GM); that variant lives where its
+// incremental matrix does, in stream.Summary.coveredWithin, which uses it
+// at dim ≥ 3 and for few centers (at dim ≤ 2 it walks a Sweep instead).

@@ -25,7 +25,7 @@
 // differ only in sign), and SqDist adds non-negative terms under monotone
 // rounding, so a row's squared distance is never below its squared gap.
 // Gaps grow monotonically outwards from the query. So a row past the stop
-// could not have changed the answer. Two queries use the layout:
+// could not have changed the answer. Three queries use the layout:
 //
 //   - Lower, EIM's value-only min(seed, nearest squared distance). It stops
 //     when the squared gap reaches the best value so far (≥), since a row
@@ -39,6 +39,15 @@
 //     lowest-position tie-break, so it stops only when the squared gap
 //     exceeds the best squared distance (strict >): a row at exactly the
 //     best distance is still visited, and wins if its position is lower.
+//   - Within, the streaming sketch's coverage test: is some row within
+//     squared distance limSq of q? It returns true at the first row whose
+//     squared distance is ≤ limSq and stops a direction once the squared
+//     gap exceeds limSq (strict >). That stop is exact: every row further
+//     out has a squared gap, hence a squared distance, above limSq, while a
+//     row whose gap² equals limSq may itself sit at exactly limSq and is
+//     still visited. Within needs no search either: the walk starts at the
+//     first row of q's bucket, below which every key is below q's, and
+//     walks up past the bucket's keys below q's without stopping on them.
 
 package metric
 
@@ -344,4 +353,83 @@ func (s *Sweep) nearest2(q []float64) (int, float64, int64) {
 		}
 	}
 	return best, bestSq, evals
+}
+
+// from returns a row where a walk for x may start without a search: every
+// row below it has a key below x. It is the first row of x's bucket, since
+// the buckets below x's hold only keys below x; without a table, or for an
+// x not above keys[0], it is search(x). Within starts there: on dim-2 GAU
+// pushes (BenchmarkStreamPush, 10 alternating pairs on a 2-vCPU host) the
+// medians were 34.6, 34.7 and 30.8 ns per push at k = 10, 50 and 100
+// against 42.5, 48.8 and 48.9 ns for a walk from search(x), faster in 10
+// of 10 pairs at each k.
+func (s *Sweep) from(x float64) int {
+	if s.start == nil || !(x > s.keys[0]) {
+		return s.search(x)
+	}
+	return int(s.start[s.bucket(x)])
+}
+
+// Within reports whether some row lies within squared distance limSq of q:
+// exactly whether some row has SqDist(row, q) ≤ limSq, so false when q has
+// a NaN coordinate or limSq is NaN. The walk up from from(x) may meet keys
+// below x, whose gaps shrink as it climbs, so only a positive gap stops it.
+func (s *Sweep) Within(q []float64, limSq float64) bool {
+	if s.dim == 2 {
+		return s.within2(q, limSq)
+	}
+	x := q[s.axis]
+	mid := s.from(x)
+	for i := mid; i < len(s.keys); i++ {
+		if g := s.keys[i] - x; g*g > limSq {
+			if g > 0 {
+				break
+			}
+			continue
+		}
+		if s.sqTo(i, q) <= limSq {
+			return true
+		}
+	}
+	for i := mid - 1; i >= 0; i-- {
+		if g := x - s.keys[i]; g*g > limSq {
+			break
+		}
+		if s.sqTo(i, q) <= limSq {
+			return true
+		}
+	}
+	return false
+}
+
+// within2 is Within with the dim-2 distance inlined, in SqDist's order.
+func (s *Sweep) within2(q []float64, limSq float64) bool {
+	keys, rows := s.keys, s.rows[:2*len(s.keys)]
+	q0, q1 := q[0], q[1]
+	x := q[s.axis]
+	mid := s.from(x)
+	for i := mid; i < len(keys); i++ {
+		if g := keys[i] - x; g*g > limSq {
+			if g > 0 {
+				break
+			}
+			continue
+		}
+		d0 := rows[2*i] - q0
+		d1 := rows[2*i+1] - q1
+		if d0*d0+d1*d1 <= limSq {
+			return true
+		}
+	}
+	for i := mid - 1; i >= 0; i-- {
+		if g := x - keys[i]; g*g > limSq {
+			break
+		}
+		d0 := rows[2*i] - q0
+		d1 := rows[2*i+1] - q1
+		if d0*d0+d1*d1 <= limSq {
+			return true
+		}
+	}
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"kcenter/internal/rng"
 )
@@ -81,6 +82,87 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestQuickSweepWithinMatchesBruteForce: Within(q, limSq) is true exactly
+// when some row has SqDist(row, q) ≤ limSq, on a sweep sorted by each
+// coordinate, at dims 1–3 (the dim-2 body and the generic one).
+// Sets are continuous, tie grids (duplicate rows, tied distances and
+// repeated keys within one bucket) or mix ±1e154 with small values (some
+// squared distances overflow, and at ±1e308 the key span overflows so
+// there is no bucket table). Queries are rows, rows moved along one axis,
+// draws in and far outside the range, and rows with one NaN or ±Inf
+// coordinate. limSq runs over 0, the brute-force minimum and its
+// neighbouring floats, the squared gap of a row moved along the sort
+// axis, a random value, +Inf, −1 and NaN.
+func TestQuickSweepWithinMatchesBruteForce(t *testing.T) {
+	inf := math.Inf(1)
+	f := func(seed uint64, nRaw, dimRaw, kindRaw uint8) bool {
+		r := rng.New(seed)
+		n, dim := int(nRaw%100), int(dimRaw%3)+1
+		draw := func() float64 {
+			switch kindRaw % 4 {
+			case 0:
+				return float64(r.Intn(5)) / 2
+			case 1:
+				return []float64{-1e154, 1e154, 0, 1, -3}[r.Intn(5)]
+			case 2:
+				return []float64{-1e308, 1e308, 0, 1, -3}[r.Intn(5)]
+			}
+			return r.Float64Range(-50, 50)
+		}
+		set := NewDataset(n, dim)
+		for i := range set.Data {
+			set.Data[i] = draw()
+		}
+		sweeps := []*Sweep{NewSweep(set)}
+		for axis := 0; axis < dim; axis++ {
+			sweeps = append(sweeps, sweepOn(set, axis))
+		}
+		for qi := 0; qi < 40; qi++ {
+			q := make([]float64, dim)
+			for c := range q {
+				q[c] = draw()
+			}
+			if n > 0 && qi%2 == 0 {
+				copy(q, set.At(r.Intn(n)))
+			}
+			axis := r.Intn(dim)
+			switch qi % 5 {
+			case 1:
+				q[axis] += r.Float64Range(-5, 5)
+			case 2:
+				q[axis] = r.Float64Range(60, 1e6)
+			case 3:
+				q[axis] = []float64{math.NaN(), inf, -inf}[r.Intn(3)]
+			}
+			_, brute := NearestInRange(set, 0, n, q)
+			lims := []float64{0, brute, math.Nextafter(brute, 0), math.Nextafter(brute, inf), r.Float64Range(0, 1e4), inf, -1, math.NaN()}
+			if n > 0 {
+				g := q[axis] - set.At(r.Intn(n))[axis]
+				lims = append(lims, g*g)
+			}
+			for _, limSq := range lims {
+				want := false
+				for i := 0; i < n; i++ {
+					if SqDist(set.At(i), q) <= limSq {
+						want = true
+					}
+				}
+				for _, s := range sweeps {
+					if got := s.Within(q, limSq); got != want {
+						t.Logf("dim=%d n=%d axis=%d table=%v: Within(%v, %v) = %v, brute force %v",
+							dim, n, s.axis, s.start != nil, q, limSq, got, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
 	}
 }
 

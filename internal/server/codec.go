@@ -54,8 +54,15 @@ const (
 // bodyBufPool recycles request-body read buffers: a per-request
 // json.Decoder allocates an internal buffer that grows to the body size
 // and dies with the request. Reading into a pooled buffer and decoding
-// from it keeps the decode path allocation-flat.
+// from it keeps the decode path allocation-flat. writeJSON and /metrics
+// render their replies into these buffers too, to send them whole.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBodyBuf() *bytes.Buffer {
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
 
 func putBodyBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBodyBytes {

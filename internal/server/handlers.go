@@ -18,7 +18,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -280,10 +279,13 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON encodes v into a pooled buffer and sends it with writeBody, so
+// the reply carries its Content-Length instead of going out chunked.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
+	_ = json.NewEncoder(buf).Encode(v)
+	writeBody(w, status, buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -454,8 +456,7 @@ func (s *Service) decodePoints(w http.ResponseWriter, r *http.Request) *pointBat
 	// slack is generous for any legitimate batch.
 	limit := int64(s.cfg.MaxBatch)*4096 + 1<<20
 	body := http.MaxBytesReader(w, r.Body, limit)
-	buf := bodyBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := getBodyBuf()
 	defer putBodyBuf(buf)
 	if _, err := buf.ReadFrom(body); err != nil {
 		var tooLarge *http.MaxBytesError

@@ -19,8 +19,10 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"kcenter/internal/obs"
@@ -75,7 +77,19 @@ type tenantScrape struct {
 	stream obs.HistogramSnapshot
 }
 
+// handleMetrics renders the scrape into a pooled buffer first, so the
+// reply goes out with its Content-Length rather than chunked.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
+	s.renderMetrics(buf)
+	w.Header().Set("Content-Type", obs.PromContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
+}
+
+// renderMetrics writes the Prometheus text exposition of the service.
+func (s *Service) renderMetrics(w io.Writer) {
 	views := s.views()
 	scrapes := make([]tenantScrape, len(views))
 	byStatus := map[string]int{}
@@ -93,8 +107,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ts.stream = m.Stream.Dwell.Snapshot()
 		}
 	}
-
-	w.Header().Set("Content-Type", obs.PromContentType)
 
 	// Process gauges.
 	obs.WriteHeader(w, "kcenter_up", "gauge", "1 while the service answers.")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -329,6 +330,36 @@ func TestAssignReplyHasContentLength(t *testing.T) {
 	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
 		t.Fatalf("a %d-byte reply came with Content-Length %d and transfer encoding %v",
 			len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+}
+
+// TestCentersAndMetricsRepliesHaveContentLength: the JSON replies
+// writeJSON sends (here /v1/centers at K = 100, about 4 KB) and the
+// /metrics scrape (about 20 KB) go out with their Content-Length and
+// without chunked transfer encoding.
+func TestCentersAndMetricsRepliesHaveContentLength(t *testing.T) {
+	s := newTestService(t, Config{K: 100, Shards: 2, Telemetry: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ingestAll(t, ts, s, genPoints(4000, 47), 400)
+	waitFor(t, "shards drained", func() bool { return shardAbsorbed(s) == 4000 })
+	for _, path := range []string{"/v1/centers", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+			t.Fatalf("%s: status %d, %d bytes", path, resp.StatusCode, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: a %d-byte reply came with Content-Length %d and transfer encoding %v",
+				path, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
 	}
 }
 

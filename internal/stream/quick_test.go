@@ -10,51 +10,97 @@ import (
 	"kcenter/internal/rng"
 )
 
-// Property: the pruned, early-exiting coverage test agrees with the naive
-// full scan in the same comparison space, for both the squared-Euclidean
-// fast path and a generic metric — the matrix skips and early exits must
-// never change the covered/uncovered verdict Push acts on.
+// Property: the coverage test agrees with the naive full scan in the same
+// comparison space, for the squared-Euclidean fast path (matrix-pruned scan
+// or, at dim ≤ 2 from sweepMinCenters centers, the sorted sweep) and for a
+// generic metric: neither the skips nor the early exits may change the
+// covered/uncovered verdict Push acts on. Besides random queries it asks
+// queries at exactly lim from a center along one axis (and one float
+// closer and further), every center at lim = 0 as the fill phase does,
+// coordinates of ±1e154 whose squares overflow, and NaN and ±Inf queries.
 func TestQuickCoveredWithinMatchesFullScan(t *testing.T) {
-	f := func(seed uint64, nRaw, dimRaw, kRaw uint8, limRaw uint16) bool {
-		ds := quickInstance(seed, nRaw, dimRaw)
-		k := int(kRaw%6) + 1
-		lim := float64(limRaw) / 100 // 0..655, brackets typical distances
+	inf, nan := math.Inf(1), math.NaN()
+	var swept int
+	f := func(seed uint64, nRaw, dimRaw, kRaw uint8, limRaw uint16, huge bool) bool {
+		n, dim, k := int(nRaw)+1, int(dimRaw%4)+1, int(kRaw%64)+1
+		r := rng.New(seed)
+		ds := metric.NewDataset(n, dim)
+		scale := 1.0
+		if huge {
+			scale = 1e152 // pairwise squares overflow to +Inf
+		}
+		for i := range ds.Data {
+			ds.Data[i] = scale * r.Float64Range(-100, 100)
+		}
 		for _, m := range []metric.Interface{nil, metric.Manhattan{}} {
 			s := NewSummary(k, Options{Metric: m})
 			pushAll(s, ds)
-			r := rng.New(seed ^ 0xabcdef)
-			q := make([]float64, ds.Dim)
+			check := func(q []float64, lim float64) bool {
+				want := false
+				for i := 0; i < s.centers.N; i++ {
+					if m == nil && metric.SqDist(s.centers.At(i), q) <= lim*lim ||
+						m != nil && m.Distance(s.centers.At(i), q) <= lim {
+						want = true
+					}
+				}
+				got := s.coveredWithin(q, lim)
+				if m == nil && s.sweep != nil {
+					swept++
+				}
+				if got != want {
+					t.Logf("k=%d dim=%d centers=%d metric=%v sweep=%v: query %v at lim %v gives %v, want %v",
+						k, dim, s.centers.N, m, s.sweep != nil, q, lim, got, want)
+				}
+				return got == want
+			}
+			lims := []float64{0, scale * float64(limRaw) / 100, 1e154, inf}
+			q := make([]float64, dim)
 			for trial := 0; trial < 20; trial++ {
 				for j := range q {
-					q[j] = r.Float64Range(-120, 120)
+					q[j] = scale * r.Float64Range(-120, 120)
 				}
-				var want bool
-				if m == nil {
-					best := math.Inf(1)
-					for i := 0; i < s.centers.N; i++ {
-						if sq := metric.SqDist(s.centers.At(i), q); sq < best {
-							best = sq
-						}
+				for _, lim := range lims {
+					if !check(q, lim) {
+						return false
 					}
-					want = best <= lim*lim
-				} else {
-					best := math.Inf(1)
-					for i := 0; i < s.centers.N; i++ {
-						if d := m.Distance(s.centers.At(i), q); d < best {
-							best = d
-						}
-					}
-					want = best <= lim
 				}
-				if s.coveredWithin(q, lim) != want {
+			}
+			for i := 0; i < s.centers.N; i++ {
+				c := s.centers.At(i)
+				if !check(c, 0) {
 					return false
+				}
+				// At exactly lim along one axis: lim is the rounded
+				// difference itself, so the squared distance is lim².
+				axis := r.Intn(dim)
+				copy(q, c)
+				q[axis] += scale * r.Float64Range(0, 5)
+				if m == nil {
+					lim := math.Abs(q[axis] - c[axis])
+					for _, l := range []float64{lim, math.Nextafter(lim, 0), math.Nextafter(lim, inf)} {
+						if !check(q, l) {
+							return false
+						}
+					}
+				}
+				for _, v := range []float64{1e154, -1e154, nan, inf, -inf} {
+					copy(q, c)
+					q[axis] = v
+					for _, l := range lims {
+						if !check(q, l) {
+							return false
+						}
+					}
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if swept == 0 {
+		t.Fatal("no query reached the sorted sweep")
 	}
 }
 

@@ -78,14 +78,16 @@ func TestShardedConcurrentProducers(t *testing.T) {
 // TestShardedSnapshotRace exercises the mid-stream Centers/Snapshot API
 // while producers are pushing: snapshot readers take each shard's read
 // lock against the shard goroutine's write lock, and the race detector
-// checks that every summary read is properly synchronized. Kept small so
-// the tier-1 race gate stays fast.
+// checks that every summary read is properly synchronized. The points are
+// 2-D and k is above sweepMinCenters, so the shard goroutines rebuild
+// their summaries' sorted sweeps while the readers run. Kept small so the
+// tier-1 race gate stays fast.
 func TestShardedSnapshotRace(t *testing.T) {
 	const (
 		producers = 4
 		readers   = 3
 		perProd   = 400
-		k         = 6
+		k         = 12
 	)
 	sh, err := NewSharded(ShardedConfig{K: k, Shards: 3, Buffer: 16})
 	if err != nil {
@@ -146,6 +148,15 @@ func TestShardedSnapshotRace(t *testing.T) {
 	}
 	if snap.Ingested != res.Ingested {
 		t.Fatalf("post-finish snapshot ingested %d, want %d", snap.Ingested, res.Ingested)
+	}
+	swept := false
+	for i, sum := range sh.summaries {
+		sh.sumLocks[i].RLock()
+		swept = swept || sum.sweep != nil
+		sh.sumLocks[i].RUnlock()
+	}
+	if !swept {
+		t.Fatal("no shard's coverage test used the sorted sweep")
 	}
 }
 

@@ -160,6 +160,7 @@ func (s *Summary) restoreState(st SummaryState, dim int) error {
 	s.version = st.Version
 	s.centers = nil
 	s.cc = nil
+	s.sweep, s.sweepFresh = nil, false
 	if len(st.Centers) == 0 {
 		return nil
 	}

@@ -20,6 +20,11 @@
 // retained centers cover the stream within 4r ≤ 8·OPT: the classic
 // 8-approximation in O(k) memory per stream, independent of n.
 //
+// Each push costs one coverage test against the retained centers. At dim
+// ≤ 2 it walks them sorted on one coordinate (metric.Sweep.Within) and
+// evaluates a few; elsewhere it scans them from the first, skipping those
+// the center-center matrix rules out (see Summary.coveredWithin).
+//
 // Sharding composes the same way MRG's reducer rounds do: each shard holds a
 // sub-stream's 8-approximate summary, and the final Gonzalez pass over the
 // ≤ s·k union centers (all genuine input points) adds at most 2·OPT, giving
@@ -50,10 +55,13 @@ type Options struct {
 // Alongside the centers the Summary maintains their pairwise distance
 // matrix. Centers change rarely (only when a point escapes coverage, and
 // wholesale only on a doubling round), so the matrix is extended one row
-// per new center and compacted on merges rather than recomputed. It serves
-// two purposes: the coverage test in Push skips centers the triangle
-// inequality rules out (see coveredWithin), and mergeDown's pairwise
-// comparisons read the matrix instead of re-evaluating distances.
+// per new center and compacted on merges rather than recomputed.
+// mergeDown's pairwise comparisons and the first overflow's radius read
+// it instead of re-evaluating distances. At dim ≥ 3, under a custom
+// metric, or below sweepMinCenters centers, the coverage test in Push
+// reads it too, to skip centers the triangle inequality rules out; at dim
+// ≤ 2 with more centers the test walks a sorted copy of the centers
+// instead (see coveredWithin).
 type Summary struct {
 	k       int
 	m       metric.Interface // nil = Euclidean fast path on squared distances
@@ -70,7 +78,26 @@ type Summary struct {
 	// cached view of the clustering (e.g. the serving layer's snapshot)
 	// stays valid exactly while the version stands still.
 	version uint64
+	// sweep is the centers sorted for coveredWithin's Euclidean test, or
+	// nil where the matrix-pruned scan answers. It describes the centers
+	// only while sweepFresh holds: every change to the centers clears the
+	// flag and the next coverage test rebuilds. It is a flag, not a
+	// remembered version, because restoreState rewinds the version.
+	sweep      *metric.Sweep
+	sweepFresh bool
 }
+
+// sweepMinCenters is the fewest centers (at dim ≤ 2) for which the coverage
+// test walks a metric.Sweep rather than the matrix-pruned scan.
+// BenchmarkStreamPush's dim-2 rows sit on both sides of it: k = 4 and 6
+// keep at most 7 centers, k = 10 upward pass it. With the sweep forced on
+// from one center (6 alternating runs on a 2-vCPU host) the k = 4 row
+// took 23.5 ns per push against the scan's 10.2 and the k = 6 row 17.5
+// against 15.1, as the sweep's rebuilds and bucket lookup cost more than
+// skipping a few centers saves; from k = 8 the sweep wins (GAU and UNIF
+// streams at k ∈ {8, 10, 12, 16}: 0.47–0.87× the scan's time on GAU,
+// 0.77–1.06× on UNIF).
+const sweepMinCenters = 8
 
 // NewSummary returns an empty Summary targeting at most k centers. It panics
 // on k <= 0, a programming error in this repository's callers (matching
@@ -97,6 +124,7 @@ func (s *Summary) ccDist(i, j int) float64 {
 // with its row/column against the existing centers.
 func (s *Summary) appendCenter(p []float64) {
 	s.version++
+	s.sweepFresh = false
 	s.centers.Append(p)
 	n := s.centers.N
 	stride := s.k + 1
@@ -117,13 +145,26 @@ func (s *Summary) appendCenter(p []float64) {
 
 // coveredWithin reports whether some retained center lies within lim of p.
 // The outcome matches computing the full nearest-center distance and
-// comparing it to lim, but the scan early-exits on the first covering
-// center and skips candidates the center matrix rules out: with best-so-far
-// center c_b at distance d_b, a candidate c with d(c_b, c) >= d_b + lim
-// cannot cover p (triangle inequality). On the Euclidean fast path both the
-// threshold and the skip test stay in squared space — sq <= lim² and
-// cc(c_b, c) >= 2·(d_b² + lim²), the AM–GM relaxation of (d_b + lim)² —
-// so no square roots are taken at all.
+// comparing it to lim; on the Euclidean fast path it is exactly whether
+// some center has SqDist ≤ lim², so no square roots are taken at all.
+//
+// At dim ≤ 2 with at least sweepMinCenters centers, all finite, the
+// Euclidean test asks a metric.Sweep of the centers (Sweep.Within), which
+// starts at p's bucket of the sorted keys and evaluates only the centers
+// whose gap on the sort coordinate could still cover. The sweep is rebuilt
+// here, on the first test after the centers change. Only an escape or a
+// doubling changes them, and there are at most k+1 escapes between two
+// doublings, so a stream pays O(k·log(spread)) sweep builds in all, where
+// spread is the ratio of its final radius to its first.
+//
+// Otherwise the scan early-exits on the first covering center and skips
+// candidates the center matrix rules out: with best-so-far center c_b at
+// distance d_b, a candidate c with d(c_b, c) >= d_b + lim cannot cover p
+// (triangle inequality). On the Euclidean fast path the skip test stays
+// in squared space, cc(c_b, c) > 2·(d_b² + lim²), the AM–GM relaxation
+// of (d_b + lim)². It is strict so that where both sides overflowed to
+// +Inf nothing is skipped: an infinite matrix entry says nothing about
+// how it compares with an infinite bound.
 func (s *Summary) coveredWithin(p []float64, lim float64) bool {
 	n := s.centers.N
 	if n == 0 {
@@ -132,6 +173,15 @@ func (s *Summary) coveredWithin(p []float64, lim float64) bool {
 	stride := s.k + 1
 	if s.m == nil {
 		limSq := lim * lim
+		if !s.sweepFresh {
+			s.sweep, s.sweepFresh = nil, true
+			if s.centers.Dim <= 2 && n >= sweepMinCenters && nonFinite(s.centers.Data) < 0 {
+				s.sweep = metric.NewSweep(s.centers)
+			}
+		}
+		if s.sweep != nil {
+			return s.sweep.Within(p, limSq)
+		}
 		bestSq := metric.SqDist(s.centers.At(0), p)
 		if bestSq <= limSq {
 			return true
@@ -139,7 +189,7 @@ func (s *Summary) coveredWithin(p []float64, lim float64) bool {
 		best := 0
 		skip := 2 * (bestSq + limSq)
 		for c := 1; c < n; c++ {
-			if s.cc[best*stride+c] >= skip {
+			if s.cc[best*stride+c] > skip {
 				continue
 			}
 			sq := metric.SqDist(s.centers.At(c), p)
@@ -257,6 +307,7 @@ func (s *Summary) mergeDown() {
 			continue
 		}
 		s.version++
+		s.sweepFresh = false
 		s.centers = s.centers.Subset(keep)
 		// Compact the matrix in place. keep is ascending with keep[a] >= a,
 		// so every read position is at or after its write position and the

@@ -3,7 +3,9 @@
 # the one list of what it covers. -short keeps it under a few seconds.
 #
 # Packages under -race: the concurrent streaming ingestion path
-# (TestShardedConcurrentProducers, TestShardedSnapshotRace), the serving
+# (TestShardedConcurrentProducers, and TestShardedSnapshotRace, whose 2-D
+# points at k = 12 make the shard goroutines rebuild each summary's sorted
+# coverage sweep while Snapshot readers run), the serving
 # layer (TestConcurrentIngestAssignSnapshot, the multi-tenant
 # create/ingest/assign/checkpoint test TestConcurrentTenantLifecycle, the
 # assign linearizability test TestAssignLinearizable and the per-Service
