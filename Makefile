@@ -71,7 +71,7 @@ docs:
 	sh scripts/docscheck.sh
 
 # Reachability gate: every internal/ package must be imported, directly or
-# not, by the facade, a command or an example, so code that only tests
-# reach cannot accumulate (see scripts/reachcheck.sh).
+# not, by the facade or a command; examples do not count, so code that only
+# tests or examples reach cannot accumulate (see scripts/reachcheck.sh).
 reach:
 	sh scripts/reachcheck.sh

@@ -1,12 +1,12 @@
 // Integration tests exercising full pipelines across modules: generators →
-// algorithms → evaluation → diagnostics, the §3.2 streaming composition,
-// the robust variant against the plain one, and cross-algorithm consistency
-// on shared instances.
+// algorithms → evaluation, the §3.2 streaming composition, plain k-center's
+// outlier sensitivity, and cross-algorithm consistency on shared instances.
 package kcenter
 
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"kcenter/internal/assign"
@@ -16,8 +16,6 @@ import (
 	"kcenter/internal/mapreduce"
 	"kcenter/internal/metric"
 	"kcenter/internal/mrg"
-	"kcenter/internal/outliers"
-	"kcenter/internal/quality"
 	"kcenter/internal/rng"
 	"kcenter/internal/stream"
 )
@@ -144,10 +142,10 @@ func TestStreamingFeedsMRG(t *testing.T) {
 	}
 }
 
-// TestRobustVsPlainPipeline reproduces the §8.1 outlier-sensitivity story as
-// an executable: plant outliers, watch plain k-center chase them and the
-// robust variant ignore them, confirmed by the quality diagnostics.
-func TestRobustVsPlainPipeline(t *testing.T) {
+// TestPlainGonSpendsCentersOnOutliers pins the §8.1 outlier sensitivity of
+// plain k-center: farthest-first puts centers on planted outliers, and each
+// such center serves a tiny cluster of at most the planted points.
+func TestPlainGonSpendsCentersOnOutliers(t *testing.T) {
 	l := dataset.Gau(dataset.GauConfig{N: 4000, KPrime: 5, Seed: 11})
 	ds := l.Points
 	const nOut = 8
@@ -155,17 +153,6 @@ func TestRobustVsPlainPipeline(t *testing.T) {
 		ds.Append([]float64{5000 + float64(100*i), 5000})
 	}
 	plain := core.Gonzalez(ds, 5, core.Options{First: 0})
-	robust, err := outliers.Distributed(ds, outliers.DistributedConfig{
-		K: 5, Z: nOut, Cluster: mapreduce.Config{Machines: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Radius < 10*robust.Radius {
-		t.Fatalf("outliers should separate plain (%v) from robust (%v)", plain.Radius, robust.Radius)
-	}
-	// The §8.1 mechanism: farthest-first spends centers on the outliers
-	// (every outlier lands in a tiny cluster around a wasted center), while
-	// the robust centers all stay in the data mass.
 	wasted := 0
 	for _, c := range plain.Centers {
 		if ds.At(c)[0] > 4000 {
@@ -175,20 +162,12 @@ func TestRobustVsPlainPipeline(t *testing.T) {
 	if wasted == 0 {
 		t.Fatal("expected plain GON to spend centers on the planted outliers")
 	}
-	for _, c := range robust.Centers {
-		if ds.At(c)[0] > 4000 {
-			t.Fatalf("robust variant placed a center on an outlier: %v", ds.At(c))
-		}
+	sizes := make([]int, len(plain.Centers))
+	for _, c := range assign.Evaluate(ds, plain.Centers, 0).Assignment {
+		sizes[c]++
 	}
-	// Diagnostics make the waste visible: the plain solution has tiny
-	// clusters (the outlier groups) next to huge ones.
-	ev := assign.Evaluate(ds, plain.Centers, 0)
-	sum, err := quality.Summarize(ev.Dist, ev.Assignment, len(plain.Centers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.MinClusterSize > nOut {
-		t.Fatalf("expected a tiny outlier cluster, min size %d", sum.MinClusterSize)
+	if smallest := slices.Min(sizes); smallest > nOut {
+		t.Fatalf("expected a tiny outlier cluster, smallest has %d points", smallest)
 	}
 }
 

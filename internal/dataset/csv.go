@@ -468,7 +468,7 @@ func splitLine(dst [][]byte, line, sep []byte) [][]byte {
 }
 
 // WriteCSV writes the dataset as comma-separated text, the inverse of
-// LoadCSV. Used by examples and round-trip tests.
+// LoadCSV. Only the CSV round-trip tests call it.
 func WriteCSV(w io.Writer, ds *metric.Dataset) error {
 	bw := bufio.NewWriter(w)
 	for i := 0; i < ds.N; i++ {

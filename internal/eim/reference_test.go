@@ -37,9 +37,10 @@ func fullRescan(ds *metric.Dataset, cfg Config) *Result {
 		pS := math.Min(1, 9*float64(cfg.K)*ne*logn/float64(len(R)))
 		pH := math.Min(1, 4*ne*logn/float64(len(R)))
 		var H []int
-		for i, part := range mapreduce.Partition(len(R), cfg.Cluster.Machines) {
+		bounds := mapreduce.PartitionBounds(len(R), cfg.Cluster.Machines)
+		for i := 0; i+1 < len(bounds); i++ {
 			reducerRng := r.Split(uint64(res.Iterations)<<32 | uint64(i))
-			for _, pos := range part {
+			for pos := bounds[i]; pos < bounds[i+1]; pos++ {
 				if reducerRng.Bernoulli(pS) {
 					S = append(S, R[pos])
 					it.Sampled++

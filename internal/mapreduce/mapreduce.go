@@ -241,32 +241,14 @@ func runRecovered(task Task, ops *OpCounter) (err error) {
 	return task(ops)
 }
 
-// Partition splits the indices [0, n) into at most m non-empty parts of size
-// at most ⌈n/m⌉, matching Algorithm 1's mapper contract ("arbitrarily
-// partitions V into sets V1…Vm with |Vi| ≤ ⌈n/m⌉"). The parts are contiguous
-// ranges, the cheapest "arbitrary" choice and the one that preserves
-// streaming locality: those of PartitionBounds. When n < m only n singleton
-// parts are returned.
-func Partition(n, m int) [][]int {
-	bounds := PartitionBounds(n, m)
-	if bounds == nil {
-		return nil
-	}
-	parts := make([][]int, len(bounds)-1)
-	for i := range parts {
-		part := make([]int, bounds[i+1]-bounds[i])
-		for j := range part {
-			part[j] = bounds[i] + j
-		}
-		parts[i] = part
-	}
-	return parts
-}
-
-// PartitionBounds returns Partition's parts as boundaries, without the
-// index lists: part i is the range [bounds[i], bounds[i+1]). The first
-// n mod m parts hold ⌈n/m⌉ indices and the rest ⌊n/m⌋. It returns nil when
-// n or m is not positive.
+// PartitionBounds splits the indices [0, n) into at most m non-empty
+// contiguous ranges of at most ⌈n/m⌉ indices each, matching Algorithm 1's
+// mapper contract ("arbitrarily partitions V into sets V1…Vm with
+// |Vi| ≤ ⌈n/m⌉"); contiguous ranges are the cheapest "arbitrary" choice
+// and the one that preserves streaming locality. Part i is the range
+// [bounds[i], bounds[i+1]). The first n mod m parts hold ⌈n/m⌉ indices
+// and the rest ⌊n/m⌋; when n < m only n singleton parts are returned. It
+// returns nil when n or m is not positive.
 func PartitionBounds(n, m int) []int {
 	if n <= 0 || m <= 0 {
 		return nil

@@ -9,41 +9,6 @@ import (
 	"time"
 )
 
-func TestPartitionInvariants(t *testing.T) {
-	for _, tc := range []struct{ n, m int }{
-		{0, 5}, {1, 1}, {1, 5}, {5, 1}, {10, 3}, {100, 7}, {50, 50}, {49, 50}, {51, 50},
-	} {
-		parts := Partition(tc.n, tc.m)
-		seen := make([]bool, tc.n)
-		total := 0
-		maxAllowed := 0
-		if tc.m > 0 {
-			maxAllowed = (tc.n + tc.m - 1) / tc.m
-		}
-		for _, p := range parts {
-			if len(p) == 0 {
-				t.Fatalf("n=%d m=%d: empty part", tc.n, tc.m)
-			}
-			if len(p) > maxAllowed {
-				t.Fatalf("n=%d m=%d: part size %d > ⌈n/m⌉ = %d", tc.n, tc.m, len(p), maxAllowed)
-			}
-			for _, idx := range p {
-				if idx < 0 || idx >= tc.n || seen[idx] {
-					t.Fatalf("n=%d m=%d: bad/duplicate index %d", tc.n, tc.m, idx)
-				}
-				seen[idx] = true
-				total++
-			}
-		}
-		if total != tc.n {
-			t.Fatalf("n=%d m=%d: covered %d indices", tc.n, tc.m, total)
-		}
-		if len(parts) > tc.m {
-			t.Fatalf("n=%d m=%d: %d parts", tc.n, tc.m, len(parts))
-		}
-	}
-}
-
 // TestPartitionBounds pins the split both MRG's row ranges and EIM's
 // record ranges follow: contiguous ranges in order, the first n mod m of
 // them one longer, and nil for an empty input or no machines.
@@ -72,27 +37,40 @@ func TestPartitionBounds(t *testing.T) {
 	}
 }
 
+// partitionOK reports whether PartitionBounds(n, m) keeps Algorithm 1's
+// mapper contract: at most m parts, each non-empty and of at most ⌈n/m⌉
+// indices, covering [0, n) exactly once.
+func partitionOK(n, m int) bool {
+	bounds := PartitionBounds(n, m)
+	if n <= 0 || m <= 0 {
+		return bounds == nil
+	}
+	parts := len(bounds) - 1
+	if parts < 1 || parts > m || bounds[0] != 0 || bounds[parts] != n {
+		return false
+	}
+	limit := (n + m - 1) / m
+	for i := 0; i < parts; i++ {
+		if size := bounds[i+1] - bounds[i]; size < 1 || size > limit {
+			return false
+		}
+	}
+	return true
+}
+
+func TestPartitionInvariants(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{
+		{0, 5}, {1, 1}, {1, 5}, {5, 1}, {10, 3}, {100, 7}, {50, 50}, {49, 50}, {51, 50},
+	} {
+		if !partitionOK(tc.n, tc.m) {
+			t.Fatalf("n=%d m=%d: bounds %v break the mapper contract", tc.n, tc.m, PartitionBounds(tc.n, tc.m))
+		}
+	}
+}
+
 func TestPartitionQuick(t *testing.T) {
 	f := func(nRaw, mRaw uint16) bool {
-		n := int(nRaw%2000) + 1
-		m := int(mRaw%100) + 1
-		parts := Partition(n, m)
-		seen := make([]bool, n)
-		count := 0
-		limit := (n + m - 1) / m
-		for _, p := range parts {
-			if len(p) > limit {
-				return false
-			}
-			for _, idx := range p {
-				if idx < 0 || idx >= n || seen[idx] {
-					return false
-				}
-				seen[idx] = true
-				count++
-			}
-		}
-		return count == n && len(parts) <= m
+		return partitionOK(int(nRaw%2000)+1, int(mRaw%100)+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -43,11 +43,10 @@ func runReference(ds *metric.Dataset, cfg Config) (*Result, error) {
 		if res.Iterations > 0 {
 			mi = min((len(s)+c-1)/c, m)
 		}
-		parts := mapreduce.Partition(len(s), mi)
-		for _, part := range parts {
-			for j := range part {
-				part[j] = s[part[j]]
-			}
+		bounds := mapreduce.PartitionBounds(len(s), mi)
+		parts := make([][]int, len(bounds)-1)
+		for i := range parts {
+			parts[i] = s[bounds[i]:bounds[i+1]]
 		}
 		centerSets := make([][]int, len(parts))
 		tasks := make([]mapreduce.Task, len(parts))

@@ -14,10 +14,12 @@ import (
 // comparison space, for the squared-Euclidean fast path (matrix-pruned scan
 // or, at dim ≤ 2 from sweepMinCenters centers, the sorted sweep) and for a
 // generic metric: neither the skips nor the early exits may change the
-// covered/uncovered verdict Push acts on. Besides random queries it asks
-// queries at exactly lim from a center along one axis (and one float
-// closer and further), every center at lim = 0 as the fill phase does,
-// coordinates of ±1e154 whose squares overflow, and NaN and ±Inf queries.
+// covered/uncovered verdict Push acts on. Besides random queries it asks,
+// under both metrics, queries at exactly lim from a center along one axis
+// (and one float closer and further), where the generic metric's
+// triangle-inequality skip meets rounding ties, every center at lim = 0 as
+// the fill phase does, coordinates of ±1e154 whose squares overflow, and
+// NaN and ±Inf queries.
 func TestQuickCoveredWithinMatchesFullScan(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	var swept int
@@ -71,16 +73,15 @@ func TestQuickCoveredWithinMatchesFullScan(t *testing.T) {
 					return false
 				}
 				// At exactly lim along one axis: lim is the rounded
-				// difference itself, so the squared distance is lim².
+				// difference itself, so the squared distance is lim² and
+				// the L1 distance is lim.
 				axis := r.Intn(dim)
 				copy(q, c)
 				q[axis] += scale * r.Float64Range(0, 5)
-				if m == nil {
-					lim := math.Abs(q[axis] - c[axis])
-					for _, l := range []float64{lim, math.Nextafter(lim, 0), math.Nextafter(lim, inf)} {
-						if !check(q, l) {
-							return false
-						}
+				lim := math.Abs(q[axis] - c[axis])
+				for _, l := range []float64{lim, math.Nextafter(lim, 0), math.Nextafter(lim, inf)} {
+					if !check(q, l) {
+						return false
 					}
 				}
 				for _, v := range []float64{1e154, -1e154, nan, inf, -inf} {

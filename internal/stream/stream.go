@@ -159,12 +159,17 @@ func (s *Summary) appendCenter(p []float64) {
 //
 // Otherwise the scan early-exits on the first covering center and skips
 // candidates the center matrix rules out: with best-so-far center c_b at
-// distance d_b, a candidate c with d(c_b, c) >= d_b + lim cannot cover p
+// distance d_b, a candidate c with d(c_b, c) > d_b + lim cannot cover p
 // (triangle inequality). On the Euclidean fast path the skip test stays
 // in squared space, cc(c_b, c) > 2·(d_b² + lim²), the AM–GM relaxation
 // of (d_b + lim)². It is strict so that where both sides overflowed to
 // +Inf nothing is skipped: an infinite matrix entry says nothing about
-// how it compares with an infinite bound.
+// how it compares with an infinite bound. A custom metric's skip test,
+// cc(c_b, c) > 2·(d_b + lim), keeps the same factor-2 slack: the matrix
+// entry and d_b + lim are rounded separately, so at a center exactly lim
+// away (common under L1, whose triangle inequality is tight) the exact
+// bound d_b + lim can sit one ulp below the entry. Past overflow the
+// bound is +Inf and skips nothing.
 func (s *Summary) coveredWithin(p []float64, lim float64) bool {
 	n := s.centers.N
 	if n == 0 {
@@ -208,8 +213,9 @@ func (s *Summary) coveredWithin(p []float64, lim float64) bool {
 		return true
 	}
 	best := 0
+	skip := 2 * (bestD + lim)
 	for c := 1; c < n; c++ {
-		if s.cc[best*stride+c] > bestD+lim {
+		if s.cc[best*stride+c] > skip {
 			continue
 		}
 		d := s.m.Distance(s.centers.At(c), p)
@@ -218,6 +224,7 @@ func (s *Summary) coveredWithin(p []float64, lim float64) bool {
 		}
 		if d < bestD {
 			bestD, best = d, c
+			skip = 2 * (bestD + lim)
 		}
 	}
 	return false
@@ -393,7 +400,8 @@ func Cover(ds *metric.Dataset, centers *metric.Dataset, m metric.Interface) floa
 		return math.Sqrt(worst)
 	}
 	// Generic-metric pruning over true distances: skip a candidate c when
-	// d(c_best, c) >= 2·d(p, c_best).
+	// d(c_best, c) > 2·d(p, c_best). The test is strict so that where both
+	// sides overflowed to +Inf the candidate is still measured.
 	k := centers.N
 	cc := make([]float64, k*k)
 	for i := 0; i < k; i++ {
@@ -407,7 +415,7 @@ func Cover(ds *metric.Dataset, centers *metric.Dataset, m metric.Interface) floa
 		p := ds.At(i)
 		best, bestD := 0, m.Distance(p, centers.At(0))
 		for c := 1; c < k; c++ {
-			if cc[best*k+c] >= 2*bestD {
+			if cc[best*k+c] > 2*bestD {
 				continue
 			}
 			if d := m.Distance(p, centers.At(c)); d < bestD {

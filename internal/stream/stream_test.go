@@ -355,7 +355,8 @@ func TestShardedErrors(t *testing.T) {
 
 // TestSummaryManhattanMetric exercises the non-Euclidean path end to end:
 // the invariants are metric-agnostic as long as the triangle inequality
-// holds.
+// holds. Cover must also find a point sitting on a center when the center
+// distances and the pruning bound have overflowed to +Inf.
 func TestSummaryManhattanMetric(t *testing.T) {
 	const n, k = 1500, 5
 	ds := randomDataset(n, 2, 33)
@@ -385,6 +386,20 @@ func TestSummaryManhattanMetric(t *testing.T) {
 	}
 	if got := Cover(ds, res.Centers, m); got > res.Bound+1e-9 {
 		t.Fatalf("sharded realized %g escapes bound %g", got, res.Bound)
+	}
+
+	far, err := metric.FromPoints([][]float64{{-1e308}, {1e308}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, err := metric.FromPoints([][]float64{{1e308}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range []metric.Interface{nil, m} {
+		if got := Cover(on, far, mm); got != 0 {
+			t.Fatalf("metric %v: point on a center covered at %g, want 0", mm, got)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ echo "== docs gate (scripts/docscheck.sh)"
 sh scripts/docscheck.sh
 
 # Reach gate (`make reach`): every internal/ package is a dependency of the
-# facade, a command or an example.
+# facade or a command.
 echo "== reach gate (scripts/reachcheck.sh)"
 sh scripts/reachcheck.sh
 
